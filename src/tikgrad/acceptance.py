@@ -24,7 +24,7 @@ from .bench import (
     with_bounds,
 )
 from .oracles import BallSet, BoxSet, SimplexSet
-from .regularization import GeometricSchedule, path_check, tikhonov_solve
+from .regularization import GeometricSchedule, PerturbedObjective, path_check, tikhonov_solve
 from .solvers import StopPolicy, cgrm_constants, gprm_constants, run_cgm, run_cgrm, run_gpm, run_gprm
 
 __all__ = ["CriterionResult", "SuiteContext", "CRITERIA", "run_all", "format_line"]
@@ -184,8 +184,7 @@ def criterion_7(ctx: SuiteContext) -> CriterionResult:
     details = []
     passed = True
     for method, label in (("gprm", "illposed_box(2)"), ("cgrm", "illposed_simplex(3)")):
-        gp, _, consts, trace, _ = ctx.two_level_run(method, label, 0.5)
-        base = gp.problem.objective.value_fn
+        gp, sched, consts, trace, _ = ctx.two_level_run(method, label, 0.5)
         samples = trace.inner_samples
         if len(samples) < 10:
             passed = False
@@ -194,7 +193,7 @@ def criterion_7(ctx: SuiteContext) -> CriterionResult:
         worst = -math.inf
         for s in samples:
             z = ctx.z_oracle(label, s.epsilon)
-            phi = lambda v, e=s.epsilon: float(base(v)) + 0.5 * e * float(v @ v)
+            phi = PerturbedObjective(gp.problem.objective, s.epsilon, sched.epsilon0).value
             if method == "gprm":
                 point = s.y
                 gap = phi(point) - phi(z)

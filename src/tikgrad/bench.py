@@ -63,8 +63,11 @@ __all__ = [
     "default_start",
     "theoretical_bound",
     "bound_constants",
+    "complexity_bound",
+    "complexity_count",
     "measure_complexity",
     "with_bounds",
+    "validate_experiment",
     "run_experiment",
     "solver_constants",
     "write_trace_csv",
@@ -381,10 +384,15 @@ def theoretical_bound(
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     C1, C2 = bound_constants(method, sched, consts, xstar_norm)
+    return complexity_bound(C1, C2, sched.nu, sched.sigma, alpha)
+
+
+def complexity_bound(C1: float, C2: float, nu: float, sigma: float, alpha: float) -> float:
+    """The bound formula of theoretical_bound, given its constants (C1, C2)."""
     if alpha >= C1:
         return 0.0
-    s = 1.0 + 2.0 * sched.sigma
-    return C2 * ((C1 / alpha) ** s - 1.0) / (sched.nu * (1.0 - sched.nu**s))
+    s = 1.0 + 2.0 * sigma
+    return C2 * ((C1 / alpha) ** s - 1.0) / (nu * (1.0 - nu**s))
 
 
 @dataclass(frozen=True)
@@ -409,6 +417,22 @@ def _fit_exponent(alpha_grid, measured, attained) -> float:
     if len(xs) < 2:
         return math.nan
     return float(np.polyfit(np.asarray(xs), np.asarray(ys), 1)[0])
+
+
+def complexity_count(deltas, cums, alpha: float) -> tuple[int, bool]:
+    """(N(alpha), attained) from per-level Delta values and cumulative inner counts.
+
+    N(alpha) is the cumulative count at the last level with Delta >= alpha;
+    alpha is unattained when even the last Delta is >= alpha, and N is then
+    the total count.
+    """
+    if deltas[-1] >= alpha:
+        return cums[-1], False
+    n = 0
+    for d, c in zip(deltas, cums):
+        if d >= alpha:
+            n = c
+    return n, True
 
 
 def measure_complexity(
@@ -450,22 +474,13 @@ def measure_complexity(
         if any(d is None for d in deltas):
             raise ValueError("trace lacks Delta records; pass value_fn")
     cums = [r.cum_inner for r in recs]
-    measured, attained = [], []
-    for a in grid:
-        if deltas[-1] >= a:
-            measured.append(cums[-1])
-            attained.append(False)
-            continue
-        line = 0
-        for i, d in enumerate(deltas):
-            if d >= a:
-                line = cums[i]
-        measured.append(line)
-        attained.append(True)
+    counts = [complexity_count(deltas, cums, a) for a in grid]
+    measured = tuple(int(n) for n, _ in counts)
+    attained = tuple(ok for _, ok in counts)
     return ComplexityReport(
         alpha_grid=grid,
-        measured_N=tuple(int(n) for n in measured),
-        attained=tuple(attained),
+        measured_N=measured,
+        attained=attained,
         fitted_exponent=_fit_exponent(grid, measured, attained),
     )
 
@@ -511,7 +526,6 @@ class ExperimentConfig:
     max_inner_per_l: int = 10**6
     max_linesearch_m: int = 60
     max_iter: int = 10_000
-    seed: int = 0
     x0: Optional[tuple[float, ...]] = None
     output_path: Optional[str] = None
 
@@ -541,8 +555,6 @@ def _validate_config(cfg: ExperimentConfig) -> list[str]:
         errors.append("lam: must be positive")
     if cfg.theta_k is not None and cfg.theta_k <= 0.0:
         errors.append("theta_k: must be positive")
-    if not isinstance(cfg.seed, int):
-        errors.append("seed: must be an integer")
     return errors
 
 
@@ -555,12 +567,13 @@ def solver_constants(cfg: ExperimentConfig, gp: GeneratedProblem, x0: Array) -> 
     return None
 
 
-def run_experiment(cfg: ExperimentConfig) -> SolverTrace:
-    """Validate, build, run, and (when output_path is set) serialize.
+def validate_experiment(cfg: ExperimentConfig) -> tuple[GeneratedProblem, Array, float, float]:
+    """Everything run_experiment checks before solving; returns (gp, x0, lam, theta_k).
 
-    Raises ConfigError before touching the solver if any field is out of
-    its mandated interval; writes the CSV trace and its JSON sidecar next
-    to each other at output_path.
+    Raises ConfigError for a field outside its mandated interval, an unknown
+    problem label, a baseline step at or above 2/L, or an x0 that has the
+    wrong dimension, a non-finite entry, or lies outside the feasible set.
+    lam and theta_k default to 1/L.
     """
     errors = _validate_config(cfg)
     if errors:
@@ -575,12 +588,28 @@ def run_experiment(cfg: ExperimentConfig) -> SolverTrace:
     if cfg.method == "cgm" and theta_k * L >= 2.0:
         raise ConfigError("theta_k: must satisfy theta_k < 2/L")
     if cfg.x0 is not None:
-        x0 = as_vector(np.asarray(cfg.x0, dtype=np.float64))
-        if gp.problem.feasible_set.dimension is not None and x0.shape[0] != gp.problem.feasible_set.dimension:
+        try:
+            x0 = as_vector(cfg.x0)
+        except ValueError as exc:
+            raise ConfigError(f"x0: {exc}") from None
+        fs = gp.problem.feasible_set
+        if fs.dimension is not None and x0.shape[0] != fs.dimension:
             raise ConfigError("x0: wrong dimension for the problem")
+        if fs.membership_fn is not None and not fs.contains(x0, 1e-10):
+            raise ConfigError("x0: not feasible at tolerance 1e-10")
     else:
         x0 = default_start(gp, cfg.method)
+    return gp, x0, lam, theta_k
 
+
+def run_experiment(cfg: ExperimentConfig) -> SolverTrace:
+    """Validate, build, run, and (when output_path is set) serialize.
+
+    Raises ConfigError (see validate_experiment) before touching the solver;
+    writes the CSV trace and its JSON sidecar next to each other at
+    output_path.
+    """
+    gp, x0, lam, theta_k = validate_experiment(cfg)
     stop = StopPolicy(cfg.epsilon_min, cfg.max_outer, cfg.max_inner_per_l, cfg.max_linesearch_m)
     sched = GeometricSchedule(cfg.epsilon0, cfg.nu, cfg.sigma)
     consts = solver_constants(cfg, gp, x0)

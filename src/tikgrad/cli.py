@@ -3,7 +3,8 @@
 Subcommands
 -----------
 run CONFIG        one experiment from an INI config file
-sweep CONFIG      cartesian product over semicolon-separated value lists
+sweep CONFIG      cartesian product over semicolon-separated value lists,
+                  every expanded config validated before the first run
 verify            full acceptance suite (exit 3 if any criterion fails)
 report FILES...   summary and complexity tables from stored trace CSVs
 
@@ -26,11 +27,15 @@ from typing import Optional
 
 from . import acceptance
 from .bench import (
+    DEFAULT_ALPHA_GRID,
     ConfigError,
     ExperimentConfig,
+    complexity_bound,
+    complexity_count,
     read_trace_csv,
     run_experiment,
     sidecar_path,
+    validate_experiment,
 )
 from .core import LineSearchFailure, OracleFailure, RunawayInnerLoop
 
@@ -42,7 +47,7 @@ EXIT_SOLVER = 2
 EXIT_ACCEPT = 3
 
 _STR_FIELDS = {"problem_label", "method", "output_path"}
-_INT_FIELDS = {"max_outer", "max_inner_per_l", "max_linesearch_m", "max_iter", "seed"}
+_INT_FIELDS = {"max_outer", "max_inner_per_l", "max_linesearch_m", "max_iter"}
 _FLOAT_FIELDS = {
     "epsilon0", "nu", "sigma", "tau", "lam", "theta_k", "beta", "theta", "epsilon_min",
 }
@@ -114,17 +119,17 @@ def load_sweep_configs(path: str) -> list[ExperimentConfig]:
 def _summarize(cfg: ExperimentConfig, trace) -> str:
     last = trace.outer_records[-1]
     parts = [
-        f"{cfg.method} on {cfg.problem_label}:",
-        f"{len([r for r in trace.outer_records if r.l >= 1])} outer records,",
+        f"{cfg.method} on {cfg.problem_label}: "
+        f"{len([r for r in trace.outer_records if r.l >= 1])} outer records",
         f"{trace.counters.inner_iterations} inner iterations",
     ]
     if last.delta_wl is not None:
-        parts.append(f", final value gap {last.delta_wl:.3e}")
+        parts.append(f"final value gap {last.delta_wl:.3e}")
     if last.dist_xstar is not None:
-        parts.append(f", final dist to x*_n {last.dist_xstar:.3e}")
+        parts.append(f"final dist to x*_n {last.dist_xstar:.3e}")
     if cfg.output_path is not None:
-        parts.append(f", wrote {cfg.output_path}")
-    return " ".join(parts)
+        parts.append(f"wrote {cfg.output_path}")
+    return ", ".join(parts)
 
 
 def _cmd_run(args) -> int:
@@ -146,6 +151,9 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     try:
         configs = load_sweep_configs(args.config)
+        # reject the whole sweep before any run writes its outputs
+        for cfg in configs:
+            validate_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -169,17 +177,6 @@ def _cmd_verify(_args) -> int:
     for result in results:
         print(acceptance.format_line(result))
     return EXIT_OK if all(r.passed for r in results) else EXIT_ACCEPT
-
-
-def _bound_from_sidecar(constants: dict, alpha: float) -> Optional[float]:
-    C1, C2 = constants.get("C1"), constants.get("C2")
-    nu, sigma = constants.get("nu"), constants.get("sigma")
-    if C1 is None or C2 is None or nu is None or sigma is None:
-        return None
-    if alpha >= C1:
-        return 0.0
-    s = 1.0 + 2.0 * sigma
-    return C2 * ((C1 / alpha) ** s - 1.0) / (nu * (1.0 - nu**s))
 
 
 def _cmd_report(args) -> int:
@@ -209,16 +206,13 @@ def _cmd_report(args) -> int:
         cums = [r["cum_inner"] for r in rows if r["l"] >= 1]
         if deltas and all(d is not None for d in deltas):
             print(f"{'alpha':>10} {'N(alpha)':>10} {'bound':>12}")
-            for alpha in (0.1, 0.03, 0.01, 0.003, 0.001):
-                if deltas[-1] >= alpha:
+            bound_args = [constants.get(k) for k in ("C1", "C2", "nu", "sigma")]
+            for alpha in DEFAULT_ALPHA_GRID:
+                n, attained = complexity_count(deltas, cums, alpha)
+                if not attained:
                     print(f"{alpha:>10g} {'unattained':>10} {'-':>12}")
                     continue
-                n = 0
-                for d, c in zip(deltas, cums):
-                    if d >= alpha:
-                        n = c
-                bound = _bound_from_sidecar(constants, alpha)
-                btxt = f"{bound:.4e}" if bound is not None else "-"
+                btxt = "-" if None in bound_args else f"{complexity_bound(*bound_args, alpha):.4e}"
                 print(f"{alpha:>10g} {n:>10} {btxt:>12}")
     return status
 

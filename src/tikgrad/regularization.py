@@ -24,9 +24,6 @@ __all__ = [
     "IterRegSchedule",
     "TikhonovRecord",
     "PathCheckReport",
-    "perturbed_value",
-    "schedule_params",
-    "iterreg_params",
     "tikhonov_solve",
     "tikhonov_path",
     "path_check",
@@ -61,11 +58,6 @@ class PerturbedObjective:
 
     def gradient(self, x: Array) -> Array:
         return self.base.gradient_fn(x) + self.epsilon * x
-
-
-def perturbed_value(p: PerturbedObjective, x: Array) -> float:
-    """f(x) + 0.5 * epsilon * ||x||^2 for the perturbation p."""
-    return p.value(x)
 
 
 @dataclass(frozen=True)
@@ -113,16 +105,6 @@ class IterRegSchedule:
         if k < 0:
             raise ValueError("iteration index must be non-negative")
         return (k + 1.0) ** -0.5, (k + 1.0) ** -self.tau
-
-
-def schedule_params(schedule: GeometricSchedule, l: int) -> tuple[float, float]:
-    """(eps_l, delta_l) for outer level l."""
-    return schedule.params(l)
-
-
-def iterreg_params(schedule: IterRegSchedule, k: int) -> tuple[float, float]:
-    """(lambda_k, eps_k) for iteration k."""
-    return schedule.params(k)
 
 
 @dataclass(frozen=True, eq=False)

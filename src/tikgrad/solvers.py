@@ -8,9 +8,10 @@ Five methods share the container types here:
 * run_cgm       conditional gradient with the analytic step rule (baseline)
 * run_cgrm      two-level regularized conditional gradient
 
-The two-level methods run an inner Armijo loop on the perturbed objective
-phi_eps_l until a displacement (gprm) or duality-gap (cgrm) test signals
-that the current level is solved to accuracy delta_l, then shrink eps.
+The two-level methods share one outer loop: an inner Armijo loop on the
+perturbed objective phi_eps_l runs until a displacement (gprm) or duality-gap
+(cgrm) test signals that the level is solved to accuracy delta_l, then eps
+shrinks.  run_gpm and run_iterreg share one projected-gradient loop.
 Traces record one row per outer level (or per iteration for the single-loop
 baselines), the first few inner iterates for certificate checks, and the
 smallest accepted line-search multiplier.
@@ -44,7 +45,6 @@ __all__ = [
     "SolverTrace",
     "gprm_constants",
     "cgrm_constants",
-    "armijo_search",
     "run_gpm",
     "run_iterreg",
     "run_gprm",
@@ -152,7 +152,6 @@ class OuterRecord:
     delta_l: Optional[float]
     N_l: int
     w_l: Array
-    phi_gap: Optional[float] = None
     delta_wl: Optional[float] = None
     dist_xstar: Optional[float] = None
     cum_inner: int = 0
@@ -198,12 +197,13 @@ def _armijo(
     max_m: int,
     phi_at_x: Optional[float] = None,
 ) -> tuple[int, float, Array, float, int]:
-    """Shared backtracking core.
+    """Smallest m with phi(trial_m) <= phi(x) - beta * theta^m * quad_coeff.
 
-    Trial point is x + theta^m * d, or x + theta^m * cap * d when a unit-step
-    cap is given (then powers with theta^m * cap > 1 are skipped unevaluated).
-    Returns (m, theta^m, accepted point, its phi value, number of trial
-    evaluations).
+    quad_coeff is ||d||^2 for gradient-projection steps and mu^2 for
+    conditional-gradient steps.  Trial point is x + theta^m * d, or
+    x + theta^m * cap * d when a unit-step cap is given (then powers with
+    theta^m * cap > 1 are skipped unevaluated).  Returns (m, theta^m,
+    accepted point, its phi value, number of trial evaluations).
     """
     if phi_at_x is None:
         phi_at_x = phi_value(x)
@@ -224,35 +224,6 @@ def _armijo(
     )
 
 
-def armijo_search(
-    phi: PerturbedObjective,
-    x: Array,
-    d: Array,
-    beta: float,
-    theta: float,
-    quad_coeff: float,
-    cap_condition: Optional[float] = None,
-    max_m: int = 60,
-) -> tuple[int, float]:
-    """Smallest m with phi(trial_m) <= phi(x) - beta * theta^m * quad_coeff.
-
-    quad_coeff is ||d||^2 for gradient-projection steps and mu^2 for
-    conditional-gradient steps; cap_condition, when given, is the gap mu and
-    additionally requires theta^m * mu <= 1 (trial point x + theta^m mu d).
-    Returns (m, theta^m).
-    """
-    if not (0.0 < beta < 1.0 and 0.0 < theta < 1.0):
-        raise ValueError("beta and theta must lie in (0, 1)")
-    d = np.asarray(d, dtype=np.float64)
-    if not np.any(d):
-        raise ValueError("direction d must be nonzero")
-    m, lam, _, _, _ = _armijo(
-        phi.value, np.asarray(x, dtype=np.float64), d, beta, theta, quad_coeff,
-        cap_condition, max_m,
-    )
-    return m, lam
-
-
 def _require_feasible(problem: Problem, x: Array, who: str) -> Array:
     x = as_vector(x)
     fs = problem.feasible_set
@@ -261,16 +232,49 @@ def _require_feasible(problem: Problem, x: Array, who: str) -> Array:
     return x
 
 
-def _deltaf(problem: Problem, x: Array) -> Optional[float]:
-    if problem.known_fstar is None:
-        return None
-    return float(problem.objective.value_fn(x)) - problem.known_fstar
+def _record(
+    problem: Problem, l: int, eps: Optional[float], delta: Optional[float], N_l: int,
+    x: Array, cum_inner: int,
+) -> OuterRecord:
+    """Snapshot of x with its value gap and distance to x*_n where those are known."""
+    fstar, xstar = problem.known_fstar, problem.known_xstar_n
+    return OuterRecord(
+        l, eps, delta, N_l, x.copy(),
+        delta_wl=None if fstar is None else float(problem.objective.value_fn(x)) - fstar,
+        dist_xstar=None if xstar is None else float(np.linalg.norm(x - xstar)),
+        cum_inner=cum_inner,
+    )
 
 
-def _dist_xstar(problem: Problem, x: Array) -> Optional[float]:
-    if problem.known_xstar_n is None:
-        return None
-    return float(np.linalg.norm(x - problem.known_xstar_n))
+def _projected_gradient(
+    method: str,
+    problem: Problem,
+    params: Callable[[int], tuple[float, Optional[float]]],
+    x0: Array,
+    max_iter: int,
+) -> SolverTrace:
+    """Single loop x <- P(x - lam_k (f'(x) + eps_k x)) with (lam_k, eps_k) = params(k).
+
+    eps_k = None drops the regularization term (and leaves the trace's
+    epsilon_l column empty).
+    """
+    project = problem.feasible_set.project_fn
+    if project is None:
+        raise ValueError(f"run_{method} needs a projection oracle")
+    x = _require_feasible(problem, x0, "x0")
+    grad = problem.objective.gradient_fn
+    records = [_record(problem, 0, None, None, 0, x, 0)]
+    min_lam = math.inf
+    for k in range(max_iter):
+        lam_k, eps_k = params(k)
+        g = grad(x) if eps_k is None else grad(x) + eps_k * x
+        x = project(x - lam_k * g)
+        min_lam = min(min_lam, lam_k)
+        records.append(_record(problem, k + 1, eps_k, None, 1, x, k + 1))
+    counters = OracleCounters(
+        gradient_evals=max_iter, projections=max_iter, inner_iterations=max_iter
+    )
+    return SolverTrace(method, records, counters, min_observed_lambda=min_lam)
 
 
 def run_gpm(problem: Problem, lam: float, x0: Array, max_iter: int) -> SolverTrace:
@@ -283,27 +287,7 @@ def run_gpm(problem: Problem, lam: float, x0: Array, max_iter: int) -> SolverTra
     L = problem.objective.lipschitz_L
     if not (lam > 0.0 and lam * L < 2.0):
         raise ValueError("need 0 < lam < 2/L")
-    project = problem.feasible_set.project_fn
-    if project is None:
-        raise ValueError("run_gpm needs a projection oracle")
-    x = _require_feasible(problem, x0, "x0")
-    grad = problem.objective.gradient_fn
-    counters = OracleCounters()
-    records = [
-        OuterRecord(0, None, None, 0, x.copy(), delta_wl=_deltaf(problem, x),
-                    dist_xstar=_dist_xstar(problem, x), cum_inner=0)
-    ]
-    for k in range(1, max_iter + 1):
-        g = grad(x)
-        counters.gradient_evals += 1
-        x = project(x - lam * g)
-        counters.projections += 1
-        counters.inner_iterations += 1
-        records.append(
-            OuterRecord(k, None, None, 1, x.copy(), delta_wl=_deltaf(problem, x),
-                        dist_xstar=_dist_xstar(problem, x), cum_inner=k)
-        )
-    return SolverTrace("gpm", records, counters, min_observed_lambda=lam)
+    return _projected_gradient("gpm", problem, lambda k: (lam, None), x0, max_iter)
 
 
 def run_iterreg(problem: Problem, sched: IterRegSchedule, x0: Array, max_iter: int) -> SolverTrace:
@@ -313,30 +297,84 @@ def run_iterreg(problem: Problem, sched: IterRegSchedule, x0: Array, max_iter: i
     lambda_k and eps_k.  Converges to the minimal-norm solution without an
     outer loop, at the cost of having no complexity guarantee.
     """
-    project = problem.feasible_set.project_fn
-    if project is None:
-        raise ValueError("run_iterreg needs a projection oracle")
-    x = _require_feasible(problem, x0, "x0")
+    return _projected_gradient("iterreg", problem, sched.params, x0, max_iter)
+
+
+def _two_level(
+    method: str,
+    problem: Problem,
+    sched: GeometricSchedule,
+    consts: MethodConstants,
+    w0: Array,
+    stop: Optional[StopPolicy],
+    samples_per_level: int,
+    oracle_counter: str,
+    step: Callable[[Array, Array], tuple],
+    handoff: Callable[[Callable[[Array], float], Array, Array], Array],
+) -> SolverTrace:
+    """Outer Tikhonov loop shared by run_gprm and run_cgrm.
+
+    step(x, phi'(x)) calls the method's oracle once and returns
+    (y, d, test, quad_coeff, cap, mu): the candidate y, the direction d, the
+    value the handoff test compares with delta_l, the Armijo quad_coeff and
+    unit-step cap, and the gap mu kept on inner samples (None without one).
+    Level l takes Armijo steps along d until test <= delta_l, then passes
+    handoff(phi_eps_l, x, y) to level l + 1 as its warm start.
+    oracle_counter names the OracleCounters field that counts step's calls.
+    """
+    stop = stop if stop is not None else StopPolicy()
+    if consts.Lprime < problem.objective.lipschitz_L:
+        raise ValueError("consts.Lprime is below the objective's Lipschitz constant")
+    w = _require_feasible(problem, w0, "w0")
     grad = problem.objective.gradient_fn
-    counters = OracleCounters()
-    records = [
-        OuterRecord(0, None, None, 0, x.copy(), delta_wl=_deltaf(problem, x),
-                    dist_xstar=_dist_xstar(problem, x), cum_inner=0)
-    ]
-    min_lam = math.inf
-    for k in range(max_iter):
-        lam_k, eps_k = sched.params(k)
-        g = grad(x) + eps_k * x
-        counters.gradient_evals += 1
-        x = project(x - lam_k * g)
-        counters.projections += 1
-        counters.inner_iterations += 1
-        min_lam = min(min_lam, lam_k)
-        records.append(
-            OuterRecord(k + 1, eps_k, None, 1, x.copy(), delta_wl=_deltaf(problem, x),
-                        dist_xstar=_dist_xstar(problem, x), cum_inner=k + 1)
-        )
-    return SolverTrace("iterreg", records, counters, min_observed_lambda=min_lam)
+    beta, theta, max_m = consts.beta, consts.theta, stop.max_linesearch_m
+    max_inner = stop.max_inner_per_l
+
+    records: list[OuterRecord] = []
+    samples: list[InnerSample] = []
+    min_lambda = math.inf
+    trials_total = 0
+    cum_inner = 0
+    l = 1
+    while True:
+        eps, delta = sched.params(l)
+        if eps < stop.epsilon_min or l > stop.max_outer:
+            break
+        phi = PerturbedObjective(problem.objective, eps, sched.epsilon0).value
+        x = w
+        phi_x: Optional[float] = None
+        N_l = 0
+        while True:
+            g = grad(x) + eps * x
+            y, d, test, quad_coeff, cap, mu = step(x, g)
+            sampled = N_l < samples_per_level
+            if sampled:
+                samples.append(InnerSample(l, N_l, eps, x.copy(), y.copy(), mu=mu))
+            if test <= delta:
+                w = handoff(phi, x, y)
+                break
+            if N_l >= max_inner:
+                raise RunawayInnerLoop(f"level {l} exceeded {max_inner} inner iterations")
+            m, lam, x, phi_x, trials = _armijo(
+                phi, x, d, beta, theta, quad_coeff, cap, max_m, phi_x
+            )
+            trials_total += trials
+            if lam < min_lambda:
+                min_lambda = lam
+            if sampled:
+                samples[-1].lam = lam
+            N_l += 1
+        cum_inner += N_l
+        records.append(_record(problem, l, eps, delta, N_l, w, cum_inner))
+        l += 1
+    # each level evaluates the gradient and the oracle once per step plus once for the last test
+    evals = cum_inner + len(records)
+    counters = OracleCounters(
+        gradient_evals=evals, linesearch_trials=trials_total, inner_iterations=cum_inner,
+        **{oracle_counter: evals},
+    )
+    return SolverTrace(method, records, counters, min_observed_lambda=min_lambda,
+                       inner_samples=samples)
 
 
 def run_gprm(
@@ -372,72 +410,21 @@ def run_gprm(
     samples_per_level : int
         How many early inner iterates of each level to keep on the trace.
     """
-    stop = stop if stop is not None else StopPolicy()
     project = problem.feasible_set.project_fn
     if project is None:
         raise ValueError("run_gprm needs a projection oracle")
-    if consts.Lprime < problem.objective.lipschitz_L:
-        raise ValueError("consts.Lprime is below the objective's Lipschitz constant")
-    w = _require_feasible(problem, w0, "w0")
-    base_value = problem.objective.value_fn
-    grad = problem.objective.gradient_fn
-    beta, theta, max_m = consts.beta, consts.theta, stop.max_linesearch_m
 
-    counters = OracleCounters()
-    records: list[OuterRecord] = []
-    samples: list[InnerSample] = []
-    min_lambda = math.inf
-    cum_inner = 0
-    l = 1
-    while True:
-        eps, delta = sched.params(l)
-        if eps < stop.epsilon_min or l > stop.max_outer:
-            break
+    def step(x: Array, g: Array) -> tuple:
+        y = project(x - g)
+        d = y - x
+        dn2 = float(d @ d)
+        return y, d, math.sqrt(dn2), dn2, None, None
 
-        def phi_val(v: Array, _e: float = eps) -> float:
-            return float(base_value(v)) + 0.5 * _e * float(v @ v)
+    def better(phi, x: Array, y: Array) -> Array:
+        return y if phi(y) <= phi(x) else x
 
-        x = w
-        phi_x: Optional[float] = None
-        N_l = 0
-        level_samples = 0
-        while True:
-            g = grad(x) + eps * x
-            counters.gradient_evals += 1
-            y = project(x - g)
-            counters.projections += 1
-            d = y - x
-            dn2 = float(d @ d)
-            sampled = level_samples < samples_per_level
-            if sampled:
-                samples.append(InnerSample(l, N_l, eps, x.copy(), y.copy()))
-                level_samples += 1
-            if math.sqrt(dn2) <= delta:
-                # handoff test fired: keep the better perturbed value, ties to y
-                w = y if phi_val(y) <= phi_val(x) else x
-                break
-            if N_l >= stop.max_inner_per_l:
-                raise RunawayInnerLoop(
-                    f"level {l} exceeded {stop.max_inner_per_l} inner iterations"
-                )
-            m, lam, x, phi_x, trials = _armijo(
-                phi_val, x, d, beta, theta, dn2, None, max_m, phi_x
-            )
-            counters.linesearch_trials += trials
-            if lam < min_lambda:
-                min_lambda = lam
-            if sampled:
-                samples[-1].lam = lam
-            N_l += 1
-        counters.inner_iterations += N_l
-        cum_inner += N_l
-        records.append(
-            OuterRecord(l, eps, delta, N_l, w.copy(), delta_wl=_deltaf(problem, w),
-                        dist_xstar=_dist_xstar(problem, w), cum_inner=cum_inner)
-        )
-        l += 1
-    return SolverTrace("gprm", records, counters, min_observed_lambda=min_lambda,
-                       inner_samples=samples)
+    return _two_level("gprm", problem, sched, consts, w0, stop, samples_per_level,
+                      "projections", step, better)
 
 
 def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> SolverTrace:
@@ -457,10 +444,7 @@ def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> Solve
     x = _require_feasible(problem, x0, "x0")
     grad = problem.objective.gradient_fn
     counters = OracleCounters()
-    records = [
-        OuterRecord(0, None, None, 0, x.copy(), delta_wl=_deltaf(problem, x),
-                    dist_xstar=_dist_xstar(problem, x), cum_inner=0)
-    ]
+    records = [_record(problem, 0, None, None, 0, x, 0)]
     min_lam = math.inf
     for k in range(1, max_iter + 1):
         g = grad(x)
@@ -476,10 +460,7 @@ def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> Solve
         x = x + lam * d
         counters.inner_iterations += 1
         min_lam = min(min_lam, lam)
-        records.append(
-            OuterRecord(k, None, None, 1, x.copy(), delta_wl=_deltaf(problem, x),
-                        dist_xstar=_dist_xstar(problem, x), cum_inner=k)
-        )
+        records.append(_record(problem, k, None, None, 1, x, k))
     return SolverTrace("cgm", records, counters, min_observed_lambda=min_lam)
 
 
@@ -500,73 +481,22 @@ def run_cgrm(
     power m, capped so the multiplier never exceeds 1 and iterates stay
     inside the set.  The handoff point is x itself, not the vertex.
     """
-    stop = stop if stop is not None else StopPolicy()
     fs = problem.feasible_set
     if fs.lmo_fn is None:
         raise ValueError("run_cgrm needs an LMO")
     if fs.diameter_B is None:
         raise ValueError("run_cgrm needs diameter_B")
-    if consts.Lprime < problem.objective.lipschitz_L:
-        raise ValueError("consts.Lprime is below the objective's Lipschitz constant")
     lmo = fs.lmo_fn
-    w = _require_feasible(problem, w0, "w0")
-    base_value = problem.objective.value_fn
-    grad = problem.objective.gradient_fn
-    beta, theta, max_m = consts.beta, consts.theta, stop.max_linesearch_m
-
-    counters = OracleCounters()
-    records: list[OuterRecord] = []
-    samples: list[InnerSample] = []
     mu_history: list[float] = []
-    min_lambda = math.inf
-    cum_inner = 0
-    l = 1
-    while True:
-        eps, delta = sched.params(l)
-        if eps < stop.epsilon_min or l > stop.max_outer:
-            break
 
-        def phi_val(v: Array, _e: float = eps) -> float:
-            return float(base_value(v)) + 0.5 * _e * float(v @ v)
+    def step(x: Array, g: Array) -> tuple:
+        y = lmo(g)
+        d = y - x
+        mu = -float(g @ d)
+        mu_history.append(mu)
+        return y, d, mu, mu * mu, mu, mu
 
-        x = w
-        phi_x: Optional[float] = None
-        N_l = 0
-        level_samples = 0
-        while True:
-            g = grad(x) + eps * x
-            counters.gradient_evals += 1
-            y = lmo(g)
-            counters.lmo_calls += 1
-            d = y - x
-            mu = -float(g @ d)
-            mu_history.append(mu)
-            sampled = level_samples < samples_per_level
-            if sampled:
-                samples.append(InnerSample(l, N_l, eps, x.copy(), y.copy(), mu=mu))
-                level_samples += 1
-            if mu <= delta:
-                w = x
-                break
-            if N_l >= stop.max_inner_per_l:
-                raise RunawayInnerLoop(
-                    f"level {l} exceeded {stop.max_inner_per_l} inner iterations"
-                )
-            m, lam, x, phi_x, trials = _armijo(
-                phi_val, x, d, beta, theta, mu * mu, mu, max_m, phi_x
-            )
-            counters.linesearch_trials += trials
-            if lam < min_lambda:
-                min_lambda = lam
-            if sampled:
-                samples[-1].lam = lam
-            N_l += 1
-        counters.inner_iterations += N_l
-        cum_inner += N_l
-        records.append(
-            OuterRecord(l, eps, delta, N_l, w.copy(), delta_wl=_deltaf(problem, w),
-                        dist_xstar=_dist_xstar(problem, w), cum_inner=cum_inner)
-        )
-        l += 1
-    return SolverTrace("cgrm", records, counters, min_observed_lambda=min_lambda,
-                       inner_samples=samples, mu_history=mu_history)
+    trace = _two_level("cgrm", problem, sched, consts, w0, stop, samples_per_level,
+                       "lmo_calls", step, lambda phi, x, y: x)
+    trace.mu_history = mu_history
+    return trace

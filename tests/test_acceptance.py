@@ -4,9 +4,15 @@ Each test prints its one-line verdict so a -s run reads as the full
 acceptance report; shared solver runs live in a module-scoped context.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from tikgrad import acceptance
+from tikgrad.bench import bundled_problem, write_trace_csv
+from tikgrad.regularization import IterRegSchedule
+from tikgrad.solvers import run_cgm, run_gpm, run_iterreg
 
 
 @pytest.fixture(scope="module")
@@ -68,3 +74,72 @@ def test_run_all_covers_every_criterion_once(ctx):
     results = acceptance.run_all(ctx)
     assert [r.number for r in results] == list(range(1, 12))
     assert all(r.passed for r in results)
+
+
+# Trace CSV SHA-256, final_point.tobytes() SHA-256, OracleCounters in field
+# order, and min_observed_lambda of canonical runs.  Refactors of the solvers
+# must reproduce them bit for bit; a change that alters the arithmetic on
+# purpose re-records them and says why.
+GOLDEN = {
+    "gprm illposed_box(2)": (
+        "af3c71aee5bae7d5a6c34c744b388406449acb20d3464e659f125b3ec2dad650",
+        "f6a9de137ae86840b568226dd65ffe55a88221ced774777fe11c9c2d55e98c6d",
+        (5645, 5645, 0, 5644, 5632), 0.5,
+    ),
+    "gprm illposed_simplex(3)": (
+        "5067fd8bc756a92ae5b3ba3346cff82b6cf7eeee50dbf5b5ed258fdb513dde70",
+        "7776e19732271a4ee21ba7b2202893a883ca21734c7b05f8af6a866df8d2c7f9",
+        (5627, 5627, 0, 5615, 5614), 0.5,
+    ),
+    "cgrm illposed_box(2)": (
+        "b7c86c1ec974b728f388ca67d1c11bbcbb7389dd26c7d740028444f0a00ed99b",
+        "9d9de4d323cca34e91115ed728078000cadd43f7a1dc02b5f742583bd289d34c",
+        (15595, 0, 15595, 31169, 15582), 0.0625,
+    ),
+    "cgrm illposed_simplex(3)": (
+        "3f5f6eef246070b4a722c1bcf86a24003c904d27cae360672d7fbc8fd32185aa",
+        "bf57e99cb7b9820646f05d9214cb0a8b980095822fa1cf88cfe628f64194db77",
+        (7824, 0, 7824, 7833, 7811), 0.125,
+    ),
+    "gpm": (
+        "2cc7bb6f7972e8032a73999c3ee523a3358c7beddf945440394b9926c574511d",
+        "a60916461cbb8d07559df492125bdf0f86373c3bcf346465d2eae4adafd5cbc7",
+        (200, 200, 0, 0, 200), 0.2500000000001883,
+    ),
+    "cgm": (
+        "d1cddedcd5ceb13a8eaa76efca52604739423da89fe2111eb7e7984c0129ab98",
+        "2ce3d9bda9036291dea4a7c2c3c5da39b7503b0045e96d6429a747c5947cec7a",
+        (200, 0, 200, 0, 200), 9.731014455851294e-32,
+    ),
+    "iterreg": (
+        "0b6a070cb211dc33081bb77aedcd499f4af2cc6a3b0513d75c8db089c1fc8a9f",
+        "f4eab351545f09f400e71a684db02de59ebd7adfff938cd5eb02668470960f2e",
+        (200, 200, 0, 0, 200), 0.07071067811865475,
+    ),
+}
+
+
+def _canonical_runs(ctx):
+    """The sigma = 0.5 suite runs (shared with the criteria above) and short baselines."""
+    for method, label in acceptance.TWO_LEVEL_CASES:
+        yield f"{method} {label}", ctx.two_level_run(method, label, 0.5)[3]
+    box = bundled_problem("wellposed_box(2)")
+    yield "gpm", run_gpm(box.problem, 1.0 / box.analytic_L, np.zeros(2), 200)
+    simplex = bundled_problem("wellposed_simplex(3)")
+    yield "cgm", run_cgm(simplex.problem, 1.0 / simplex.analytic_L, np.array([1.0, 0.0, 0.0]), 200)
+    ill = bundled_problem("illposed_box(2)")
+    yield "iterreg", run_iterreg(ill.problem, IterRegSchedule(0.25), np.array([1.0, 0.0]), 200)
+
+
+def test_canonical_traces_are_bit_identical(ctx, tmp_path):
+    path = tmp_path / "trace.csv"
+    seen = {}
+    for name, trace in _canonical_runs(ctx):
+        write_trace_csv(trace, str(path))
+        seen[name] = (
+            hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(trace.final_point.tobytes()).hexdigest(),
+            tuple(trace.counters.as_dict().values()),
+            trace.min_observed_lambda,
+        )
+    assert seen == GOLDEN

@@ -34,7 +34,10 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
     assert out.exists() and (tmp_path / "t.json").exists()
     with open(out) as fh:
         assert fh.readline().strip() == "l,epsilon_l,delta_l,N_l,delta_wl,dist_xstar,cum_inner"
-    assert "gprm on illposed_box(2)" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "gprm on illposed_box(2): 9 outer records, 28 inner iterations, "
+        f"final value gap 5.103e-07, final dist to x*_n 7.143e-04, wrote {out}\n"
+    )
 
 
 def test_run_output_flag_overrides_config(tmp_path):
@@ -72,6 +75,9 @@ def test_run_parses_x0_into_config(tmp_path):
         (dict(problem_label="illposed_box(2)", method="gprm", woof="1"), "unknown field"),
         (dict(problem_label="illposed_box(2)", method="gpm", x0="a,b"), "x0"),
         (dict(problem_label="illposed_box(2)", method="gpm", max_iter="ten"), "max_iter"),
+        (dict(problem_label="illposed_box(2)", method="gprm", x0="5, 0"), "x0: not feasible"),
+        (dict(problem_label="illposed_box(2)", method="gprm", x0="nan, 0"), "x0: vector has non-finite"),
+        (dict(problem_label="illposed_box(2)", method="gprm", seed="0"), "seed: unknown field"),
     ],
 )
 def test_run_config_errors_exit_1(tmp_path, capsys, fields, fragment):
@@ -147,6 +153,19 @@ def test_sweep_config_error_exits_1(tmp_path, capsys):
     )
     assert main(["sweep", cfg]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_validates_every_config_before_running(tmp_path, capsys):
+    cfg = _run_ini(
+        tmp_path,
+        problem_label="illposed_box(2)",
+        method="gprm",
+        epsilon_min="1e-2; -1",
+        output_path=tmp_path / "out" / "trace.csv",
+    )
+    assert main(["sweep", cfg]) == 1
+    assert "epsilon_min: must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _fake_results(fail_at=None):

@@ -12,10 +12,7 @@ from tikgrad.regularization import (
     IterRegSchedule,
     PerturbedObjective,
     TikhonovRecord,
-    iterreg_params,
     path_check,
-    perturbed_value,
-    schedule_params,
     tikhonov_path,
     tikhonov_solve,
 )
@@ -37,20 +34,20 @@ def _linear_objective(c):
 
 def test_perturbed_value_linear_objective():
     p = PerturbedObjective(_linear_objective([1.0, 0.0]), 2.0, 2.0)
-    assert perturbed_value(p, np.array([1.0, 1.0])) == 3.0
+    assert p.value(np.array([1.0, 1.0])) == 3.0
 
 
 def test_perturbed_value_zero_epsilon_is_base():
     obj = Objective(lambda x: float(x @ x) + 7.0, lambda x: 2.0 * x, 2.0)
     p = PerturbedObjective(obj, 0.0, 1.0)
     for x in (np.array([0.3, -1.2]), np.zeros(2), np.array([5.0, 5.0])):
-        assert perturbed_value(p, x) == obj.value_fn(x)
+        assert p.value(x) == obj.value_fn(x)
 
 
 def test_perturbed_value_quadratic():
     obj = Objective(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), 1.0)
     p = PerturbedObjective(obj, 1.0, 1.0)
-    assert perturbed_value(p, np.array([2.0, 0.0])) == 4.0
+    assert p.value(np.array([2.0, 0.0])) == 4.0
 
 
 def test_perturbed_gradient_and_lipschitz_composition():
@@ -87,13 +84,13 @@ def test_perturbation_weight_validation():
 
 
 def test_geometric_schedule_frozen_values():
-    assert schedule_params(GeometricSchedule(1.0, 0.5, 1.0), 2) == (0.25, 0.0625)
+    assert GeometricSchedule(1.0, 0.5, 1.0).params(2) == (0.25, 0.0625)
     eps0, sigma = 0.7, 0.5
-    assert schedule_params(GeometricSchedule(eps0, 0.5, sigma), 0) == (
+    assert GeometricSchedule(eps0, 0.5, sigma).params(0) == (
         eps0,
         eps0 ** (1.0 + sigma),
     )
-    assert schedule_params(GeometricSchedule(1.0, 0.5, 0.5), 4) == (0.0625, 0.015625)
+    assert GeometricSchedule(1.0, 0.5, 0.5).params(4) == (0.0625, 0.015625)
 
 
 def test_geometric_schedule_validation():
@@ -108,15 +105,15 @@ def test_geometric_schedule_validation():
             GeometricSchedule(eps0, 0.5, 0.5)
     GeometricSchedule(1.0, 0.5, 1.0)  # sigma = 1 is inside the allowed range
     with pytest.raises(ValueError):
-        schedule_params(GeometricSchedule(), -1)
+        GeometricSchedule().params(-1)
 
 
 def test_iterreg_params_frozen_values():
-    lam, eps = iterreg_params(IterRegSchedule(0.25), 3)
+    lam, eps = IterRegSchedule(0.25).params(3)
     assert lam == 0.5
     assert_allclose(eps, 4.0 ** -0.25, rtol=1e-15)
-    assert iterreg_params(IterRegSchedule(0.25), 0) == (1.0, 1.0)
-    lam, eps = iterreg_params(IterRegSchedule(0.4), 99)
+    assert IterRegSchedule(0.25).params(0) == (1.0, 1.0)
+    lam, eps = IterRegSchedule(0.4).params(99)
     assert_allclose(lam, 0.1, rtol=1e-15)
     assert_allclose(eps, 100.0 ** -0.4, rtol=1e-15)
 
@@ -126,7 +123,7 @@ def test_iterreg_schedule_validation():
         with pytest.raises(ValueError):
             IterRegSchedule(tau)
     with pytest.raises(ValueError):
-        iterreg_params(IterRegSchedule(0.25), -1)
+        IterRegSchedule(0.25).params(-1)
 
 
 def test_schedule_ratio_decreases_monotonically():
@@ -136,14 +133,14 @@ def test_schedule_ratio_decreases_monotonically():
             s = GeometricSchedule(1.0, nu, sigma)
             ratios = []
             for l in range(51):
-                eps, delta = schedule_params(s, l)
+                eps, delta = s.params(l)
                 ratio = delta / eps
                 assert_allclose(ratio, eps ** sigma, rtol=1e-12)
                 ratios.append(ratio)
             assert all(b < a for a, b in zip(ratios, ratios[1:]))
             assert ratios[-1] < 0.5 * ratios[0]
     canonical = GeometricSchedule(1.0, 0.5, 0.5)
-    eps, delta = schedule_params(canonical, 50)
+    eps, delta = canonical.params(50)
     assert delta / eps < 1e-7
 
 
@@ -160,8 +157,8 @@ def test_iterreg_rule_limit_behaviour():
         sched = IterRegSchedule(tau)
         eps_vals, ratio_vals, drift_vals = [], [], []
         for k in ks:
-            lam_k, eps_k = iterreg_params(sched, k)
-            _, eps_next = iterreg_params(sched, k + 1)
+            lam_k, eps_k = sched.params(k)
+            _, eps_next = sched.params(k + 1)
             eps_vals.append(eps_k)
             ratio_vals.append(lam_k / eps_k)
             drift_vals.append((eps_k - eps_next) / (lam_k * eps_k ** 2))

@@ -26,7 +26,7 @@ from tikgrad.solvers import (
     MethodConstants,
     SolverTrace,
     StopPolicy,
-    armijo_search,
+    _armijo,
     cgrm_constants,
     gprm_constants,
     run_cgm,
@@ -38,7 +38,7 @@ from tikgrad.solvers import (
 
 
 def _brute_smallest_m(phi, x, d, beta, theta, quad_coeff, cap=None, max_m=30):
-    """Literal scan over m = 0, 1, ...; the reference for armijo_search."""
+    """Literal scan over m = 0, 1, ...; the reference for _armijo."""
     for m in range(max_m + 1):
         step = theta ** m
         if cap is not None and step * cap > 1.0:
@@ -62,7 +62,7 @@ def _half_tsq():
 def test_armijo_accepts_unit_step():
     phi = _half_tsq()
     x, d = np.array([1.0]), np.array([-1.0])
-    m, lam = armijo_search(phi, x, d, 0.5, 0.5, 1.0)
+    m, lam, _, _, _ = _armijo(phi.value, x, d, 0.5, 0.5, 1.0, None, 60)
     assert (m, lam) == (0, 1.0)
     assert _brute_smallest_m(phi, x, d, 0.5, 0.5, 1.0) == 0
 
@@ -70,7 +70,7 @@ def test_armijo_accepts_unit_step():
 def test_armijo_backtracks_under_strict_decrease_demand():
     phi = _half_tsq()
     x, d = np.array([1.0]), np.array([-1.0])
-    m, lam = armijo_search(phi, x, d, 0.9, 0.5, 1.0)
+    m, lam, _, _, _ = _armijo(phi.value, x, d, 0.9, 0.5, 1.0, None, 60)
     assert m == _brute_smallest_m(phi, x, d, 0.9, 0.5, 1.0) == 3
     assert lam == 0.125
 
@@ -82,7 +82,7 @@ def test_armijo_cap_skips_overlong_steps_unevaluated():
     phi = PerturbedObjective(obj, 0.0, 1.0)
     x, d, mu = np.array([3.0, 0.0]), np.array([-1.0, 0.0]), 3.0
     assert phi.value(x + 1.0 * mu * d) <= phi.value(x) - 0.5 * 1.0 * mu * mu
-    m, lam = armijo_search(phi, x, d, 0.5, 0.5, mu * mu, cap_condition=mu)
+    m, lam, _, _, _ = _armijo(phi.value, x, d, 0.5, 0.5, mu * mu, mu, 60)
     assert (m, lam) == (2, 0.25)
     assert _brute_smallest_m(phi, x, d, 0.5, 0.5, mu * mu, cap=mu) == 2
 
@@ -108,24 +108,15 @@ def test_armijo_matches_brute_force_on_random_quadratics():
         beta = float(rng.uniform(0.1, 0.9))
         theta = float(rng.uniform(0.2, 0.8))
         q = float(d @ d)
-        m, lam = armijo_search(phi, x, d, beta, theta, q)
+        m, lam, _, _, _ = _armijo(phi.value, x, d, beta, theta, q, None, 60)
         assert m == _brute_smallest_m(phi, x, d, beta, theta, q, max_m=80)
         assert lam == pytest.approx(theta ** m, rel=1e-12)
 
 
-def test_armijo_validation_and_failure():
+def test_armijo_raises_line_search_failure():
     phi = _half_tsq()
-    x = np.array([1.0])
-    with pytest.raises(ValueError):
-        armijo_search(phi, x, np.zeros(1), 0.5, 0.5, 1.0)
-    for beta in (0.0, 1.0):
-        with pytest.raises(ValueError):
-            armijo_search(phi, x, np.array([-1.0]), beta, 0.5, 1.0)
-    for theta in (0.0, 1.0):
-        with pytest.raises(ValueError):
-            armijo_search(phi, x, np.array([-1.0]), 0.5, theta, 1.0)
     with pytest.raises(LineSearchFailure):
-        armijo_search(phi, x, np.array([-1.0]), 0.9, 0.5, 1.0, max_m=1)
+        _armijo(phi.value, np.array([1.0]), np.array([-1.0]), 0.9, 0.5, 1.0, None, 1)
 
 
 # ---------------------------------------------------------------------------
