@@ -17,12 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bench import (
-    DEFAULT_ALPHA_GRID,
-    bundled_problem,
-    measure_complexity,
-    with_bounds,
-)
+from .bench import bundled_problem, measure_complexity, with_bounds
 from .oracles import BallSet, BoxSet, SimplexSet
 from .regularization import GeometricSchedule, PerturbedObjective, path_check, tikhonov_solve
 from .solvers import StopPolicy, cgrm_constants, gprm_constants, run_cgm, run_cgrm, run_gpm, run_gprm
@@ -65,14 +60,13 @@ class SuiteContext:
             w0[0] = 1.0  # box corner-edge point / simplex vertex; feasible for both
             if method == "gprm":
                 consts = gprm_constants(gp.problem.objective.lipschitz_L, sched.epsilon0)
-                t0 = time.perf_counter()
-                trace = run_gprm(gp.problem, sched, consts, w0, stop)
-                elapsed = time.perf_counter() - t0
+                run = run_gprm
             else:
                 consts = cgrm_constants(gp.problem, sched.epsilon0, w0)
-                t0 = time.perf_counter()
-                trace = run_cgrm(gp.problem, sched, consts, w0, stop)
-                elapsed = time.perf_counter() - t0
+                run = run_cgrm
+            t0 = time.perf_counter()
+            trace = run(gp.problem, sched, consts, w0, stop)
+            elapsed = time.perf_counter() - t0
             self._runs[key] = (gp, sched, consts, trace, elapsed)
         return self._runs[key]
 
@@ -88,28 +82,27 @@ class SuiteContext:
         return self._z[key]
 
 
-def criterion_1(ctx: SuiteContext) -> CriterionResult:
-    gp, _, _, trace, elapsed = ctx.two_level_run("gprm", "illposed_box(2)", 0.5)
+def _strong_convergence(ctx: SuiteContext, number: int, name: str, method: str,
+                        label: str) -> CriterionResult:
+    gp, _, _, trace, elapsed = ctx.two_level_run(method, label, 0.5)
     dist = float(np.linalg.norm(trace.final_point - gp.analytic_xstar_n))
     passed = dist < 5e-2 and elapsed < 1.0
     return CriterionResult(
-        1,
-        "strong convergence, two-level gradient projection",
+        number,
+        name,
         passed,
         f"final dist {dist:.3e} (need < 5e-2), solver time {elapsed:.3f}s (need < 1s)",
     )
+
+
+def criterion_1(ctx: SuiteContext) -> CriterionResult:
+    return _strong_convergence(ctx, 1, "strong convergence, two-level gradient projection",
+                               "gprm", "illposed_box(2)")
 
 
 def criterion_2(ctx: SuiteContext) -> CriterionResult:
-    gp, _, _, trace, elapsed = ctx.two_level_run("cgrm", "illposed_simplex(3)", 0.5)
-    dist = float(np.linalg.norm(trace.final_point - gp.analytic_xstar_n))
-    passed = dist < 5e-2 and elapsed < 1.0
-    return CriterionResult(
-        2,
-        "strong convergence, two-level conditional gradient",
-        passed,
-        f"final dist {dist:.3e} (need < 5e-2), solver time {elapsed:.3f}s (need < 1s)",
-    )
+    return _strong_convergence(ctx, 2, "strong convergence, two-level conditional gradient",
+                               "cgrm", "illposed_simplex(3)")
 
 
 def criterion_3(ctx: SuiteContext) -> CriterionResult:
@@ -134,10 +127,7 @@ def criterion_4(ctx: SuiteContext) -> CriterionResult:
     for (method, label), sigma in itertools.product(TWO_LEVEL_CASES, SIGMAS):
         gp, sched, consts, trace, _ = ctx.two_level_run(method, label, sigma)
         xnorm = float(np.linalg.norm(gp.analytic_xstar_n))
-        report = with_bounds(
-            measure_complexity(trace, gp.analytic_fstar, DEFAULT_ALPHA_GRID),
-            method, sched, consts, xnorm,
-        )
+        report = with_bounds(measure_complexity(trace), method, sched, consts, xnorm)
         for alpha, n, ok, bound in zip(
             report.alpha_grid, report.measured_N, report.attained, report.bound_N
         ):
@@ -194,17 +184,14 @@ def criterion_7(ctx: SuiteContext) -> CriterionResult:
         for s in samples:
             z = ctx.z_oracle(label, s.epsilon)
             phi = PerturbedObjective(gp.problem.objective, s.epsilon, sched.epsilon0).value
+            point = s.y if method == "gprm" else s.x
+            gap = phi(point) - phi(z)
+            lower = 0.5 * s.epsilon * float(np.sum((point - z) ** 2))
             if method == "gprm":
-                point = s.y
-                gap = phi(point) - phi(z)
-                lower = 0.5 * s.epsilon * float(np.sum((point - z) ** 2))
                 upper = (consts.Lprime + 1.0) * float(
                     np.linalg.norm(s.y - s.x)
                 ) * float(np.linalg.norm(point - z))
             else:
-                point = s.x
-                gap = phi(point) - phi(z)
-                lower = 0.5 * s.epsilon * float(np.sum((point - z) ** 2))
                 upper = s.mu
             worst = max(worst, lower - gap, gap - upper)
         if worst > 1e-8:
@@ -338,8 +325,8 @@ def criterion_10(ctx: SuiteContext) -> CriterionResult:
 def criterion_11(ctx: SuiteContext) -> CriterionResult:
     rows = []
     for sigma in SIGMAS:
-        gp, _, _, trace, _ = ctx.two_level_run("gprm", "illposed_box(2)", sigma)
-        report = measure_complexity(trace, gp.analytic_fstar, EXPONENT_ALPHA_GRID)
+        _, _, _, trace, _ = ctx.two_level_run("gprm", "illposed_box(2)", sigma)
+        report = measure_complexity(trace, EXPONENT_ALPHA_GRID)
         usable = sum(
             1 for n, ok in zip(report.measured_N, report.attained) if ok and n >= 1
         )

@@ -4,7 +4,7 @@ The generators build problems whose minimal-norm solution is known exactly
 (by symmetry) or computed once by an independent high-accuracy oracle and
 cross-checked from two starting points.  measure_complexity turns a solver
 trace into N(alpha) counts on an accuracy grid and fits the growth exponent;
-theoretical_bound evaluates the closed-form upper bound the two-level
+complexity_bound evaluates the closed-form upper bound the two-level
 methods must stay under.  run_experiment ties a validated config to a
 bundled problem, runs the configured method, and serializes the trace as
 CSV plus a JSON sidecar.
@@ -18,7 +18,8 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,9 +60,7 @@ __all__ = [
     "make_illposed_simplex",
     "make_rankdef_lsq",
     "bundled_problem",
-    "bundled_labels",
     "default_start",
-    "theoretical_bound",
     "bound_constants",
     "complexity_bound",
     "complexity_count",
@@ -88,21 +87,28 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GeneratedProblem:
-    """A Problem plus the analytic ground truth it was built from."""
+    """A Problem carrying its ground truth f*, x*_n and L (Problem checks f(x*_n) = f*)."""
 
     problem: Problem
     label: str
-    analytic_L: float
-    analytic_xstar_n: Array
-    analytic_fstar: float
     dstar_description: str
 
     def __post_init__(self):
-        if not (np.isfinite(self.analytic_L) and self.analytic_L > 0.0):
-            raise ValueError("analytic_L must be positive")
-        value = float(self.problem.objective.value_fn(self.analytic_xstar_n))
-        if abs(value - self.analytic_fstar) > 1e-10:
-            raise ValueError("f(x*_n) does not match f* within 1e-10")
+        p = self.problem
+        if p.known_fstar is None or p.known_xstar_n is None or not p.objective.lipschitz_L > 0.0:
+            raise ValueError("problem must carry f*, x*_n and a positive L")
+
+    @property
+    def analytic_L(self) -> float:
+        return self.problem.objective.lipschitz_L
+
+    @property
+    def analytic_xstar_n(self) -> Array:
+        return self.problem.known_xstar_n
+
+    @property
+    def analytic_fstar(self) -> float:
+        return self.problem.known_fstar
 
 
 def make_illposed_box(dim: int) -> GeneratedProblem:
@@ -134,9 +140,6 @@ def make_illposed_box(dim: int) -> GeneratedProblem:
     return GeneratedProblem(
         problem=problem,
         label=f"illposed_box({dim})",
-        analytic_L=float(dim),
-        analytic_xstar_n=xstar,
-        analytic_fstar=0.0,
         dstar_description=f"{{x in [-1,1]^{dim} : sum(x) = 1}}",
     )
 
@@ -172,9 +175,6 @@ def make_illposed_simplex(dim: int) -> GeneratedProblem:
     return GeneratedProblem(
         problem=problem,
         label=f"illposed_simplex({dim})",
-        analytic_L=2.0,
-        analytic_xstar_n=xstar,
-        analytic_fstar=0.0,
         dstar_description=f"{{x in unit simplex of R^{dim} : x_1 = x_2}}",
     )
 
@@ -278,26 +278,12 @@ def make_rankdef_lsq(A: Array, b: Array, fs: FeasibleSet, label: Optional[str] =
     return GeneratedProblem(
         problem=problem,
         label=label,
-        analytic_L=L,
-        analytic_xstar_n=xstar,
-        analytic_fstar=fstar,
         dstar_description="{x in D : A x = proj_range(A)(b)}",
     )
 
 
 _LABEL_RE = re.compile(r"^([a-z_]+)\((\d+)\)$")
 _PROBLEM_CACHE: dict[str, GeneratedProblem] = {}
-
-
-def bundled_labels() -> tuple[str, ...]:
-    return (
-        "illposed_box(dim)",
-        "illposed_simplex(dim)",
-        "rankdef_box(2)",
-        "rankdef_simplex(3)",
-        "wellposed_box(2)",
-        "wellposed_simplex(3)",
-    )
 
 
 def bundled_problem(label: str) -> GeneratedProblem:
@@ -368,27 +354,15 @@ def bound_constants(
     return C1, C2
 
 
-def theoretical_bound(
-    method: str,
-    sched: GeometricSchedule,
-    consts: MethodConstants,
-    xstar_norm: float,
-    alpha: float,
-) -> float:
+def complexity_bound(C1: float, C2: float, nu: float, sigma: float, alpha: float) -> float:
     """Closed-form upper bound on N(alpha) for the two-level methods.
 
     N(alpha) <= C2 ((C1/alpha)^(1+2 sigma) - 1) / (nu (1 - nu^(1+2 sigma))),
-    with C1 method-specific and C2 = C1 / (beta gamma eps0^(2(1+sigma))).
-    alpha >= C1 needs no outer iterations at all, so the bound is 0 there.
+    with (C1, C2) from bound_constants.  alpha >= C1 needs no outer
+    iterations at all, so the bound is 0 there.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    C1, C2 = bound_constants(method, sched, consts, xstar_norm)
-    return complexity_bound(C1, C2, sched.nu, sched.sigma, alpha)
-
-
-def complexity_bound(C1: float, C2: float, nu: float, sigma: float, alpha: float) -> float:
-    """The bound formula of theoretical_bound, given its constants (C1, C2)."""
     if alpha >= C1:
         return 0.0
     s = 1.0 + 2.0 * sigma
@@ -435,29 +409,15 @@ def complexity_count(deltas, cums, alpha: float) -> tuple[int, bool]:
     return n, True
 
 
-def measure_complexity(
-    trace: SolverTrace,
-    fstar: float,
-    alpha_grid=DEFAULT_ALPHA_GRID,
-    value_fn: Optional[Callable[[Array], float]] = None,
-) -> ComplexityReport:
+def measure_complexity(trace: SolverTrace, alpha_grid=DEFAULT_ALPHA_GRID) -> ComplexityReport:
     """Count inner iterations N(alpha) for each accuracy on the grid.
 
     N(alpha) sums the inner counts through the last level l with
     Delta(w^l) >= alpha; if even the final record has Delta >= alpha the
     grid point is unattained (total count stored, excluded from the
-    exponent fit).  Delta values come from the trace records, or from
-    value_fn(w_l) - fstar when a value function is supplied.
-
-    Parameters
-    ----------
-    trace : SolverTrace
-        Must carry per-level Delta records (problem had known f*).
-    fstar : real
-        Optimal value, used only with value_fn.
-    alpha_grid : decreasing positive reals
-    value_fn : callable, optional
-        Recompute Delta from the stored points instead of trusting records.
+    exponent fit).  Delta values come from the trace records, so the
+    problem must have had a known f*.  alpha_grid must be positive and
+    strictly decreasing.
     """
     grid = tuple(float(a) for a in alpha_grid)
     if any(a <= 0.0 for a in grid) or any(
@@ -467,12 +427,9 @@ def measure_complexity(
     recs = [r for r in trace.outer_records if r.l >= 1]
     if not recs:
         raise ValueError("trace has no iteration records")
-    if value_fn is not None:
-        deltas = [float(value_fn(r.w_l)) - fstar for r in recs]
-    else:
-        deltas = [r.delta_wl for r in recs]
-        if any(d is None for d in deltas):
-            raise ValueError("trace lacks Delta records; pass value_fn")
+    deltas = [r.delta_wl for r in recs]
+    if any(d is None for d in deltas):
+        raise ValueError("trace lacks Delta records; the problem had no known f*")
     cums = [r.cum_inner for r in recs]
     counts = [complexity_count(deltas, cums, a) for a in grid]
     measured = tuple(int(n) for n, _ in counts)
@@ -494,10 +451,7 @@ def with_bounds(
 ) -> ComplexityReport:
     """Attach bound_N, C1, C2 to a measured report."""
     C1, C2 = bound_constants(method, sched, consts, xstar_norm)
-    bounds = tuple(
-        theoretical_bound(method, sched, consts, xstar_norm, a)
-        for a in report.alpha_grid
-    )
+    bounds = tuple(complexity_bound(C1, C2, sched.nu, sched.sigma, a) for a in report.alpha_grid)
     return dataclasses.replace(report, bound_N=bounds, C1=C1, C2=C2)
 
 
@@ -546,15 +500,17 @@ def _validate_config(cfg: ExperimentConfig) -> list[str]:
         errors.append("beta: must lie in (0, 1)")
     if not (0.0 < cfg.theta < 1.0):
         errors.append("theta: must lie in (0, 1)")
-    if cfg.epsilon_min <= 0.0:
+    if not cfg.epsilon_min > 0.0:
         errors.append("epsilon_min: must be positive")
     for name in ("max_outer", "max_inner_per_l", "max_linesearch_m", "max_iter"):
         if getattr(cfg, name) <= 0:
             errors.append(f"{name}: must be positive")
-    if cfg.lam is not None and cfg.lam <= 0.0:
+    if cfg.lam is not None and not cfg.lam > 0.0:
         errors.append("lam: must be positive")
-    if cfg.theta_k is not None and cfg.theta_k <= 0.0:
+    if cfg.theta_k is not None and not cfg.theta_k > 0.0:
         errors.append("theta_k: must be positive")
+    if not errors and cfg.method in ("gprm", "cgrm") and cfg.epsilon0 * cfg.nu < cfg.epsilon_min:
+        errors.append("epsilon_min: must not exceed epsilon0 * nu, or no level runs")
     return errors
 
 
@@ -631,47 +587,54 @@ def run_experiment(cfg: ExperimentConfig) -> SolverTrace:
 
 
 TRACE_HEADER = ("l", "epsilon_l", "delta_l", "N_l", "delta_wl", "dist_xstar", "cum_inner")
+_INT_COLUMNS = frozenset({"l", "N_l", "cum_inner"})
 
 
-def _cell(v) -> str:
+def _cell(column: str, v) -> str:
     if v is None:
         return ""
     # repr of a Python float is its shortest round-trip decimal form
-    return repr(float(v))
+    return str(v) if column in _INT_COLUMNS else repr(float(v))
+
+
+def _parse(column: str, text: str):
+    if column in _INT_COLUMNS:
+        return int(text)
+    return float(text) if text else None
+
+
+@contextmanager
+def _atomic_open(path: str):
+    """Text file beside path, renamed over path on success and removed on failure."""
+    parent = os.path.dirname(os.path.abspath(path))
+    os.makedirs(parent, exist_ok=True)
+    tmp = os.path.join(parent, f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_trace_csv(trace: SolverTrace, path: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         for r in trace.outer_records:
-            writer.writerow(
-                [str(r.l), _cell(r.epsilon_l), _cell(r.delta_l), str(r.N_l),
-                 _cell(r.delta_wl), _cell(r.dist_xstar), str(r.cum_inner)]
-            )
+            writer.writerow([_cell(c, getattr(r, c)) for c in TRACE_HEADER])
 
 
 def read_trace_csv(path: str) -> list[dict]:
-    """Rows of the trace CSV with numeric fields parsed back (None for empty)."""
-    rows = []
+    """Rows of the trace CSV, numbers parsed back (None for empty); ValueError if none."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(TRACE_HEADER):
             raise ValueError(f"unexpected trace header in {path}")
-        for raw in reader:
-            rows.append(
-                {
-                    "l": int(raw["l"]),
-                    "epsilon_l": float(raw["epsilon_l"]) if raw["epsilon_l"] else None,
-                    "delta_l": float(raw["delta_l"]) if raw["delta_l"] else None,
-                    "N_l": int(raw["N_l"]),
-                    "delta_wl": float(raw["delta_wl"]) if raw["delta_wl"] else None,
-                    "dist_xstar": float(raw["dist_xstar"]) if raw["dist_xstar"] else None,
-                    "cum_inner": int(raw["cum_inner"]),
-                }
-            )
+        rows = [{c: _parse(c, raw[c]) for c in TRACE_HEADER} for raw in reader]
+    if not rows:
+        raise ValueError(f"no data rows in {path}")
     return rows
 
 
@@ -701,7 +664,6 @@ def write_sidecar(
             "label": gp.label,
             "analytic_L": gp.analytic_L,
             "analytic_fstar": gp.analytic_fstar,
-            "analytic_xstar_n": [float(v) for v in gp.analytic_xstar_n],
             "dstar_description": gp.dstar_description,
         },
         "constants": constants,
@@ -711,8 +673,6 @@ def write_sidecar(
         ),
         "outer_levels": len([r for r in trace.outer_records if r.l >= 1]),
     }
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -161,9 +161,6 @@ def _cmd_sweep(args) -> int:
     for cfg in configs:
         try:
             trace = run_experiment(cfg)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
         except (RunawayInnerLoop, LineSearchFailure, OracleFailure) as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             status = EXIT_SOLVER

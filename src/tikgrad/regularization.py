@@ -49,10 +49,6 @@ class PerturbedObjective:
         if not (0.0 <= self.epsilon <= self.epsilon0):
             raise ValueError("need 0 <= epsilon <= epsilon0")
 
-    @property
-    def lipschitz_Lprime(self) -> float:
-        return self.base.lipschitz_L + self.epsilon0
-
     def value(self, x: Array) -> float:
         return float(self.base.value_fn(x)) + 0.5 * self.epsilon * float(x @ x)
 

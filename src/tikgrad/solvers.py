@@ -137,7 +137,7 @@ class StopPolicy:
     max_linesearch_m: int = 60
 
     def __post_init__(self):
-        if self.epsilon_min <= 0.0 or self.max_outer <= 0:
+        if not self.epsilon_min > 0.0 or self.max_outer <= 0:
             raise ValueError("epsilon_min and max_outer must be positive")
         if self.max_inner_per_l <= 0 or self.max_linesearch_m <= 0:
             raise ValueError("iteration caps must be positive")
@@ -177,7 +177,6 @@ class SolverTrace:
     counters: OracleCounters
     min_observed_lambda: float = math.inf
     inner_samples: list[InnerSample] = field(default_factory=list)
-    mu_history: Optional[list[float]] = None
 
     @property
     def final_point(self) -> Array:
@@ -487,16 +486,12 @@ def run_cgrm(
     if fs.diameter_B is None:
         raise ValueError("run_cgrm needs diameter_B")
     lmo = fs.lmo_fn
-    mu_history: list[float] = []
 
     def step(x: Array, g: Array) -> tuple:
         y = lmo(g)
         d = y - x
         mu = -float(g @ d)
-        mu_history.append(mu)
         return y, d, mu, mu * mu, mu, mu
 
-    trace = _two_level("cgrm", problem, sched, consts, w0, stop, samples_per_level,
-                       "lmo_calls", step, lambda phi, x, y: x)
-    trace.mu_history = mu_history
-    return trace
+    return _two_level("cgrm", problem, sched, consts, w0, stop, samples_per_level,
+                      "lmo_calls", step, lambda phi, x, y: x)

@@ -14,6 +14,7 @@ from tikgrad.bench import (
     ExperimentConfig,
     bound_constants,
     bundled_problem,
+    complexity_bound,
     make_illposed_box,
     make_illposed_simplex,
     make_rankdef_lsq,
@@ -21,8 +22,8 @@ from tikgrad.bench import (
     read_trace_csv,
     run_experiment,
     sidecar_path,
-    theoretical_bound,
     with_bounds,
+    write_sidecar,
     write_trace_csv,
 )
 from tikgrad.core import OracleCounters
@@ -157,16 +158,16 @@ def test_theoretical_bound_degenerate_and_scaling():
     consts = gprm_constants(2.0, 1.0)
     xnorm = math.sqrt(0.5)
     C1, C2 = bound_constants("gprm", sched, consts, xnorm)
-    assert theoretical_bound("gprm", sched, consts, xnorm, C1) == 0.0
-    assert theoretical_bound("gprm", sched, consts, xnorm, 2.0 * C1) == 0.0
+    bound = lambda alpha: complexity_bound(C1, C2, sched.nu, sched.sigma, alpha)
+    assert bound(C1) == 0.0
+    assert bound(2.0 * C1) == 0.0
     # sigma = 0.5 makes 1+2 sigma = 2: alpha = C1/2 gives C2 (4-1)/(0.5 * 0.75)
-    assert_allclose(
-        theoretical_bound("gprm", sched, consts, xnorm, C1 / 2.0), 8.0 * C2, rtol=1e-12
-    )
-    with pytest.raises(ValueError):
-        theoretical_bound("gprm", sched, consts, xnorm, 0.0)
-    b1 = theoretical_bound("gprm", sched, consts, xnorm, 0.01)
-    b2 = theoretical_bound("gprm", sched, consts, xnorm, 0.001)
+    assert_allclose(bound(C1 / 2.0), 8.0 * C2, rtol=1e-12)
+    for alpha in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            bound(alpha)
+    b1 = bound(0.01)
+    b2 = bound(0.001)
     assert b2 > b1 > 0.0
 
 
@@ -174,48 +175,37 @@ def test_theoretical_bound_degenerate_and_scaling():
 # complexity measurement
 
 
-def _synthetic_trace(deltas, counts, points=None):
+def _synthetic_trace(deltas, counts):
     records, cum = [], 0
     for i, (d, n) in enumerate(zip(deltas, counts), start=1):
         cum += n
-        w = points[i - 1] if points is not None else np.zeros(1)
         records.append(
-            OuterRecord(i, 0.5 ** i, None, n, w, delta_wl=d, cum_inner=cum)
+            OuterRecord(i, 0.5 ** i, None, n, np.zeros(1), delta_wl=d, cum_inner=cum)
         )
     return SolverTrace("gprm", records, OracleCounters())
 
 
 def test_measure_complexity_synthetic_levels():
     trace = _synthetic_trace([0.5, 0.1, 0.01], [3, 4, 5])
-    report = measure_complexity(trace, 0.0, alpha_grid=(0.6, 0.05, 0.005))
+    report = measure_complexity(trace, alpha_grid=(0.6, 0.05, 0.005))
     assert report.measured_N == (0, 7, 12)
     assert report.attained == (True, True, False)
     assert math.isnan(report.fitted_exponent)  # one usable point is too few
-
-
-def test_measure_complexity_recomputes_from_points():
-    points = [np.array([0.5]), np.array([0.1]), np.array([0.01])]
-    trace = _synthetic_trace([None, None, None], [3, 4, 5], points)
-    report = measure_complexity(
-        trace, 0.0, alpha_grid=(0.6, 0.05, 0.005), value_fn=lambda w: float(w[0])
-    )
-    assert report.measured_N == (0, 7, 12)
-    assert report.attained == (True, True, False)
 
 
 def test_measure_complexity_validation():
     trace = _synthetic_trace([0.5, 0.1], [3, 4])
     for grid in ((0.1, 0.1), (0.05, 0.1), (0.1, 0.0)):
         with pytest.raises(ValueError):
-            measure_complexity(trace, 0.0, alpha_grid=grid)
+            measure_complexity(trace, alpha_grid=grid)
     empty = SolverTrace(
         "gpm", [OuterRecord(0, None, None, 0, np.zeros(1), cum_inner=0)], OracleCounters()
     )
     with pytest.raises(ValueError):
-        measure_complexity(empty, 0.0)
+        measure_complexity(empty)
     missing = _synthetic_trace([None, None], [3, 4])
     with pytest.raises(ValueError):
-        measure_complexity(missing, 0.0)
+        measure_complexity(missing)
 
 
 @pytest.fixture(scope="module")
@@ -230,7 +220,7 @@ def gprm_box_trace():
 
 def test_measured_complexity_is_monotone_and_bounded(gprm_box_trace):
     gp, sched, consts, trace = gprm_box_trace
-    report = measure_complexity(trace, gp.analytic_fstar)
+    report = measure_complexity(trace)
     assert report.alpha_grid == DEFAULT_ALPHA_GRID
     assert all(b >= a for a, b in zip(report.measured_N, report.measured_N[1:]))
     full = with_bounds(report, "gprm", sched, consts,
@@ -253,7 +243,7 @@ def test_gprm_exponent_falls_with_sigma():
         sched = GeometricSchedule(1.0, 0.5, sigma)
         consts = gprm_constants(gp.analytic_L, 1.0)
         trace = run_gprm(gp.problem, sched, consts, np.array([1.0, 0.0]), stop=stop)
-        report = measure_complexity(trace, gp.analytic_fstar, alpha_grid=grid)
+        report = measure_complexity(trace, alpha_grid=grid)
         assert not math.isnan(report.fitted_exponent)
         assert report.fitted_exponent <= 1.0 + 2.0 * sigma + 0.5
         fits.append(report.fitted_exponent)
@@ -395,3 +385,33 @@ def test_run_experiment_writes_csv_and_sidecar(tmp_path):
     assert payload["counters"]["inner_iterations"] == trace.counters.inner_iterations
     assert payload["min_observed_lambda"] == trace.min_observed_lambda
     assert payload["outer_levels"] == len(trace.outer_records)
+
+
+def test_sidecar_size_does_not_grow_with_dimension(tmp_path):
+    sizes = []
+    for dim in (2, 10000):
+        out = tmp_path / f"box{dim}.csv"
+        run_experiment(ExperimentConfig(f"illposed_box({dim})", "gprm", epsilon_min=0.1,
+                                        output_path=str(out)))
+        sizes.append((tmp_path / f"box{dim}.json").stat().st_size)
+    assert abs(sizes[1] - sizes[0]) <= 100
+
+
+def test_failed_write_keeps_previous_outputs(tmp_path, monkeypatch, gprm_box_trace):
+    gp, _, consts, trace = gprm_box_trace
+    out = tmp_path / "run.csv"
+    side = tmp_path / "run.json"
+    cfg = ExperimentConfig("illposed_box(2)", "gprm", epsilon_min=1e-4, output_path=str(out))
+    write_trace_csv(trace, str(out))
+    write_sidecar(cfg, gp, trace, consts, str(side))
+    before = side.read_bytes()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"config": ')
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(RuntimeError):
+        write_sidecar(cfg, gp, trace, consts, str(side))
+    assert side.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.json"]

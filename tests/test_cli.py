@@ -78,6 +78,13 @@ def test_run_parses_x0_into_config(tmp_path):
         (dict(problem_label="illposed_box(2)", method="gprm", x0="5, 0"), "x0: not feasible"),
         (dict(problem_label="illposed_box(2)", method="gprm", x0="nan, 0"), "x0: vector has non-finite"),
         (dict(problem_label="illposed_box(2)", method="gprm", seed="0"), "seed: unknown field"),
+        (dict(problem_label="illposed_box(2)", method="gpm", lam="nan"), "lam: must be positive"),
+        (dict(problem_label="illposed_simplex(3)", method="cgm", theta_k="nan"),
+         "theta_k: must be positive"),
+        (dict(problem_label="illposed_box(2)", method="gprm", epsilon_min="nan"),
+         "epsilon_min: must be positive"),
+        (dict(problem_label="illposed_box(2)", method="gprm", epsilon_min="0.9"),
+         "epsilon_min: must not exceed"),
     ],
 )
 def test_run_config_errors_exit_1(tmp_path, capsys, fields, fragment):
@@ -222,3 +229,10 @@ def test_report_without_sidecar_omits_bounds(tmp_path, capsys):
 def test_report_missing_file_exits_1(tmp_path, capsys):
     assert main(["report", str(tmp_path / "ghost.csv")]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_report_header_only_csv_exits_1(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("l,epsilon_l,delta_l,N_l,delta_wl,dist_xstar,cum_inner\n")
+    assert main(["report", str(path)]) == 1
+    assert "no data rows" in capsys.readouterr().err

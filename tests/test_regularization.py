@@ -66,7 +66,6 @@ def test_perturbed_gradient_and_lipschitz_composition():
         p = PerturbedObjective(obj, eps, eps0)
         x = rng.standard_normal(n)
         assert_allclose(p.gradient(x), a @ x + eps * x, rtol=0, atol=1e-12)
-        assert p.lipschitz_Lprime == obj.lipschitz_L + eps0
 
 
 def test_perturbation_weight_validation():
