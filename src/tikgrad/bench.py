@@ -123,11 +123,11 @@ def make_illposed_box(dim: int) -> GeneratedProblem:
     ones = np.ones(dim)
 
     def value(x: Array) -> float:
-        s = float(np.sum(x)) - 1.0
+        s = float(x.sum()) - 1.0
         return 0.5 * s * s
 
     def gradient(x: Array) -> Array:
-        return (np.sum(x) - 1.0) * ones
+        return (x.sum() - 1.0) * ones
 
     box = BoxSet(-np.ones(dim), np.ones(dim))
     xstar = ones / dim
@@ -257,7 +257,7 @@ def make_rankdef_lsq(A: Array, b: Array, fs: FeasibleSet, label: Optional[str] =
 
     def value(x: Array) -> float:
         r = A @ x - b
-        return 0.5 * float(r @ r)
+        return 0.5 * float(r.dot(r))
 
     def gradient(x: Array) -> Array:
         return At @ (A @ x - b)
@@ -627,12 +627,17 @@ def write_trace_csv(trace: SolverTrace, path: str) -> None:
 
 
 def read_trace_csv(path: str) -> list[dict]:
-    """Rows of the trace CSV, numbers parsed back (None for empty); ValueError if none."""
+    """Parsed rows of the trace CSV (None for empty cells); ValueError if malformed or empty."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(TRACE_HEADER):
             raise ValueError(f"unexpected trace header in {path}")
-        rows = [{c: _parse(c, raw[c]) for c in TRACE_HEADER} for raw in reader]
+        rows = []
+        for raw in reader:
+            # DictReader files a long row's extra cells under None and fills a short one with None
+            if None in raw or None in raw.values():
+                raise ValueError(f"line {reader.line_num} of {path}: expected {len(TRACE_HEADER)} cells")
+            rows.append({c: _parse(c, raw[c]) for c in TRACE_HEADER})
     if not rows:
         raise ValueError(f"no data rows in {path}")
     return rows

@@ -9,7 +9,7 @@ ground truth for testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -143,13 +143,7 @@ class OracleCounters:
     inner_iterations: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "gradient_evals": self.gradient_evals,
-            "projections": self.projections,
-            "lmo_calls": self.lmo_calls,
-            "linesearch_trials": self.linesearch_trials,
-            "inner_iterations": self.inner_iterations,
-        }
+        return asdict(self)
 
 
 def check_gradient(objective: Objective, x: Array, h: float = 1e-6) -> float:

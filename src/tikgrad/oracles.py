@@ -103,7 +103,7 @@ class SimplexSet:
             raise ValueError("dimension must be a positive integer")
 
     def contains(self, x: Array, tol: float = 1e-10) -> bool:
-        return bool(np.all(x >= -tol) and abs(float(np.sum(x)) - 1.0) <= tol)
+        return bool(np.all(x >= -tol) and abs(float(x.sum()) - 1.0) <= tol)
 
     def to_feasible_set(self) -> FeasibleSet:
         return FeasibleSet(
@@ -117,7 +117,7 @@ class SimplexSet:
 
 def project_box(x: Array, box: BoxSet) -> Array:
     """Clamp each coordinate to its interval."""
-    return np.clip(x, box.lower, box.upper)
+    return np.asarray(x).clip(box.lower, box.upper)
 
 
 def project_ball(x: Array, ball: BallSet) -> Array:
@@ -148,7 +148,7 @@ def project_simplex(x: Array, simplex: SimplexSet) -> Array:
 
 def lmo_box(g: Array, box: BoxSet) -> Array:
     """Vertex minimizing <g, .>: lower bound where g >= 0, upper where g < 0."""
-    return np.where(g > 0.0, box.lower, np.where(g < 0.0, box.upper, box.lower))
+    return np.where(g < 0.0, box.upper, box.lower)
 
 
 def lmo_ball(g: Array, ball: BallSet) -> Array:
@@ -161,9 +161,10 @@ def lmo_ball(g: Array, ball: BallSet) -> Array:
 
 def lmo_simplex(g: Array, simplex: SimplexSet) -> Array:
     """Vertex e_i for the smallest index i attaining min(g)."""
-    if np.asarray(g).size != simplex.dimension:
-        raise ValueError(f"expected dimension {simplex.dimension}, got {np.asarray(g).size}")
-    i = int(np.argmin(g))  # argmin returns the first minimizer
+    g = np.asarray(g)
+    if g.size != simplex.dimension:
+        raise ValueError(f"expected dimension {simplex.dimension}, got {g.size}")
+    i = int(g.argmin())  # argmin returns the first minimizer
     v = np.zeros(simplex.dimension)
     v[i] = 1.0
     return v

@@ -11,6 +11,7 @@ shares no code with the solvers it certifies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -50,10 +51,7 @@ class PerturbedObjective:
             raise ValueError("need 0 <= epsilon <= epsilon0")
 
     def value(self, x: Array) -> float:
-        return float(self.base.value_fn(x)) + 0.5 * self.epsilon * float(x @ x)
-
-    def gradient(self, x: Array) -> Array:
-        return self.base.gradient_fn(x) + self.epsilon * x
+        return float(self.base.value_fn(x)) + 0.5 * self.epsilon * float(x.dot(x))
 
 
 @dataclass(frozen=True)
@@ -171,12 +169,13 @@ def tikhonov_solve(
     for k in range(max_iter):
         g = grad(x) + epsilon * x
         y = project(x - step * g)
-        moved = float(np.linalg.norm(x - y))
-        # ||x - P(x - s g)|| / s is non-increasing in s, so moved <= step*tol
+        r = x - y
+        # ||x - P(x - s g)|| / s is non-increasing in s, so ||x - y|| <= step*tol
         # certifies the unit-step residual; the periodic check catches early
         # satisfaction that the damped trigger would miss.
-        if moved <= step * tol or k % 64 == 0:
-            residual = float(np.linalg.norm(x - project(x - g)))
+        if math.sqrt(r.dot(r)) <= step * tol or k % 64 == 0:
+            r = x - project(x - g)
+            residual = math.sqrt(r.dot(r))
             if residual <= tol:
                 return TikhonovRecord(epsilon=epsilon, z=x, residual=residual)
         x = y

@@ -237,10 +237,11 @@ def _record(
 ) -> OuterRecord:
     """Snapshot of x with its value gap and distance to x*_n where those are known."""
     fstar, xstar = problem.known_fstar, problem.known_xstar_n
+    r = None if xstar is None else x - xstar
     return OuterRecord(
         l, eps, delta, N_l, x.copy(),
         delta_wl=None if fstar is None else float(problem.objective.value_fn(x)) - fstar,
-        dist_xstar=None if xstar is None else float(np.linalg.norm(x - xstar)),
+        dist_xstar=None if r is None else math.sqrt(r.dot(r)),
         cum_inner=cum_inner,
     )
 
@@ -416,7 +417,7 @@ def run_gprm(
     def step(x: Array, g: Array) -> tuple:
         y = project(x - g)
         d = y - x
-        dn2 = float(d @ d)
+        dn2 = float(d.dot(d))
         return y, d, math.sqrt(dn2), dn2, None, None
 
     def better(phi, x: Array, y: Array) -> Array:
@@ -451,10 +452,10 @@ def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> Solve
         y = lmo(g)
         counters.lmo_calls += 1
         d = y - x
-        if not np.any(d):
+        if not d.any():
             break
-        dn2 = float(d @ d)
-        beta_k = -float(g @ d) / dn2
+        dn2 = float(d.dot(d))
+        beta_k = -float(g.dot(d)) / dn2
         lam = min(1.0, theta_k * beta_k)
         x = x + lam * d
         counters.inner_iterations += 1
@@ -490,7 +491,7 @@ def run_cgrm(
     def step(x: Array, g: Array) -> tuple:
         y = lmo(g)
         d = y - x
-        mu = -float(g @ d)
+        mu = -float(g.dot(d))
         return y, d, mu, mu * mu, mu, mu
 
     return _two_level("cgrm", problem, sched, consts, w0, stop, samples_per_level,

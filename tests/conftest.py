@@ -1,10 +1,22 @@
-"""Shared fixtures: tiny hand-built problems reused across test modules."""
+"""Shared fixtures (tiny hand-built problems) and the hypothesis profile for all tests."""
+
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from tikgrad.core import Objective, Problem
 from tikgrad.oracles import BallSet, BoxSet
+
+# Fixed examples, no deadline on a shared host, and no example database, so runs
+# reproduce exactly.  Hypothesis still caches the constants it mines from source
+# files; that cache goes to a temporary directory removed at exit, not .hypothesis/.
+settings.register_profile("tikgrad", derandomize=True, deadline=None, database=None)
+settings.load_profile("tikgrad")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="tikgrad-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture(scope="session")

@@ -236,3 +236,20 @@ def test_report_header_only_csv_exits_1(tmp_path, capsys):
     path.write_text("l,epsilon_l,delta_l,N_l,delta_wl,dist_xstar,cum_inner\n")
     assert main(["report", str(path)]) == 1
     assert "no data rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        ("0,,,0\n", 2),  # short: DictReader would fill the missing cells with None
+        ("0,,,0,,,0,9\n", 2),  # long: DictReader would keep the extra cell under None
+        ("0,,,0,,,0\n1,0.5,,3\n", 3),
+    ],
+)
+def test_report_row_with_wrong_cell_count_exits_1(tmp_path, capsys, rows, line):
+    path = tmp_path / "bad.csv"
+    path.write_text("l,epsilon_l,delta_l,N_l,delta_wl,dist_xstar,cum_inner\n" + rows)
+    with pytest.raises(ValueError, match=f"line {line} of .*expected 7 cells"):
+        read_trace_csv(str(path))
+    assert main(["report", str(path)]) == 1
+    assert f"cannot read {path}: line {line} of" in capsys.readouterr().err

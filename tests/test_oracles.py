@@ -8,6 +8,8 @@ vertex enumeration of <g, q>.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from tikgrad.oracles import (
@@ -223,3 +225,58 @@ def test_shape_validation():
         BallSet(np.zeros(2), 0.0)
     with pytest.raises(ValueError):
         SimplexSet(0)
+
+
+# ------------------------------------- bit identity with numpy's module functions
+# The oracles call ndarray methods, not numpy's module-level wrappers, to save
+# per-call dispatch in the solvers' inner loops; these properties pin that the
+# bits are those of the plain numpy formulation, signed zeros, ties and NaN
+# included.
+
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan]), st.floats(width=64))
+_BOUNDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-4.0, 4.0))
+
+
+# few examples each: the special values above make most of them hit an edge case
+_FEW = settings(max_examples=40)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _vectors(n):
+    return arrays(np.float64, n, elements=_ENTRIES)
+
+
+@st.composite
+def _box_and_vector(draw):
+    n = draw(st.integers(1, 6))
+    a = draw(arrays(np.float64, n, elements=_BOUNDS))
+    b = draw(arrays(np.float64, n, elements=_BOUNDS))
+    return BoxSet(np.minimum(a, b), np.maximum(a, b)), draw(_vectors(n))
+
+
+@_FEW
+@given(_box_and_vector())
+def test_project_box_is_np_clip_bit_for_bit(case):
+    box, x = case
+    want = np.clip(x, box.lower, box.upper)
+    assert _same_bits(project_box(x, box), want)
+    assert np.array_equal(project_box(x.tolist(), box), want, equal_nan=True)
+
+
+@_FEW
+@given(_box_and_vector())
+def test_lmo_box_is_nested_where_bit_for_bit(case):
+    box, g = case
+    want = np.where(g > 0.0, box.lower, np.where(g < 0.0, box.upper, box.lower))
+    assert _same_bits(lmo_box(g, box), want)
+
+
+@_FEW
+@given(st.integers(1, 6).flatmap(_vectors))
+def test_lmo_simplex_picks_np_argmin_index(g):
+    want = np.eye(g.size)[np.argmin(g)]
+    assert _same_bits(lmo_simplex(g, SimplexSet(g.size)), want)
+    assert _same_bits(lmo_simplex(g.tolist(), SimplexSet(g.size)), want)

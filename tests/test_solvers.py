@@ -1,5 +1,6 @@
 """Tests for the five methods: baselines, two-level solvers, line search."""
 
+import collections
 import math
 
 import numpy as np
@@ -102,7 +103,7 @@ def test_armijo_matches_brute_force_on_random_quadratics():
         eps = float(rng.uniform(0.0, 1.0))
         phi = PerturbedObjective(obj, eps, 1.0)
         x = rng.standard_normal(n)
-        d = -phi.gradient(x)
+        d = -(obj.gradient_fn(x) + eps * x)
         if not np.any(d):
             continue
         beta = float(rng.uniform(0.1, 0.9))
@@ -301,6 +302,41 @@ def cgrm_run():
     trace = run_cgrm(gp.problem, SCHED, consts, w0,
                      stop=STOP, samples_per_level=10**6)
     return gp, consts, trace
+
+
+@pytest.mark.parametrize(
+    "label, method, w0",
+    [
+        ("illposed_box(2)", "gprm", (1.0, 0.0)),
+        ("illposed_simplex(3)", "cgrm", (1.0, 0.0, 0.0)),
+        ("illposed_box(2)", "cgrm", (1.0, 0.0)),
+    ],
+)
+def test_two_level_inner_loop_avoids_numpy_dispatch_wrappers(monkeypatch, label, method, w0):
+    """At small n each call of np.sum, np.clip, np.argmin or np.linalg.norm costs
+    microseconds of Python-level dispatch over the ndarray method it wraps, so the
+    inner loop (objective, oracle, driver) must call none of them."""
+    gp = bundled_problem(label)
+    w0 = np.array(w0)
+    if method == "gprm":
+        run, consts = run_gprm, gprm_constants(gp.analytic_L, SCHED.epsilon0)
+    else:
+        run, consts = run_cgrm, cgrm_constants(gp.problem, SCHED.epsilon0, w0)
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("sum", "clip", "argmin"):
+        monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+    monkeypatch.setattr(np.linalg, "norm", counting("linalg.norm", np.linalg.norm))
+    trace = run(gp.problem, SCHED, consts, w0, stop=STOP)
+    monkeypatch.undo()
+    assert trace.counters.inner_iterations > 5000
+    assert dict(calls) == {}
 
 
 def test_gprm_converges_to_minimal_norm_solution(gprm_run):
