@@ -6,131 +6,21 @@ their iterates to the minimal-norm solution by solving a shrinking sequence
 of strongly convex perturbed problems, with measurable iteration complexity.
 The bench module bundles problems with known ground truth and the machinery
 to check measured complexity against the closed-form bounds.
+
+The package re-exports the __all__ of core, oracles, regularization, solvers
+and bench.
 """
 
-from .core import (
-    Array,
-    FeasibleSet,
-    LineSearchFailure,
-    Objective,
-    OracleCounters,
-    OracleFailure,
-    Problem,
-    RunawayInnerLoop,
-    as_vector,
-    check_gradient,
-    estimate_lipschitz_quadratic,
-)
-from .oracles import (
-    BallSet,
-    BoxSet,
-    SimplexSet,
-    lmo_ball,
-    lmo_box,
-    lmo_simplex,
-    project_ball,
-    project_box,
-    project_simplex,
-)
-from .regularization import (
-    GeometricSchedule,
-    IterRegSchedule,
-    PathCheckReport,
-    PerturbedObjective,
-    TikhonovRecord,
-    path_check,
-    tikhonov_path,
-    tikhonov_solve,
-)
-from .solvers import (
-    InnerSample,
-    MethodConstants,
-    OuterRecord,
-    SolverTrace,
-    StopPolicy,
-    cgrm_constants,
-    gprm_constants,
-    run_cgm,
-    run_cgrm,
-    run_gpm,
-    run_gprm,
-    run_iterreg,
-)
-from .bench import (
-    ComplexityReport,
-    ConfigError,
-    DEFAULT_ALPHA_GRID,
-    ExperimentConfig,
-    GeneratedProblem,
-    bound_constants,
-    bundled_problem,
-    make_illposed_box,
-    make_illposed_simplex,
-    make_rankdef_lsq,
-    measure_complexity,
-    read_trace_csv,
-    run_experiment,
-    with_bounds,
-    write_trace_csv,
-)
+from . import bench, core, oracles, regularization, solvers
+from .core import *
+from .oracles import *
+from .regularization import *
+from .solvers import *
+from .bench import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Array",
-    "FeasibleSet",
-    "LineSearchFailure",
-    "Objective",
-    "OracleCounters",
-    "OracleFailure",
-    "Problem",
-    "RunawayInnerLoop",
-    "as_vector",
-    "check_gradient",
-    "estimate_lipschitz_quadratic",
-    "BallSet",
-    "BoxSet",
-    "SimplexSet",
-    "lmo_ball",
-    "lmo_box",
-    "lmo_simplex",
-    "project_ball",
-    "project_box",
-    "project_simplex",
-    "GeometricSchedule",
-    "IterRegSchedule",
-    "PathCheckReport",
-    "PerturbedObjective",
-    "TikhonovRecord",
-    "path_check",
-    "tikhonov_path",
-    "tikhonov_solve",
-    "InnerSample",
-    "MethodConstants",
-    "OuterRecord",
-    "SolverTrace",
-    "StopPolicy",
-    "cgrm_constants",
-    "gprm_constants",
-    "run_cgm",
-    "run_cgrm",
-    "run_gpm",
-    "run_gprm",
-    "run_iterreg",
-    "ComplexityReport",
-    "ConfigError",
-    "DEFAULT_ALPHA_GRID",
-    "ExperimentConfig",
-    "GeneratedProblem",
-    "bound_constants",
-    "bundled_problem",
-    "make_illposed_box",
-    "make_illposed_simplex",
-    "make_rankdef_lsq",
-    "measure_complexity",
-    "read_trace_csv",
-    "run_experiment",
-    "with_bounds",
-    "write_trace_csv",
+    *core.__all__, *oracles.__all__, *regularization.__all__, *solvers.__all__, *bench.__all__,
     "__version__",
 ]

@@ -40,6 +40,7 @@ from .solvers import (
     OuterRecord,
     SolverTrace,
     StopPolicy,
+    _require_feasible,
     cgrm_constants,
     gprm_constants,
     run_cgm,
@@ -296,10 +297,12 @@ def bundled_problem(label: str) -> GeneratedProblem:
         raise ConfigError(f"problem_label: cannot parse {label!r}")
     name, dim = m.group(1), int(m.group(2))
     box2 = lambda: BoxSet(-np.ones(2), np.ones(2)).to_feasible_set()
-    if name == "illposed_box":
-        gp = make_illposed_box(dim)
-    elif name == "illposed_simplex":
-        gp = make_illposed_simplex(dim)
+    if name in ("illposed_box", "illposed_simplex"):
+        make = make_illposed_box if name == "illposed_box" else make_illposed_simplex
+        try:
+            gp = make(dim)
+        except ValueError as exc:
+            raise ConfigError(f"problem_label: {label!r}: {exc}") from None
     elif name == "rankdef_box" and dim == 2:
         gp = make_rankdef_lsq(
             np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0]), box2(), label
@@ -543,18 +546,13 @@ def validate_experiment(cfg: ExperimentConfig) -> tuple[GeneratedProblem, Array,
         raise ConfigError("lam: must satisfy lam < 2/L")
     if cfg.method == "cgm" and theta_k * L >= 2.0:
         raise ConfigError("theta_k: must satisfy theta_k < 2/L")
-    if cfg.x0 is not None:
+    if cfg.x0 is None:
+        x0 = default_start(gp, cfg.method)
+    else:
         try:
-            x0 = as_vector(cfg.x0)
+            x0 = _require_feasible(gp.problem, cfg.x0)
         except ValueError as exc:
             raise ConfigError(f"x0: {exc}") from None
-        fs = gp.problem.feasible_set
-        if fs.dimension is not None and x0.shape[0] != fs.dimension:
-            raise ConfigError("x0: wrong dimension for the problem")
-        if fs.membership_fn is not None and not fs.contains(x0, 1e-10):
-            raise ConfigError("x0: not feasible at tolerance 1e-10")
-    else:
-        x0 = default_start(gp, cfg.method)
     return gp, x0, lam, theta_k
 
 

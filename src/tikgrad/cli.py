@@ -179,18 +179,23 @@ def _cmd_verify(_args) -> int:
 def _cmd_report(args) -> int:
     status = EXIT_OK
     for path in args.traces:
+        reading, meta = path, None
         try:
             rows = read_trace_csv(path)
+            # the sidecar is read before anything is printed, so a bad one skips the whole file
+            reading = sidecar_path(path)
+            if os.path.exists(reading):
+                with open(reading) as fh:
+                    meta = json.load(fh)
+                if not isinstance(meta, dict):
+                    raise ValueError("not a JSON object")
         except (OSError, ValueError) as exc:
-            print(f"cannot read {path}: {exc}", file=sys.stderr)
+            print(f"cannot read {reading}: {exc}", file=sys.stderr)
             status = EXIT_CONFIG
             continue
         print(f"== {path} ==")
-        sidecar = sidecar_path(path)
         constants: dict = {}
-        if os.path.exists(sidecar):
-            with open(sidecar) as fh:
-                meta = json.load(fh)
+        if meta is not None:
             constants = meta.get("constants", {})
             cfg = meta.get("config", {})
             print(f"method {cfg.get('method')} on {cfg.get('problem_label')}")

@@ -77,9 +77,12 @@ class Objective:
 class FeasibleSet:
     """A closed convex set given through its computational oracles.
 
-    At least one of project_fn / lmo_fn must be present.  membership_fn(x, tol)
-    decides feasibility up to tol; diameter_B bounds sup ||x - y|| over the set
-    and is required by conditional-gradient step-size theory.
+    At least one of project_fn / lmo_fn must be present.  Both must return a
+    new array on every call, not a buffer they later overwrite: the solvers
+    keep the returned points on their traces without copying them.
+    membership_fn(x, tol) decides feasibility up to tol; diameter_B bounds
+    sup ||x - y|| over the set and is required by conditional-gradient
+    step-size theory.
     """
 
     project_fn: Optional[Callable[[Array], Array]] = None

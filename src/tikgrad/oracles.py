@@ -138,10 +138,12 @@ def project_simplex(x: Array, simplex: SimplexSet) -> Array:
     x = np.asarray(x, dtype=np.float64)
     if x.size != simplex.dimension:
         raise ValueError(f"expected dimension {simplex.dimension}, got {x.size}")
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
+    u = x.copy()
+    u.sort()
+    u = u[::-1]
+    css = u.cumsum() - 1.0
     idx = np.arange(1, x.size + 1)
-    rho = int(np.nonzero(u * idx > css)[0][-1])
+    rho = int((u * idx > css).nonzero()[0][-1])
     tau = css[rho] / (rho + 1.0)
     return np.maximum(x - tau, 0.0)
 

@@ -71,8 +71,6 @@ class MethodConstants:
     theta: float
     gamma: float
     Lprime: float
-    Ldoubleprime: Optional[float] = None
-    B: Optional[float] = None
 
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
@@ -122,9 +120,7 @@ def cgrm_constants(
         2.0 * (1.0 - beta) / (Lprime * B * B),
         1.0 / (Ldoubleprime * B),
     )
-    return MethodConstants(
-        beta=beta, theta=theta, gamma=gamma, Lprime=Lprime, Ldoubleprime=Ldoubleprime, B=B
-    )
+    return MethodConstants(beta=beta, theta=theta, gamma=gamma, Lprime=Lprime)
 
 
 @dataclass(frozen=True)
@@ -223,11 +219,15 @@ def _armijo(
     )
 
 
-def _require_feasible(problem: Problem, x: Array, who: str) -> Array:
-    x = as_vector(x)
+def _require_feasible(problem: Problem, x: Array) -> Array:
+    """Private copy of the start x, so traces store it uncopied; ValueError unless
+    x is a finite vector of the set's dimension inside the set (tolerance 1e-10)."""
+    x = as_vector(x).copy()
     fs = problem.feasible_set
+    if fs.dimension is not None and x.shape[0] != fs.dimension:
+        raise ValueError("wrong dimension for the problem")
     if fs.membership_fn is not None and not fs.contains(x, 1e-10):
-        raise ValueError(f"{who} is not feasible at tolerance 1e-10")
+        raise ValueError("not feasible at tolerance 1e-10")
     return x
 
 
@@ -235,11 +235,11 @@ def _record(
     problem: Problem, l: int, eps: Optional[float], delta: Optional[float], N_l: int,
     x: Array, cum_inner: int,
 ) -> OuterRecord:
-    """Snapshot of x with its value gap and distance to x*_n where those are known."""
+    """Record of x, stored uncopied, with its value gap and distance to x*_n where known."""
     fstar, xstar = problem.known_fstar, problem.known_xstar_n
     r = None if xstar is None else x - xstar
     return OuterRecord(
-        l, eps, delta, N_l, x.copy(),
+        l, eps, delta, N_l, x,
         delta_wl=None if fstar is None else float(problem.objective.value_fn(x)) - fstar,
         dist_xstar=None if r is None else math.sqrt(r.dot(r)),
         cum_inner=cum_inner,
@@ -261,7 +261,7 @@ def _projected_gradient(
     project = problem.feasible_set.project_fn
     if project is None:
         raise ValueError(f"run_{method} needs a projection oracle")
-    x = _require_feasible(problem, x0, "x0")
+    x = _require_feasible(problem, x0)
     grad = problem.objective.gradient_fn
     records = [_record(problem, 0, None, None, 0, x, 0)]
     min_lam = math.inf
@@ -325,7 +325,7 @@ def _two_level(
     stop = stop if stop is not None else StopPolicy()
     if consts.Lprime < problem.objective.lipschitz_L:
         raise ValueError("consts.Lprime is below the objective's Lipschitz constant")
-    w = _require_feasible(problem, w0, "w0")
+    w = _require_feasible(problem, w0)
     grad = problem.objective.gradient_fn
     beta, theta, max_m = consts.beta, consts.theta, stop.max_linesearch_m
     max_inner = stop.max_inner_per_l
@@ -349,7 +349,7 @@ def _two_level(
             y, d, test, quad_coeff, cap, mu = step(x, g)
             sampled = N_l < samples_per_level
             if sampled:
-                samples.append(InnerSample(l, N_l, eps, x.copy(), y.copy(), mu=mu))
+                samples.append(InnerSample(l, N_l, eps, x, y, mu=mu))
             if test <= delta:
                 w = handoff(phi, x, y)
                 break
@@ -441,7 +441,7 @@ def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> Solve
     if fs.lmo_fn is None or fs.diameter_B is None:
         raise ValueError("run_cgm needs an LMO over a bounded set")
     lmo = fs.lmo_fn
-    x = _require_feasible(problem, x0, "x0")
+    x = _require_feasible(problem, x0)
     grad = problem.objective.gradient_fn
     counters = OracleCounters()
     records = [_record(problem, 0, None, None, 0, x, 0)]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tikgrad
-from tikgrad import acceptance, cli
+from tikgrad import acceptance, bench, cli, core, oracles, regularization, solvers
 from tikgrad.bench import ExperimentConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
@@ -22,6 +22,11 @@ MODULES = ["tikgrad"] + [f"tikgrad.{m.name}" for m in pkgutil.iter_modules(tikgr
 def test_every_all_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_reexports_every_library_module():
+    for module in (bench, core, oracles, regularization, solvers):
+        assert [n for n in module.__all__ if n not in tikgrad.__all__] == []
 
 
 def test_config_keys_are_the_experiment_config_fields():

@@ -273,6 +273,10 @@ def test_run_experiment_config_validation():
         run_experiment(ExperimentConfig("illposed_box(2)", "newton"))
     with pytest.raises(ConfigError, match="problem_label"):
         run_experiment(ExperimentConfig("mystery(9)", "gprm"))
+    with pytest.raises(ConfigError, match=r"problem_label: 'illposed_box\(1\)': dim must be >= 2"):
+        run_experiment(ExperimentConfig("illposed_box(1)", "gprm"))
+    with pytest.raises(ConfigError, match=r"problem_label: 'illposed_simplex\(2\)'"):
+        run_experiment(ExperimentConfig("illposed_simplex(2)", "cgrm"))
     with pytest.raises(ConfigError, match="x0"):
         run_experiment(ExperimentConfig("illposed_box(2)", "gpm", x0=(1.0, 0.0, 0.0)))
     with pytest.raises(ConfigError, match="lam"):

@@ -85,6 +85,12 @@ def test_run_parses_x0_into_config(tmp_path):
          "epsilon_min: must be positive"),
         (dict(problem_label="illposed_box(2)", method="gprm", epsilon_min="0.9"),
          "epsilon_min: must not exceed"),
+        (dict(problem_label="illposed_simplex(3)", method="cgrm", x0="0.25, 0.25, 0.25, 0.25"),
+         "x0: wrong dimension for the problem"),
+        (dict(problem_label="illposed_box(1)", method="gprm"),
+         "problem_label: 'illposed_box(1)': dim must be >= 2"),
+        (dict(problem_label="illposed_simplex(2)", method="cgrm"),
+         "problem_label: 'illposed_simplex(2)': dim must be >= 3"),
     ],
 )
 def test_run_config_errors_exit_1(tmp_path, capsys, fields, fragment):
@@ -236,6 +242,25 @@ def test_report_header_only_csv_exits_1(tmp_path, capsys):
     path.write_text("l,epsilon_l,delta_l,N_l,delta_wl,dist_xstar,cum_inner\n")
     assert main(["report", str(path)]) == 1
     assert "no data rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sidecar, reason",
+    [
+        ("{not json", "Expecting property name"),
+        ("[1, 2]", "not a JSON object"),
+    ],
+)
+def test_report_unreadable_sidecar_exits_1_and_goes_on(tmp_path, capsys, sidecar, reason):
+    trace = run_experiment(ExperimentConfig("illposed_box(2)", "gprm", epsilon_min=1e-3))
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    write_trace_csv(trace, str(bad))
+    write_trace_csv(trace, str(good))
+    (tmp_path / "bad.json").write_text(sidecar)
+    assert main(["report", str(bad), str(good)]) == 1
+    out, err = capsys.readouterr()
+    assert f"cannot read {tmp_path / 'bad.json'}: {reason}" in err
+    assert f"== {bad} ==" not in out and f"== {good} ==" in out
 
 
 @pytest.mark.parametrize(

@@ -128,7 +128,6 @@ def test_gprm_constants_formula():
     c = gprm_constants(2.0, 1.0, beta=0.5, theta=0.5)
     assert c.Lprime == 3.0
     assert_allclose(c.gamma, min(1.0, 0.5 * 2.0 * 0.5 / 3.0), rtol=1e-15)
-    assert c.Ldoubleprime is None and c.B is None
 
 
 def test_cgrm_constants_formula():
@@ -140,8 +139,6 @@ def test_cgrm_constants_formula():
     gnorm = math.sqrt(2.0)  # gradient at e1 is (1, -1, 0)
     Ldp = gnorm + 1.0 * 1.0 + Lprime * B
     assert c.Lprime == Lprime
-    assert_allclose(c.Ldoubleprime, Ldp, rtol=1e-12)
-    assert c.B == B
     assert_allclose(
         c.gamma, min(0.5, 2.0 * 0.5 / (Lprime * B * B), 1.0 / (Ldp * B)), rtol=1e-12
     )
@@ -310,12 +307,14 @@ def cgrm_run():
         ("illposed_box(2)", "gprm", (1.0, 0.0)),
         ("illposed_simplex(3)", "cgrm", (1.0, 0.0, 0.0)),
         ("illposed_box(2)", "cgrm", (1.0, 0.0)),
+        ("illposed_simplex(3)", "gprm", (1.0, 0.0, 0.0)),
     ],
 )
 def test_two_level_inner_loop_avoids_numpy_dispatch_wrappers(monkeypatch, label, method, w0):
-    """At small n each call of np.sum, np.clip, np.argmin or np.linalg.norm costs
-    microseconds of Python-level dispatch over the ndarray method it wraps, so the
-    inner loop (objective, oracle, driver) must call none of them."""
+    """At small n each call of np.sum, np.clip, np.argmin, np.sort, np.cumsum,
+    np.nonzero or np.linalg.norm costs microseconds of Python-level dispatch over
+    the ndarray method it wraps, so the inner loop (objective, oracle, driver)
+    must call none of them."""
     gp = bundled_problem(label)
     w0 = np.array(w0)
     if method == "gprm":
@@ -330,13 +329,58 @@ def test_two_level_inner_loop_avoids_numpy_dispatch_wrappers(monkeypatch, label,
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("sum", "clip", "argmin"):
+    for name in ("sum", "clip", "argmin", "sort", "cumsum", "nonzero"):
         monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
     monkeypatch.setattr(np.linalg, "norm", counting("linalg.norm", np.linalg.norm))
     trace = run(gp.problem, SCHED, consts, w0, stop=STOP)
     monkeypatch.undo()
     assert trace.counters.inner_iterations > 5000
     assert dict(calls) == {}
+
+
+def _run_on_simplex(method, x0):
+    """A short run of method on illposed_simplex(3) from x0."""
+    gp = bundled_problem("illposed_simplex(3)")
+    p, stop = gp.problem, StopPolicy(epsilon_min=1e-2)
+    if method == "gpm":
+        return run_gpm(p, 0.5, x0, 20)
+    if method == "iterreg":
+        return run_iterreg(p, IterRegSchedule(0.25), x0, 20)
+    if method == "cgm":
+        return run_cgm(p, 0.5, x0, 20)
+    if method == "gprm":
+        return run_gprm(p, SCHED, gprm_constants(gp.analytic_L, SCHED.epsilon0), x0, stop)
+    consts = cgrm_constants(p, SCHED.epsilon0, np.array([1.0, 0.0, 0.0]))
+    return run_cgrm(p, SCHED, consts, x0, stop)
+
+
+FIVE_METHODS = ["gpm", "iterreg", "cgm", "gprm", "cgrm"]
+
+
+@pytest.mark.parametrize("method", FIVE_METHODS)
+def test_wrong_length_start_raises(method):
+    # sums to 1 with no negative entry, so only the dimension check can reject it
+    with pytest.raises(ValueError, match="wrong dimension"):
+        _run_on_simplex(method, np.full(4, 0.25))
+
+
+@pytest.mark.parametrize("method", FIVE_METHODS)
+def test_trace_does_not_alias_the_callers_start(method):
+    x0 = np.array([1.0, 0.0, 0.0])
+    trace = _run_on_simplex(method, x0)
+    stored = [r.w_l for r in trace.outer_records]
+    stored += [v for s in trace.inner_samples for v in (s.x, s.y)]
+    before = [v.tobytes() for v in stored]
+    x0[:] = np.nan
+    assert [v.tobytes() for v in stored] == before
+
+
+def test_two_level_handoff_point_is_the_last_sample_itself(gprm_run, cgrm_run):
+    for _, _, trace in (gprm_run, cgrm_run):
+        last = {s.level: s for s in trace.inner_samples}
+        assert len(last) == len(trace.outer_records)
+        for rec in trace.outer_records:
+            assert rec.w_l is last[rec.l].x or rec.w_l is last[rec.l].y
 
 
 def test_gprm_converges_to_minimal_norm_solution(gprm_run):
