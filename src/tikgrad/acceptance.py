@@ -65,7 +65,8 @@ class SuiteContext:
                 consts = cgrm_constants(gp.problem, sched.epsilon0, w0)
                 run = run_cgrm
             t0 = time.perf_counter()
-            trace = run(gp.problem, sched, consts, w0, stop)
+            # criterion 7 checks certificates on early inner iterates
+            trace = run(gp.problem, sched, consts, w0, stop, samples_per_level=4)
             elapsed = time.perf_counter() - t0
             self._runs[key] = (gp, sched, consts, trace, elapsed)
         return self._runs[key]

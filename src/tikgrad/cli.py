@@ -176,28 +176,44 @@ def _cmd_verify(_args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_ACCEPT
 
 
+_BOUND_KEYS = ("C1", "C2", "nu", "sigma")
+
+
+def _sidecar_entries(meta) -> tuple[dict, dict]:
+    """The sidecar's (config, constants); ValueError unless both are JSON objects
+    and the bound constants are numbers or null."""
+    if not isinstance(meta, dict):
+        raise ValueError("not a JSON object")
+    cfg, constants = meta.get("config", {}), meta.get("constants", {})
+    for key, entry in (("config", cfg), ("constants", constants)):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{key} is not a JSON object")
+    for key in _BOUND_KEYS:
+        value = constants.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ValueError(f"constant {key} is not a number")
+    return cfg, constants
+
+
 def _cmd_report(args) -> int:
     status = EXIT_OK
     for path in args.traces:
-        reading, meta = path, None
+        reading, sidecar = path, None
         try:
             rows = read_trace_csv(path)
             # the sidecar is read before anything is printed, so a bad one skips the whole file
             reading = sidecar_path(path)
             if os.path.exists(reading):
                 with open(reading) as fh:
-                    meta = json.load(fh)
-                if not isinstance(meta, dict):
-                    raise ValueError("not a JSON object")
+                    sidecar = _sidecar_entries(json.load(fh))
         except (OSError, ValueError) as exc:
             print(f"cannot read {reading}: {exc}", file=sys.stderr)
             status = EXIT_CONFIG
             continue
         print(f"== {path} ==")
         constants: dict = {}
-        if meta is not None:
-            constants = meta.get("constants", {})
-            cfg = meta.get("config", {})
+        if sidecar is not None:
+            cfg, constants = sidecar
             print(f"method {cfg.get('method')} on {cfg.get('problem_label')}")
         last = rows[-1]
         print(
@@ -208,7 +224,7 @@ def _cmd_report(args) -> int:
         cums = [r["cum_inner"] for r in rows if r["l"] >= 1]
         if deltas and all(d is not None for d in deltas):
             print(f"{'alpha':>10} {'N(alpha)':>10} {'bound':>12}")
-            bound_args = [constants.get(k) for k in ("C1", "C2", "nu", "sigma")]
+            bound_args = [constants.get(k) for k in _BOUND_KEYS]
             for alpha in DEFAULT_ALPHA_GRID:
                 n, attained = complexity_count(deltas, cums, alpha)
                 if not attained:

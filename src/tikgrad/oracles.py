@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import Array, FeasibleSet, as_vector
+from .core import Array, FeasibleSet, OracleFailure, as_vector
 
 __all__ = [
     "BoxSet",
@@ -143,7 +143,10 @@ def project_simplex(x: Array, simplex: SimplexSet) -> Array:
     u = u[::-1]
     css = u.cumsum() - 1.0
     idx = np.arange(1, x.size + 1)
-    rho = int((u * idx > css).nonzero()[0][-1])
+    try:
+        rho = int((u * idx > css).nonzero()[0][-1])
+    except IndexError:  # no support index passes: a NaN or +inf entry
+        raise OracleFailure("project_simplex: non-finite input") from None
     tau = css[rho] / (rho + 1.0)
     return np.maximum(x - tau, 0.0)
 

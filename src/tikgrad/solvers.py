@@ -155,7 +155,8 @@ class OuterRecord:
 
 @dataclass
 class InnerSample:
-    """An early inner iterate kept for certificate checks."""
+    """An early inner iterate (x and its candidate y: two n-vectors), kept only
+    when run_gprm/run_cgrm are asked for samples; meant for certificate checks."""
 
     level: int
     k: int
@@ -383,7 +384,7 @@ def run_gprm(
     consts: MethodConstants,
     w0: Array,
     stop: Optional[StopPolicy] = None,
-    samples_per_level: int = 4,
+    samples_per_level: int = 0,
 ) -> SolverTrace:
     """Two-level regularized gradient projection.
 
@@ -408,7 +409,10 @@ def run_gprm(
     stop : StopPolicy, optional
         Halts when eps_l < epsilon_min or l > max_outer.
     samples_per_level : int
-        How many early inner iterates of each level to keep on the trace.
+        How many early inner iterates of each level to keep on the trace as
+        InnerSamples, for certificate checks.  Each holds two n-vectors, so
+        the default 0 keeps none: the trace then holds only the handoff
+        points w_l.
     """
     project = problem.feasible_set.project_fn
     if project is None:
@@ -470,7 +474,7 @@ def run_cgrm(
     consts: MethodConstants,
     w0: Array,
     stop: Optional[StopPolicy] = None,
-    samples_per_level: int = 4,
+    samples_per_level: int = 0,
 ) -> SolverTrace:
     """Two-level regularized conditional gradient.
 
@@ -480,6 +484,7 @@ def run_cgrm(
     level accuracy); otherwise move x + theta^m mu (y - x) with the Armijo
     power m, capped so the multiplier never exceeds 1 and iterates stay
     inside the set.  The handoff point is x itself, not the vertex.
+    Parameters are those of run_gprm; samples also carry the gap mu.
     """
     fs = problem.feasible_set
     if fs.lmo_fn is None:

@@ -249,6 +249,10 @@ def test_report_header_only_csv_exits_1(tmp_path, capsys):
     [
         ("{not json", "Expecting property name"),
         ("[1, 2]", "not a JSON object"),
+        ('{"config": []}', "config is not a JSON object"),
+        ('{"constants": [1]}', "constants is not a JSON object"),
+        ('{"constants": {"C1": "x", "C2": 1.0, "nu": 0.5, "sigma": 0.5}}',
+         "constant C1 is not a number"),
     ],
 )
 def test_report_unreadable_sidecar_exits_1_and_goes_on(tmp_path, capsys, sidecar, reason):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from tikgrad.core import OracleFailure
 from tikgrad.oracles import (
     BallSet,
     BoxSet,
@@ -77,6 +78,15 @@ def test_project_simplex_examples():
     grid = _simplex_grid()
     best = np.min(np.sum((grid - x) ** 2, axis=1))
     assert float((got - x) @ (got - x)) <= best + 1e-5
+
+
+@pytest.mark.parametrize(
+    "x", [[np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0], [0.2, np.nan, np.inf]]
+)
+def test_project_simplex_non_finite_input_is_an_oracle_failure(x):
+    # a NaN or +inf entry fails every support test; it must not surface as IndexError
+    with pytest.raises(OracleFailure, match="project_simplex: non-finite input"):
+        project_simplex(np.array(x), SIMPLEX3)
 
 
 # ------------------------------------------------------------------- LMOs

@@ -1,13 +1,15 @@
 """Tests for the five methods: baselines, two-level solvers, line search."""
 
 import collections
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tikgrad.bench import bundled_problem
+from tikgrad.bench import bundled_problem, default_start, make_illposed_box, make_illposed_simplex
 from tikgrad.core import (
     FeasibleSet,
     LineSearchFailure,
@@ -348,10 +350,12 @@ def _run_on_simplex(method, x0):
         return run_iterreg(p, IterRegSchedule(0.25), x0, 20)
     if method == "cgm":
         return run_cgm(p, 0.5, x0, 20)
+    # with samples, so that the aliasing test covers the sample vectors too
     if method == "gprm":
-        return run_gprm(p, SCHED, gprm_constants(gp.analytic_L, SCHED.epsilon0), x0, stop)
+        return run_gprm(p, SCHED, gprm_constants(gp.analytic_L, SCHED.epsilon0), x0, stop,
+                        samples_per_level=4)
     consts = cgrm_constants(p, SCHED.epsilon0, np.array([1.0, 0.0, 0.0]))
-    return run_cgrm(p, SCHED, consts, x0, stop)
+    return run_cgrm(p, SCHED, consts, x0, stop, samples_per_level=4)
 
 
 FIVE_METHODS = ["gpm", "iterreg", "cgm", "gprm", "cgrm"]
@@ -444,6 +448,67 @@ def test_two_level_sample_bookkeeping(gprm_run, cgrm_run):
             assert [s.k for s in level] == list(range(rec.N_l + 1))
             assert level[-1].lam is None
             assert all(s.lam is not None for s in level[:-1])
+
+
+def _two_level_run(method, problem, w0, stop, **kwargs):
+    if method == "gprm":
+        consts = gprm_constants(problem.objective.lipschitz_L, SCHED.epsilon0)
+        return run_gprm(problem, SCHED, consts, w0, stop, **kwargs)
+    consts = cgrm_constants(problem, SCHED.epsilon0, w0)
+    return run_cgrm(problem, SCHED, consts, w0, stop, **kwargs)
+
+
+def _record_bytes(trace):
+    return [(r.l, r.epsilon_l, r.delta_l, r.N_l, r.w_l.tobytes(), r.delta_wl, r.dist_xstar,
+             r.cum_inner) for r in trace.outer_records]
+
+
+@pytest.mark.parametrize(
+    "method, label, w0, n_samples",
+    [
+        ("gprm", "illposed_box(2)", (1.0, 0.0), 41),
+        ("cgrm", "illposed_simplex(3)", (1.0, 0.0, 0.0), 47),
+    ],
+)
+def test_inner_samples_are_kept_only_on_request(method, label, w0, n_samples):
+    problem = bundled_problem(label).problem
+    default = _two_level_run(method, problem, np.array(w0), STOP)
+    sampled = _two_level_run(method, problem, np.array(w0), STOP, samples_per_level=4)
+    assert default.inner_samples == []
+    # the first four iterates of each level, or all of a shorter one
+    got = [(s.level, s.k) for s in sampled.inner_samples]
+    assert got == [(r.l, k) for r in sampled.outer_records for k in range(min(4, r.N_l + 1))]
+    assert len(got) == n_samples
+    # sampling touches no arithmetic
+    assert _record_bytes(default) == _record_bytes(sampled)
+    assert default.counters == sampled.counters
+    assert default.min_observed_lambda == sampled.min_observed_lambda
+
+
+@pytest.mark.parametrize(
+    "method, make, stop",
+    [
+        ("gprm", make_illposed_box, StopPolicy()),
+        ("cgrm", make_illposed_simplex, StopPolicy(epsilon_min=1e-2)),
+    ],
+)
+def test_default_trace_retains_only_its_handoff_vectors(method, make, stop):
+    """At n = 2**17 a default trace holds its distinct w_l and bytes per record,
+    so its memory follows the number of levels, not the inner iterations."""
+    n = 2**17
+    gp = make(n)
+    w0 = default_start(gp, method)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = _two_level_run(method, gp.problem, w0, stop)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    distinct = len({id(r.w_l) for r in trace.outer_records})
+    assert trace.inner_samples == [] and trace.counters.inner_iterations > distinct
+    assert distinct * 8 * n <= kept <= (distinct + 0.1) * 8 * n
 
 
 def test_gprm_monotone_inner_descent(gprm_run):
