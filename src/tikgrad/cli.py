@@ -21,6 +21,7 @@ import configparser
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -181,7 +182,8 @@ _BOUND_KEYS = ("C1", "C2", "nu", "sigma")
 
 def _sidecar_entries(meta) -> tuple[dict, dict]:
     """The sidecar's (config, constants); ValueError unless both are JSON objects
-    and the bound constants are numbers or null."""
+    and each bound constant is null or a number in its range: nu in (0, 1),
+    sigma in (0, 1], C1 and C2 finite and >= 0."""
     if not isinstance(meta, dict):
         raise ValueError("not a JSON object")
     cfg, constants = meta.get("config", {}), meta.get("constants", {})
@@ -189,9 +191,13 @@ def _sidecar_entries(meta) -> tuple[dict, dict]:
         if not isinstance(entry, dict):
             raise ValueError(f"{key} is not a JSON object")
     for key in _BOUND_KEYS:
-        value = constants.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        v = constants.get(key)
+        if v is None:
+            continue
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ValueError(f"constant {key} is not a number")
+        if not {"nu": 0.0 < v < 1.0, "sigma": 0.0 < v <= 1.0}.get(key, 0.0 <= v < math.inf):
+            raise ValueError(f"constant {key} out of range")
     return cfg, constants
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "TikhonovRecord",
     "PathCheckReport",
     "tikhonov_solve",
-    "tikhonov_path",
     "path_check",
 ]
 
@@ -183,21 +182,6 @@ def tikhonov_solve(
         f"no convergence within {max_iter} iterations at eps={epsilon!r}; "
         "check the objective's lipschitz_L"
     )
-
-
-def tikhonov_path(
-    problem: Problem,
-    epsilons: Sequence[float],
-    tol: float = 1e-11,
-) -> list[TikhonovRecord]:
-    """Solve along a grid of weights, warm-starting each solve at the last z."""
-    records: list[TikhonovRecord] = []
-    x: Optional[Array] = None
-    for eps in epsilons:
-        rec = tikhonov_solve(problem, float(eps), tol=tol, x0=x)
-        records.append(rec)
-        x = rec.z
-    return records
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ The two-level methods share one outer loop: an inner Armijo loop on the
 perturbed objective phi_eps_l runs until a displacement (gprm) or duality-gap
 (cgrm) test signals that the level is solved to accuracy delta_l, then eps
 shrinks.  run_gpm and run_iterreg share one projected-gradient loop.
-Traces record one row per outer level (or per iteration for the single-loop
-baselines), the first few inner iterates for certificate checks, and the
-smallest accepted line-search multiplier.
+Traces record one scalar row per outer level (or per iteration for the
+single-loop baselines), the final point (the trace's only n-vector), the
+smallest accepted line-search multiplier and, when a caller asks for them,
+early inner iterates for certificate checks.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .core import (
     Array,
     LineSearchFailure,
     OracleCounters,
+    OracleFailure,
     Problem,
     RunawayInnerLoop,
     as_vector,
@@ -141,13 +143,13 @@ class StopPolicy:
 
 @dataclass
 class OuterRecord:
-    """One completed outer level (or one iteration of a single-loop method)."""
+    """One completed outer level (or one iteration of a single-loop method): the
+    trace CSV's seven columns; delta_wl and dist_xstar describe its point w_l."""
 
     l: int
     epsilon_l: Optional[float]
     delta_l: Optional[float]
     N_l: int
-    w_l: Array
     delta_wl: Optional[float] = None
     dist_xstar: Optional[float] = None
     cum_inner: int = 0
@@ -169,17 +171,15 @@ class InnerSample:
 
 @dataclass
 class SolverTrace:
+    """Scalar records, counters and the one n-vector kept besides any inner
+    samples: final_point, the last record's w_l (the start if no level ran)."""
+
     method: str
     outer_records: list[OuterRecord]
     counters: OracleCounters
+    final_point: Array
     min_observed_lambda: float = math.inf
     inner_samples: list[InnerSample] = field(default_factory=list)
-
-    @property
-    def final_point(self) -> Array:
-        if not self.outer_records:
-            raise ValueError("trace has no records")
-        return self.outer_records[-1].w_l
 
 
 def _armijo(
@@ -208,7 +208,9 @@ def _armijo(
     for m in range(max_m + 1):
         if cap is None or step * cap <= 1.0:
             t = step if cap is None else step * cap
-            x_new = x + t * d
+            # t * d + x is x + t * d bit for bit, with one temporary fewer
+            x_new = t * d
+            x_new += x
             val = phi_value(x_new)
             trials += 1
             if val <= phi_at_x - beta * step * quad_coeff:
@@ -236,11 +238,11 @@ def _record(
     problem: Problem, l: int, eps: Optional[float], delta: Optional[float], N_l: int,
     x: Array, cum_inner: int,
 ) -> OuterRecord:
-    """Record of x, stored uncopied, with its value gap and distance to x*_n where known."""
+    """Record of x's value gap and distance to x*_n where known; x is not kept."""
     fstar, xstar = problem.known_fstar, problem.known_xstar_n
     r = None if xstar is None else x - xstar
     return OuterRecord(
-        l, eps, delta, N_l, x,
+        l, eps, delta, N_l,
         delta_wl=None if fstar is None else float(problem.objective.value_fn(x)) - fstar,
         dist_xstar=None if r is None else math.sqrt(r.dot(r)),
         cum_inner=cum_inner,
@@ -275,7 +277,7 @@ def _projected_gradient(
     counters = OracleCounters(
         gradient_evals=max_iter, projections=max_iter, inner_iterations=max_iter
     )
-    return SolverTrace(method, records, counters, min_observed_lambda=min_lam)
+    return SolverTrace(method, records, counters, x, min_observed_lambda=min_lam)
 
 
 def run_gpm(problem: Problem, lam: float, x0: Array, max_iter: int) -> SolverTrace:
@@ -320,13 +322,15 @@ def _two_level(
     value the handoff test compares with delta_l, the Armijo quad_coeff and
     unit-step cap, and the gap mu kept on inner samples (None without one).
     Level l takes Armijo steps along d until test <= delta_l, then passes
-    handoff(phi_eps_l, x, y) to level l + 1 as its warm start.
-    oracle_counter names the OracleCounters field that counts step's calls.
+    handoff(phi_eps_l, x, y) to level l + 1 as its warm start; a NaN test
+    raises OracleFailure.  oracle_counter names the OracleCounters field that
+    counts step's calls.  Neither y (once the test fails) nor the level's
+    start (once x moves) stays alive through the Armijo search.
     """
     stop = stop if stop is not None else StopPolicy()
     if consts.Lprime < problem.objective.lipschitz_L:
         raise ValueError("consts.Lprime is below the objective's Lipschitz constant")
-    w = _require_feasible(problem, w0)
+    x = _require_feasible(problem, w0)
     grad = problem.objective.gradient_fn
     beta, theta, max_m = consts.beta, consts.theta, stop.max_linesearch_m
     max_inner = stop.max_inner_per_l
@@ -342,18 +346,20 @@ def _two_level(
         if eps < stop.epsilon_min or l > stop.max_outer:
             break
         phi = PerturbedObjective(problem.objective, eps, sched.epsilon0).value
-        x = w
         phi_x: Optional[float] = None
         N_l = 0
         while True:
-            g = grad(x) + eps * x
-            y, d, test, quad_coeff, cap, mu = step(x, g)
+            y, d, test, quad_coeff, cap, mu = step(x, grad(x) + eps * x)
             sampled = N_l < samples_per_level
             if sampled:
                 samples.append(InnerSample(l, N_l, eps, x, y, mu=mu))
             if test <= delta:
-                w = handoff(phi, x, y)
+                x = handoff(phi, x, y)
                 break
+            if not test > delta:
+                raise OracleFailure(f"level {l}: handoff test is not finite; "
+                                    "gradient or oracle returned NaN")
+            del y  # a sample, if one was taken, still holds it
             if N_l >= max_inner:
                 raise RunawayInnerLoop(f"level {l} exceeded {max_inner} inner iterations")
             m, lam, x, phi_x, trials = _armijo(
@@ -366,7 +372,7 @@ def _two_level(
                 samples[-1].lam = lam
             N_l += 1
         cum_inner += N_l
-        records.append(_record(problem, l, eps, delta, N_l, w, cum_inner))
+        records.append(_record(problem, l, eps, delta, N_l, x, cum_inner))
         l += 1
     # each level evaluates the gradient and the oracle once per step plus once for the last test
     evals = cum_inner + len(records)
@@ -374,7 +380,7 @@ def _two_level(
         gradient_evals=evals, linesearch_trials=trials_total, inner_iterations=cum_inner,
         **{oracle_counter: evals},
     )
-    return SolverTrace(method, records, counters, min_observed_lambda=min_lambda,
+    return SolverTrace(method, records, counters, x, min_observed_lambda=min_lambda,
                        inner_samples=samples)
 
 
@@ -411,8 +417,8 @@ def run_gprm(
     samples_per_level : int
         How many early inner iterates of each level to keep on the trace as
         InnerSamples, for certificate checks.  Each holds two n-vectors, so
-        the default 0 keeps none: the trace then holds only the handoff
-        points w_l.
+        the default 0 keeps none: the trace then holds one n-vector, its
+        final point.
     """
     project = problem.feasible_set.project_fn
     if project is None:
@@ -465,7 +471,7 @@ def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> Solve
         counters.inner_iterations += 1
         min_lam = min(min_lam, lam)
         records.append(_record(problem, k, None, None, 1, x, k))
-    return SolverTrace("cgm", records, counters, min_observed_lambda=min_lam)
+    return SolverTrace("cgm", records, counters, x, min_observed_lambda=min_lam)
 
 
 def run_cgrm(

@@ -180,9 +180,9 @@ def _synthetic_trace(deltas, counts):
     for i, (d, n) in enumerate(zip(deltas, counts), start=1):
         cum += n
         records.append(
-            OuterRecord(i, 0.5 ** i, None, n, np.zeros(1), delta_wl=d, cum_inner=cum)
+            OuterRecord(i, 0.5 ** i, None, n, delta_wl=d, cum_inner=cum)
         )
-    return SolverTrace("gprm", records, OracleCounters())
+    return SolverTrace("gprm", records, OracleCounters(), np.zeros(1))
 
 
 def test_measure_complexity_synthetic_levels():
@@ -199,7 +199,7 @@ def test_measure_complexity_validation():
         with pytest.raises(ValueError):
             measure_complexity(trace, alpha_grid=grid)
     empty = SolverTrace(
-        "gpm", [OuterRecord(0, None, None, 0, np.zeros(1), cum_inner=0)], OracleCounters()
+        "gpm", [OuterRecord(0, None, None, 0, cum_inner=0)], OracleCounters(), np.zeros(1)
     )
     with pytest.raises(ValueError):
         measure_complexity(empty)

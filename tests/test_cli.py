@@ -253,6 +253,15 @@ def test_report_header_only_csv_exits_1(tmp_path, capsys):
         ('{"constants": [1]}', "constants is not a JSON object"),
         ('{"constants": {"C1": "x", "C2": 1.0, "nu": 0.5, "sigma": 0.5}}',
          "constant C1 is not a number"),
+        # nu = 1 divides by zero in the bound, sigma = 1e300 overflows its power
+        ('{"constants": {"C1": 1.0, "C2": 1.0, "nu": 1.0, "sigma": 0.5}}',
+         "constant nu out of range"),
+        ('{"constants": {"C1": 1.0, "C2": 1.0, "nu": 0.5, "sigma": 1e300}}',
+         "constant sigma out of range"),
+        ('{"constants": {"C1": -1.0, "C2": 1.0, "nu": 0.5, "sigma": 0.5}}',
+         "constant C1 out of range"),
+        ('{"constants": {"C1": 1.0, "C2": NaN, "nu": 0.5, "sigma": 0.5}}',
+         "constant C2 out of range"),
     ],
 )
 def test_report_unreadable_sidecar_exits_1_and_goes_on(tmp_path, capsys, sidecar, reason):

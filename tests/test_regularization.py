@@ -13,9 +13,10 @@ from tikgrad.regularization import (
     PerturbedObjective,
     TikhonovRecord,
     path_check,
-    tikhonov_path,
     tikhonov_solve,
 )
+
+from path_helpers import tikhonov_path
 
 BUNDLED_LABELS = (
     "illposed_box(2)", "illposed_simplex(3)", "rankdef_box(2)",

@@ -14,7 +14,7 @@ from tikgrad.core import (
     FeasibleSet,
     LineSearchFailure,
     Objective,
-    OracleCounters,
+    OracleFailure,
     Problem,
     RunawayInnerLoop,
 )
@@ -23,11 +23,9 @@ from tikgrad.regularization import (
     GeometricSchedule,
     IterRegSchedule,
     PerturbedObjective,
-    tikhonov_path,
 )
 from tikgrad.solvers import (
     MethodConstants,
-    SolverTrace,
     StopPolicy,
     _armijo,
     cgrm_constants,
@@ -38,6 +36,8 @@ from tikgrad.solvers import (
     run_gprm,
     run_iterreg,
 )
+
+from path_helpers import tikhonov_path
 
 
 def _brute_smallest_m(phi, x, d, beta, theta, quad_coeff, cap=None, max_m=30):
@@ -179,13 +179,13 @@ def halfnorm_box():
 
 
 def test_gpm_one_step_to_optimum(halfnorm_box):
-    trace = run_gpm(halfnorm_box, 0.5, np.array([2.0, 2.0]), 3)
-    assert_allclose(trace.outer_records[1].w_l, [1.0, 1.0], rtol=0, atol=0)
     # (1,1) is the projection of the unconstrained minimizer: a fixed point
     assert_allclose(
         project_box(np.zeros(2), BoxSet(np.ones(2), np.full(2, 2.0))), [1.0, 1.0]
     )
-    assert_allclose(trace.outer_records[2].w_l, [1.0, 1.0], rtol=0, atol=0)
+    for max_iter in (1, 2, 3):
+        trace = run_gpm(halfnorm_box, 0.5, np.array([2.0, 2.0]), max_iter)
+        assert_allclose(trace.final_point, [1.0, 1.0], rtol=0, atol=0)
     assert trace.min_observed_lambda == 0.5
     assert trace.method == "gpm"
     assert trace.counters.inner_iterations == 3
@@ -198,10 +198,12 @@ def test_gpm_stalls_at_stationary_start():
     gp = bundled_problem("illposed_box(2)")
     x0 = np.array([1.0, 0.0])
     trace = run_gpm(gp.problem, 0.5, x0, 50)
+    assert_allclose(trace.final_point, x0, rtol=0, atol=0)
+    assert len(trace.outer_records) == 51
     for rec in trace.outer_records:
-        assert_allclose(rec.w_l, x0, rtol=0, atol=0)
+        assert rec.dist_xstar == trace.outer_records[0].dist_xstar
+        assert rec.delta_wl == 0.0
     assert trace.outer_records[-1].dist_xstar == pytest.approx(math.sqrt(0.5))
-    assert trace.outer_records[-1].delta_wl == 0.0
 
 
 def test_gpm_validation(halfnorm_box):
@@ -214,7 +216,7 @@ def test_gpm_validation(halfnorm_box):
 
 def test_iterreg_first_step_hits_minimal_norm_corner(box12_zero):
     trace = run_iterreg(box12_zero, IterRegSchedule(0.25), np.array([2.0, 2.0]), 1)
-    assert_allclose(trace.outer_records[1].w_l, [1.0, 1.0], rtol=0, atol=0)
+    assert_allclose(trace.final_point, [1.0, 1.0], rtol=0, atol=0)
     assert trace.min_observed_lambda == 1.0
 
 
@@ -249,7 +251,8 @@ def shifted_simplex():
 def test_cgm_one_step_to_vertex(shifted_simplex):
     x0 = np.full(3, 1.0 / 3.0)
     trace = run_cgm(shifted_simplex, 0.9, x0, 50)
-    assert_allclose(trace.outer_records[1].w_l, [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
+    assert_allclose(trace.final_point, [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
+    assert trace.outer_records[1].dist_xstar <= 1e-15
     # independent check: the optimum is the projection of the shifted center
     assert_allclose(
         project_simplex(np.array([2.0, 0.0, 0.0]), SimplexSet(3)), [1.0, 0.0, 0.0]
@@ -372,8 +375,7 @@ def test_wrong_length_start_raises(method):
 def test_trace_does_not_alias_the_callers_start(method):
     x0 = np.array([1.0, 0.0, 0.0])
     trace = _run_on_simplex(method, x0)
-    stored = [r.w_l for r in trace.outer_records]
-    stored += [v for s in trace.inner_samples for v in (s.x, s.y)]
+    stored = [trace.final_point] + [v for s in trace.inner_samples for v in (s.x, s.y)]
     before = [v.tobytes() for v in stored]
     x0[:] = np.nan
     assert [v.tobytes() for v in stored] == before
@@ -383,8 +385,8 @@ def test_two_level_handoff_point_is_the_last_sample_itself(gprm_run, cgrm_run):
     for _, _, trace in (gprm_run, cgrm_run):
         last = {s.level: s for s in trace.inner_samples}
         assert len(last) == len(trace.outer_records)
-        for rec in trace.outer_records:
-            assert rec.w_l is last[rec.l].x or rec.w_l is last[rec.l].y
+        final = last[trace.outer_records[-1].l]
+        assert trace.final_point is final.x or trace.final_point is final.y
 
 
 def test_gprm_converges_to_minimal_norm_solution(gprm_run):
@@ -459,8 +461,7 @@ def _two_level_run(method, problem, w0, stop, **kwargs):
 
 
 def _record_bytes(trace):
-    return [(r.l, r.epsilon_l, r.delta_l, r.N_l, r.w_l.tobytes(), r.delta_wl, r.dist_xstar,
-             r.cum_inner) for r in trace.outer_records]
+    return [vars(r) for r in trace.outer_records], trace.final_point.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -485,30 +486,30 @@ def test_inner_samples_are_kept_only_on_request(method, label, w0, n_samples):
     assert default.min_observed_lambda == sampled.min_observed_lambda
 
 
-@pytest.mark.parametrize(
-    "method, make, stop",
-    [
-        ("gprm", make_illposed_box, StopPolicy()),
-        ("cgrm", make_illposed_simplex, StopPolicy(epsilon_min=1e-2)),
-    ],
-)
-def test_default_trace_retains_only_its_handoff_vectors(method, make, stop):
-    """At n = 2**17 a default trace holds its distinct w_l and bytes per record,
-    so its memory follows the number of levels, not the inner iterations."""
+@pytest.mark.parametrize("method", FIVE_METHODS)
+def test_default_trace_holds_one_n_vector(method):
+    """At n = 2**17 a default trace holds its final point and bytes per record,
+    so its memory follows neither the run length nor the number of levels."""
     n = 2**17
-    gp = make(n)
-    w0 = default_start(gp, method)
+    gp = (make_illposed_simplex if method in ("cgm", "cgrm") else make_illposed_box)(n)
+    p, w0 = gp.problem, default_start(gp, method)
+    runs = {
+        "gpm": lambda: run_gpm(p, 1.0 / n, w0, 50),
+        "iterreg": lambda: run_iterreg(p, IterRegSchedule(0.25), w0, 50),
+        "cgm": lambda: run_cgm(p, 0.5, w0, 50),
+        "gprm": lambda: _two_level_run("gprm", p, w0, StopPolicy()),
+        "cgrm": lambda: _two_level_run("cgrm", p, w0, StopPolicy(epsilon_min=1e-2)),
+    }
     gc.collect()
     tracemalloc.start()
     try:
-        trace = _two_level_run(method, gp.problem, w0, stop)
+        trace = runs[method]()
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    distinct = len({id(r.w_l) for r in trace.outer_records})
-    assert trace.inner_samples == [] and trace.counters.inner_iterations > distinct
-    assert distinct * 8 * n <= kept <= (distinct + 0.1) * 8 * n
+    assert trace.inner_samples == [] and len(trace.outer_records) > 5
+    assert 8 * n <= kept <= 1.1 * 8 * n
 
 
 def test_gprm_monotone_inner_descent(gprm_run):
@@ -547,8 +548,7 @@ def test_cgrm_gap_never_negative(cgrm_run):
 def test_two_level_all_iterates_feasible(gprm_run, cgrm_run):
     for gp, _, trace in (gprm_run, cgrm_run):
         fs = gp.problem.feasible_set
-        for rec in trace.outer_records:
-            assert fs.contains(rec.w_l, 1e-9)
+        assert fs.contains(trace.final_point, 1e-9)
         for s in trace.inner_samples:
             assert fs.contains(s.x, 1e-9)
             assert fs.contains(s.y, 1e-9)
@@ -560,22 +560,43 @@ def _path_points(problem, records):
     return {rec_out.l: rec_z.z for rec_out, rec_z in zip(records, recs)}
 
 
+def _handoff_points(gp, trace):
+    """Each level's w_l, rebuilt from its last sample: x for cgrm, the better of
+    x and y (ties to y) for gprm; its distance to x*_n must equal the record's
+    bit for bit."""
+    last = {s.level: s for s in trace.inner_samples}
+    xstar = gp.problem.known_xstar_n
+    points = {}
+    for rec in trace.outer_records:
+        s = last[rec.l]
+        w = s.x
+        if trace.method == "gprm":
+            phi = PerturbedObjective(gp.problem.objective, s.epsilon, SCHED.epsilon0).value
+            w = s.y if phi(s.y) <= phi(s.x) else s.x
+        r = w - xstar
+        assert math.sqrt(r.dot(r)) == rec.dist_xstar
+        points[rec.l] = w
+    return points
+
+
 def test_gprm_handoff_tracks_path(gprm_run):
     """||w_l - z(eps_l)|| <= (2(L'+1)/eps_l + 1) delta_l at every level."""
     gp, consts, trace = gprm_run
+    w = _handoff_points(gp, trace)
     z = _path_points(gp.problem, trace.outer_records)
     for rec in trace.outer_records:
         bound = (2.0 * (consts.Lprime + 1.0) / rec.epsilon_l + 1.0) * rec.delta_l
-        assert np.linalg.norm(rec.w_l - z[rec.l]) <= bound + 1e-6
+        assert np.linalg.norm(w[rec.l] - z[rec.l]) <= bound + 1e-6
 
 
 def test_cgrm_handoff_tracks_path(cgrm_run):
     """||w_l - z(eps_l)||^2 <= 2 delta_l / eps_l at every level."""
     gp, _, trace = cgrm_run
+    w = _handoff_points(gp, trace)
     z = _path_points(gp.problem, trace.outer_records)
     for rec in trace.outer_records:
         bound = 2.0 * rec.delta_l / rec.epsilon_l
-        assert float(np.sum((rec.w_l - z[rec.l]) ** 2)) <= bound + 1e-6
+        assert float(np.sum((w[rec.l] - z[rec.l]) ** 2)) <= bound + 1e-6
 
 
 def _certificate_samples(trace, per_level=3):
@@ -677,6 +698,33 @@ def test_two_level_runaway_inner_loop_raises():
                  cgrm_constants(gp_simplex.problem, 1.0, w0), w0, stop=tight)
 
 
-def test_trace_final_point():
-    with pytest.raises(ValueError):
-        SolverTrace("gpm", [], OracleCounters()).final_point
+@pytest.mark.parametrize("method", ["gprm", "cgrm"])
+def test_nan_gradient_fails_fast(method):
+    """A NaN gradient makes the handoff test NaN: OracleFailure at once, not
+    60 backtracking trials ending in LineSearchFailure."""
+    gp = bundled_problem("illposed_box(2)")
+    obj = gp.problem.objective
+    nan_grad = Objective(obj.value_fn, lambda x: np.full_like(x, np.nan), obj.lipschitz_L)
+    problem = Problem(nan_grad, gp.problem.feasible_set)
+    w0 = np.array([1.0, 0.0])
+    if method == "gprm":
+        run, consts = run_gprm, gprm_constants(gp.analytic_L, SCHED.epsilon0)
+    else:
+        run, consts = run_cgrm, cgrm_constants(gp.problem, SCHED.epsilon0, w0)
+    with pytest.raises(OracleFailure, match="level 1: handoff test is not finite"):
+        run(problem, SCHED, consts, w0, STOP)
+
+
+@pytest.mark.parametrize("method", FIVE_METHODS)
+def test_trace_final_point(method):
+    """final_point is the point the last record describes, or the start where
+    no level ran."""
+    gp = bundled_problem("illposed_simplex(3)")
+    trace = _run_on_simplex(method, np.array([0.0, 0.0, 1.0]))
+    r = trace.final_point - gp.problem.known_xstar_n
+    assert math.sqrt(r.dot(r)) == trace.outer_records[-1].dist_xstar
+    if method in ("gprm", "cgrm"):
+        x0 = np.array([0.0, 0.0, 1.0])
+        none_run = _two_level_run(method, gp.problem, x0, StopPolicy(epsilon_min=2.0))
+        assert none_run.outer_records == []
+        assert_allclose(none_run.final_point, x0, rtol=0, atol=0)
