@@ -36,6 +36,8 @@ from .core import (
 from .oracles import BoxSet, SimplexSet
 from .regularization import GeometricSchedule, IterRegSchedule
 from .solvers import (
+    DEFAULT_BETA,
+    DEFAULT_THETA,
     MethodConstants,
     OuterRecord,
     SolverTrace,
@@ -362,14 +364,18 @@ def complexity_bound(C1: float, C2: float, nu: float, sigma: float, alpha: float
 
     N(alpha) <= C2 ((C1/alpha)^(1+2 sigma) - 1) / (nu (1 - nu^(1+2 sigma))),
     with (C1, C2) from bound_constants.  alpha >= C1 needs no outer
-    iterations at all, so the bound is 0 there.
+    iterations at all, so the bound is 0 there.  A bound past the float range
+    is math.inf.
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     if alpha >= C1:
         return 0.0
     s = 1.0 + 2.0 * sigma
-    return C2 * ((C1 / alpha) ** s - 1.0) / (nu * (1.0 - nu**s))
+    try:
+        return C2 * ((C1 / alpha) ** s - 1.0) / (nu * (1.0 - nu**s))
+    except OverflowError:  # a float power raises where a product would give inf
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -465,49 +471,49 @@ class ExperimentConfig:
     Field names are exactly the keys accepted in config files.  Schedule
     fields are method-specific: (epsilon0, nu, sigma) for gprm/cgrm, tau
     for iterreg, lam for gpm, theta_k for cgm; the rest are ignored by
-    methods that do not use them.
+    methods that do not use them.  A field named like a field of
+    GeometricSchedule, IterRegSchedule, MethodConstants or StopPolicy takes
+    its default and its range check from that type.
     """
 
     problem_label: str
     method: str
-    epsilon0: float = 1.0
-    nu: float = 0.5
-    sigma: float = 0.5
-    tau: float = 0.25
+    epsilon0: float = GeometricSchedule.epsilon0
+    nu: float = GeometricSchedule.nu
+    sigma: float = GeometricSchedule.sigma
+    tau: float = IterRegSchedule.tau
     lam: Optional[float] = None
     theta_k: Optional[float] = None
-    beta: float = 0.5
-    theta: float = 0.5
-    epsilon_min: float = 1e-6
-    max_outer: int = 60
-    max_inner_per_l: int = 10**6
-    max_linesearch_m: int = 60
+    beta: float = DEFAULT_BETA
+    theta: float = DEFAULT_THETA
+    epsilon_min: float = StopPolicy.epsilon_min
+    max_outer: int = StopPolicy.max_outer
+    max_inner_per_l: int = StopPolicy.max_inner_per_l
+    max_linesearch_m: int = StopPolicy.max_linesearch_m
     max_iter: int = 10_000
     x0: Optional[tuple[float, ...]] = None
     output_path: Optional[str] = None
+
+
+# one valid instance of each library type that owns config fields; each owned
+# field is range-checked by its owner's __post_init__, one field at a time, so
+# the errors come in this order of owners and each owner's field order
+_OWNERS = (GeometricSchedule(), IterRegSchedule(), gprm_constants(1.0, 1.0), StopPolicy())
 
 
 def _validate_config(cfg: ExperimentConfig) -> list[str]:
     errors = []
     if cfg.method not in METHODS:
         errors.append(f"method: must be one of {METHODS}")
-    if not (np.isfinite(cfg.epsilon0) and cfg.epsilon0 > 0.0):
-        errors.append("epsilon0: must be positive")
-    if not (0.0 < cfg.nu < 1.0):
-        errors.append("nu: must lie in (0, 1)")
-    if not (0.0 < cfg.sigma <= 1.0):
-        errors.append("sigma: must lie in (0, 1]")
-    if not (0.0 < cfg.tau < 0.5):
-        errors.append("tau: must lie in (0, 0.5)")
-    if not (0.0 < cfg.beta < 1.0):
-        errors.append("beta: must lie in (0, 1)")
-    if not (0.0 < cfg.theta < 1.0):
-        errors.append("theta: must lie in (0, 1)")
-    if not cfg.epsilon_min > 0.0:
-        errors.append("epsilon_min: must be positive")
-    for name in ("max_outer", "max_inner_per_l", "max_linesearch_m", "max_iter"):
-        if getattr(cfg, name) <= 0:
-            errors.append(f"{name}: must be positive")
+    for owner in _OWNERS:
+        for f in dataclasses.fields(owner):
+            if hasattr(cfg, f.name):
+                try:
+                    dataclasses.replace(owner, **{f.name: getattr(cfg, f.name)})
+                except ValueError as exc:
+                    errors.append(str(exc))
+    if cfg.max_iter <= 0:
+        errors.append("max_iter: must be positive")
     if cfg.lam is not None and not cfg.lam > 0.0:
         errors.append("lam: must be positive")
     if cfg.theta_k is not None and not cfg.theta_k > 0.0:

@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+import typing
 from typing import Optional
 
 from . import acceptance
@@ -47,10 +48,22 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_ACCEPT = 3
 
-_STR_FIELDS = {"problem_label", "method", "output_path"}
-_INT_FIELDS = {"max_outer", "max_inner_per_l", "max_linesearch_m", "max_iter"}
-_FLOAT_FIELDS = {
-    "epsilon0", "nu", "sigma", "tau", "lam", "theta_k", "beta", "theta", "epsilon_min",
+
+def _base_type(hint) -> type:
+    """str, int, float or tuple: a field's type without Optional or element types."""
+    if typing.get_origin(hint) is typing.Union:
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    return typing.get_origin(hint) or hint
+
+
+_FIELD_TYPES = {k: _base_type(h) for k, h in typing.get_type_hints(ExperimentConfig).items()}
+_REQUIRED = [f.name for f in dataclasses.fields(ExperimentConfig) if f.default is dataclasses.MISSING]
+# how a value of each type is read, and what the error says was expected
+_PARSERS = {
+    str: (str, "text"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    tuple: (lambda v: tuple(float(t) for t in v.split(",") if t.strip()), "comma-separated numbers"),
 }
 
 
@@ -69,29 +82,18 @@ def _flatten_ini(path: str) -> dict[str, str]:
 
 def _coerce_field(key: str, value: str):
     value = value.strip()
-    if key in _STR_FIELDS:
-        return value
-    if key in _INT_FIELDS:
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-    if key in _FLOAT_FIELDS:
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-    if key == "x0":
-        try:
-            return tuple(float(t) for t in value.split(",") if t.strip())
-        except ValueError:
-            raise ConfigError(f"x0: expected comma-separated numbers, got {value!r}") from None
-    raise ConfigError(f"{key}: unknown field")
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"{key}: unknown field")
+    parse, expected = _PARSERS[_FIELD_TYPES[key]]
+    try:
+        return parse(value)
+    except ValueError:
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
 
 
 def _build_config(flat: dict[str, str]) -> ExperimentConfig:
     kwargs = {key: _coerce_field(key, value) for key, value in flat.items()}
-    for required in ("problem_label", "method"):
+    for required in _REQUIRED:
         if required not in kwargs:
             raise ConfigError(f"{required}: missing")
     return ExperimentConfig(**kwargs)

@@ -26,7 +26,6 @@ __all__ = [
     "LineSearchFailure",
     "RunawayInnerLoop",
     "as_vector",
-    "check_gradient",
     "estimate_lipschitz_quadratic",
 ]
 
@@ -149,61 +148,14 @@ class OracleCounters:
         return asdict(self)
 
 
-def check_gradient(objective: Objective, x: Array, h: float = 1e-6) -> float:
-    """Compare gradient_fn against central differences at x.
-
-    Returns max_i |cd_i - g_i| / (1 + |g_i|) over coordinates, where cd is the
-    two-sided difference quotient with stencil width h.  h must lie strictly
-    inside (1e-10, 1e-2); outside that range the quotient is dominated by
-    round-off or truncation and the check is meaningless.
-    """
-    if not (1e-10 < h < 1e-2):
-        raise ValueError("stencil width h must lie in (1e-10, 1e-2)")
-    x = as_vector(x)
-    g = as_vector(objective.gradient_fn(x))
-    worst = 0.0
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        fp = float(objective.value_fn(x + e))
-        fm = float(objective.value_fn(x - e))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise OracleFailure("objective returned a non-finite value near x")
-        cd = (fp - fm) / (2.0 * h)
-        worst = max(worst, abs(cd - g[i]) / (1.0 + abs(g[i])))
-    return worst
-
-
-def estimate_lipschitz_quadratic(A: Array, rel_tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Spectral norm of A^T A by power iteration, i.e. the gradient Lipschitz
-    constant of x -> 0.5 ||A x - b||^2.
-
-    Deterministic: the start vector comes from a fixed-seed generator.  A zero
-    matrix returns 0.0 exactly.
+def estimate_lipschitz_quadratic(A: Array) -> float:
+    """Spectral norm of A^T A, i.e. the gradient Lipschitz constant of
+    x -> 0.5 ||A x - b||^2, computed as ||A||_2^2 from the largest singular
+    value of A.  A zero matrix returns 0.0 exactly.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError("A must be a matrix")
     if not np.all(np.isfinite(A)):
         raise ValueError("A has non-finite entries")
-    if not np.any(A):
-        return 0.0
-    M = A.T @ A
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v landed in the kernel; restart from a fresh direction
-            v = rng.standard_normal(M.shape[0])
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nw
-        lam_new = float(v @ (M @ v))
-        if abs(lam_new - lam) <= rel_tol * max(lam_new, 1e-300):
-            return lam_new
-        lam = lam_new
-    raise OracleFailure("power iteration did not converge; matrix may be ill-scaled")
+    return float(np.linalg.norm(A, 2)) ** 2

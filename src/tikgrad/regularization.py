@@ -67,11 +67,11 @@ class GeometricSchedule:
 
     def __post_init__(self):
         if not (np.isfinite(self.epsilon0) and self.epsilon0 > 0.0):
-            raise ValueError("epsilon0 must be positive")
+            raise ValueError("epsilon0: must be positive")
         if not (0.0 < self.nu < 1.0):
-            raise ValueError("nu must lie in (0, 1)")
+            raise ValueError("nu: must lie in (0, 1)")
         if not (0.0 < self.sigma <= 1.0):
-            raise ValueError("sigma must lie in (0, 1]")
+            raise ValueError("sigma: must lie in (0, 1]")
 
     def params(self, l: int) -> tuple[float, float]:
         if l < 0:
@@ -92,7 +92,7 @@ class IterRegSchedule:
 
     def __post_init__(self):
         if not (0.0 < self.tau < 0.5):
-            raise ValueError("tau must lie in (0, 0.5)")
+            raise ValueError("tau: must lie in (0, 0.5)")
 
     def params(self, k: int) -> tuple[float, float]:
         if k < 0:

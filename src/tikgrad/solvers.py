@@ -76,13 +76,13 @@ class MethodConstants:
 
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
-            raise ValueError("beta must lie in (0, 1)")
+            raise ValueError("beta: must lie in (0, 1)")
         if not (0.0 < self.theta < 1.0):
-            raise ValueError("theta must lie in (0, 1)")
+            raise ValueError("theta: must lie in (0, 1)")
         if not (np.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError("gamma must be positive")
+            raise ValueError("gamma: must be positive")
         if not (np.isfinite(self.Lprime) and self.Lprime > 0.0):
-            raise ValueError("Lprime must be positive")
+            raise ValueError("Lprime: must be positive")
 
 
 def gprm_constants(
@@ -135,10 +135,11 @@ class StopPolicy:
     max_linesearch_m: int = 60
 
     def __post_init__(self):
-        if not self.epsilon_min > 0.0 or self.max_outer <= 0:
-            raise ValueError("epsilon_min and max_outer must be positive")
-        if self.max_inner_per_l <= 0 or self.max_linesearch_m <= 0:
-            raise ValueError("iteration caps must be positive")
+        if not self.epsilon_min > 0.0:
+            raise ValueError("epsilon_min: must be positive")
+        for name in ("max_outer", "max_inner_per_l", "max_linesearch_m"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be positive")
 
 
 @dataclass
@@ -166,7 +167,6 @@ class InnerSample:
     x: Array
     y: Array
     mu: Optional[float] = None
-    lam: Optional[float] = None
 
 
 @dataclass
@@ -203,6 +203,8 @@ def _armijo(
     """
     if phi_at_x is None:
         phi_at_x = phi_value(x)
+        if not math.isfinite(phi_at_x):
+            raise OracleFailure("objective value is not finite at the line-search start")
     step = 1.0
     trials = 0
     for m in range(max_m + 1):
@@ -350,8 +352,7 @@ def _two_level(
         N_l = 0
         while True:
             y, d, test, quad_coeff, cap, mu = step(x, grad(x) + eps * x)
-            sampled = N_l < samples_per_level
-            if sampled:
+            if N_l < samples_per_level:
                 samples.append(InnerSample(l, N_l, eps, x, y, mu=mu))
             if test <= delta:
                 x = handoff(phi, x, y)
@@ -368,8 +369,6 @@ def _two_level(
             trials_total += trials
             if lam < min_lambda:
                 min_lambda = lam
-            if sampled:
-                samples[-1].lam = lam
             N_l += 1
         cum_inner += N_l
         records.append(_record(problem, l, eps, delta, N_l, x, cum_inner))

@@ -101,15 +101,17 @@ GOLDEN = {
         "bf57e99cb7b9820646f05d9214cb0a8b980095822fa1cf88cfe628f64194db77",
         (7824, 0, 7824, 7833, 7811), 0.125,
     ),
+    # gpm and cgm take their steps 1/L from estimate_lipschitz_quadratic, which
+    # returns ||A||_2^2 = 4 and 1 exactly for these two problems
     "gpm": (
-        "2cc7bb6f7972e8032a73999c3ee523a3358c7beddf945440394b9926c574511d",
-        "a60916461cbb8d07559df492125bdf0f86373c3bcf346465d2eae4adafd5cbc7",
-        (200, 200, 0, 0, 200), 0.2500000000001883,
+        "ea91446effa9f6be17954257f7f397e3914ba29b0e872ca65f489e0f73868503",
+        "029ca80705776adb14f722f9a4c98e1b359462e452770ff1d1f9699317a21e67",
+        (200, 200, 0, 0, 200), 0.25,
     ),
     "cgm": (
-        "d1cddedcd5ceb13a8eaa76efca52604739423da89fe2111eb7e7984c0129ab98",
-        "2ce3d9bda9036291dea4a7c2c3c5da39b7503b0045e96d6429a747c5947cec7a",
-        (200, 0, 200, 0, 200), 9.731014455851294e-32,
+        "cfee5d0397486869f77030158332c41eb65aa20ed566a348fce65e57931e5ec5",
+        "77f167be29d8ea73023c5674a8dfac9f4008c692e931c61dcd778babfc4963c1",
+        (200, 0, 200, 0, 200), -0.0,
     ),
     "iterreg": (
         "0b6a070cb211dc33081bb77aedcd499f4af2cc6a3b0513d75c8db089c1fc8a9f",

@@ -28,7 +28,7 @@ from tikgrad.bench import (
 )
 from tikgrad.core import OracleCounters
 from tikgrad.oracles import BoxSet
-from tikgrad.regularization import GeometricSchedule
+from tikgrad.regularization import GeometricSchedule, IterRegSchedule
 from tikgrad.solvers import (
     MethodConstants,
     OuterRecord,
@@ -294,6 +294,47 @@ def test_run_experiment_config_validation():
         assert "nu" in msg and "sigma" in msg and "tau" in msg
     else:
         raise AssertionError("invalid config was accepted")
+
+
+# each owned config field, the library call that owns its range, and bad values
+# for it: zero, negative, NaN (floats only) and just outside the range
+OWNED_FIELDS = {
+    "epsilon0": (lambda v: GeometricSchedule(epsilon0=v), (0.0, -1.0, math.nan, math.inf)),
+    "nu": (lambda v: GeometricSchedule(nu=v), (0.0, -1.0, math.nan, 1.0)),
+    "sigma": (lambda v: GeometricSchedule(sigma=v), (0.0, -1.0, math.nan, 1.5)),
+    "tau": (IterRegSchedule, (0.0, -1.0, math.nan, 0.5)),
+    "beta": (lambda v: gprm_constants(2.0, 1.0, beta=v), (0.0, -1.0, math.nan, 1.0)),
+    "theta": (lambda v: gprm_constants(2.0, 1.0, theta=v), (0.0, -1.0, math.nan, 1.0)),
+    "epsilon_min": (lambda v: StopPolicy(epsilon_min=v), (0.0, -1.0, math.nan, -math.inf)),
+    "max_outer": (lambda v: StopPolicy(max_outer=v), (0, -1)),
+    "max_inner_per_l": (lambda v: StopPolicy(max_inner_per_l=v), (0, -1)),
+    "max_linesearch_m": (lambda v: StopPolicy(max_linesearch_m=v), (0, -1)),
+}
+
+
+def _owner_error(name, value):
+    build = OWNED_FIELDS[name][0]
+    with pytest.raises(ValueError) as info:
+        build(value)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("name", list(OWNED_FIELDS))
+def test_config_errors_are_the_owners_errors(name):
+    """An owned field's config error is, word for word, its library type's error."""
+    for value in OWNED_FIELDS[name][1]:
+        cfg = ExperimentConfig("illposed_box(2)", "gprm", **{name: value})
+        with pytest.raises(ConfigError) as info:
+            run_experiment(cfg)
+        assert str(info.value) == _owner_error(name, value), value
+    # two bad fields: both owners' errors, in field order, in one ConfigError
+    cfg = ExperimentConfig("illposed_box(2)", "gprm", **{name: 0, "max_linesearch_m": 0})
+    with pytest.raises(ConfigError) as info:
+        run_experiment(cfg)
+    expected = [_owner_error(name, 0)]
+    if name != "max_linesearch_m":
+        expected.append(_owner_error("max_linesearch_m", 0))
+    assert str(info.value) == "; ".join(expected)
 
 
 def test_run_experiment_defaults_baseline_steps():

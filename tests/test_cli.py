@@ -6,7 +6,13 @@ import pytest
 
 from tikgrad import acceptance
 from tikgrad.acceptance import CriterionResult
-from tikgrad.bench import read_trace_csv, run_experiment, ExperimentConfig, write_trace_csv
+from tikgrad.bench import (
+    DEFAULT_ALPHA_GRID,
+    ExperimentConfig,
+    read_trace_csv,
+    run_experiment,
+    write_trace_csv,
+)
 from tikgrad.cli import main
 
 
@@ -218,6 +224,22 @@ def test_report_prints_complexity_table(tmp_path, capsys):
     assert "method gprm on illposed_box(2)" in text
     assert "alpha" in text and "N(alpha)" in text and "bound" in text
     assert "0.001" in text
+
+
+def test_report_prints_inf_for_an_overflowing_bound(tmp_path, capsys):
+    """C1 = 1e200 is in range, but (C1/alpha)^(1+2 sigma) passes the float range."""
+    out = tmp_path / "run.csv"
+    cfg = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm",
+                   epsilon_min="1e-3", output_path=out)
+    assert main(["run", cfg]) == 0
+    sidecar = tmp_path / "run.json"
+    payload = json.loads(sidecar.read_text())
+    payload["constants"]["C1"] = 1e200
+    sidecar.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    rows = capsys.readouterr().out.splitlines()[-len(DEFAULT_ALPHA_GRID):]
+    assert [row.split()[-1] for row in rows] == ["inf"] * len(DEFAULT_ALPHA_GRID)
 
 
 def test_report_without_sidecar_omits_bounds(tmp_path, capsys):

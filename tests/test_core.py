@@ -1,4 +1,4 @@
-"""Container validation and the two numerical checks in tikgrad.core."""
+"""Container validation, Lipschitz estimation, and the gradient-check test helper."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,10 @@ from tikgrad.core import (
     OracleFailure,
     Problem,
     as_vector,
-    check_gradient,
     estimate_lipschitz_quadratic,
 )
+
+from gradient_check import check_gradient
 
 
 def _quadratic():

@@ -448,8 +448,6 @@ def test_two_level_sample_bookkeeping(gprm_run, cgrm_run):
             level = by_level[rec.l]
             assert len(level) == rec.N_l + 1
             assert [s.k for s in level] == list(range(rec.N_l + 1))
-            assert level[-1].lam is None
-            assert all(s.lam is not None for s in level[:-1])
 
 
 def _two_level_run(method, problem, w0, stop, **kwargs):
@@ -512,29 +510,34 @@ def test_default_trace_holds_one_n_vector(method):
     assert 8 * n <= kept <= 1.1 * 8 * n
 
 
+def _accepted_steps(trace):
+    """(sample, next sample of the same level) pairs: every sample but a level's
+    last took a step, and the next sample's x is the point it accepted."""
+    samples = trace.inner_samples
+    return [(s, t) for s, t in zip(samples, samples[1:]) if t.level == s.level]
+
+
 def test_gprm_monotone_inner_descent(gprm_run):
     """phi(x_next) <= phi(x) - beta * gamma * ||d||^2 at every accepted step."""
     gp, consts, trace = gprm_run
     value = gp.problem.objective.value_fn
-    for s in trace.inner_samples:
-        if s.lam is None:
-            continue
+    steps = _accepted_steps(trace)
+    assert len(steps) == trace.counters.inner_iterations
+    for s, t in steps:
         phi = lambda v, e=s.epsilon: float(value(v)) + 0.5 * e * float(v @ v)
         d = s.y - s.x
-        x_next = s.x + s.lam * d
-        assert phi(x_next) <= phi(s.x) - consts.beta * consts.gamma * float(d @ d) + 1e-12
+        assert phi(t.x) <= phi(s.x) - consts.beta * consts.gamma * float(d @ d) + 1e-12
 
 
 def test_cgrm_monotone_inner_descent(cgrm_run):
     """phi(x_next) <= phi(x) - beta * gamma * mu^2 at every accepted step."""
     gp, consts, trace = cgrm_run
     value = gp.problem.objective.value_fn
-    for s in trace.inner_samples:
-        if s.lam is None:
-            continue
+    steps = _accepted_steps(trace)
+    assert len(steps) == trace.counters.inner_iterations
+    for s, t in steps:
         phi = lambda v, e=s.epsilon: float(value(v)) + 0.5 * e * float(v @ v)
-        x_next = s.x + s.lam * s.mu * (s.y - s.x)
-        assert phi(x_next) <= phi(s.x) - consts.beta * consts.gamma * s.mu ** 2 + 1e-12
+        assert phi(t.x) <= phi(s.x) - consts.beta * consts.gamma * s.mu ** 2 + 1e-12
 
 
 def test_cgrm_gap_never_negative(cgrm_run):
@@ -713,6 +716,18 @@ def test_nan_gradient_fails_fast(method):
         run, consts = run_cgrm, cgrm_constants(gp.problem, SCHED.epsilon0, w0)
     with pytest.raises(OracleFailure, match="level 1: handoff test is not finite"):
         run(problem, SCHED, consts, w0, STOP)
+
+
+@pytest.mark.parametrize("method", ["gprm", "cgrm"])
+def test_nan_value_fails_fast(method):
+    """A NaN objective value with a finite gradient leaves the handoff test
+    finite; the line search rejects it before its first trial."""
+    gp = bundled_problem("illposed_box(2)")
+    obj = gp.problem.objective
+    nan_value = Objective(lambda x: math.nan, obj.gradient_fn, obj.lipschitz_L)
+    problem = Problem(nan_value, gp.problem.feasible_set)
+    with pytest.raises(OracleFailure, match="not finite at the line-search start"):
+        _two_level_run(method, problem, np.array([1.0, 0.0]), STOP)
 
 
 def test_trace_final_point():
