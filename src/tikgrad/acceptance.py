@@ -212,10 +212,7 @@ def criterion_8(ctx: SuiteContext) -> CriterionResult:
         zs = [ctx.z_oracle(label, e) for e in grid]
         all_ok = True
         for j in range(len(grid) - 1):
-            report = path_check(
-                gp.problem, grid[j + 1], grid[j], tol=1e-8,
-                z_mu=zs[j + 1], z_eta=zs[j],
-            )
+            report = path_check(gp.problem, grid[j + 1], grid[j], zs[j + 1], zs[j])
             all_ok = all_ok and report.all_ok
         end_dist = float(np.linalg.norm(zs[-1] - gp.analytic_xstar_n))
         ok = all_ok and end_dist < 1e-2

@@ -2,12 +2,12 @@
 
 The generators build problems whose minimal-norm solution is known exactly
 (by symmetry) or computed once by an independent high-accuracy oracle and
-cross-checked from two starting points.  measure_complexity turns a solver
-trace into N(alpha) counts on an accuracy grid and fits the growth exponent;
-complexity_bound evaluates the closed-form upper bound the two-level
-methods must stay under.  run_experiment ties a validated config to a
-bundled problem, runs the configured method, and serializes the trace as
-CSV plus a JSON sidecar.
+cross-checked by a second run in the other projection order.
+measure_complexity turns a solver trace into N(alpha) counts on an accuracy
+grid and fits the growth exponent; complexity_bound evaluates the
+closed-form upper bound the two-level methods must stay under.
+run_experiment ties a validated config to a bundled problem, runs the
+configured method, and serializes the trace as CSV plus a JSON sidecar.
 """
 
 from __future__ import annotations
@@ -182,36 +182,42 @@ def make_illposed_simplex(dim: int) -> GeneratedProblem:
     )
 
 
+_DYKSTRA_TOL = 1e-13
+_DYKSTRA_MAX_CYCLES = 50_000
+
+
 def _dykstra(
     x0: Array,
-    project_affine: Callable[[Array], Array],
+    project_first: Callable[[Array], Array],
+    project_second: Callable[[Array], Array],
     affine_residual: Callable[[Array], float],
-    project_set: Callable[[Array], Array],
-    tol: float = 1e-13,
-    max_cycles: int = 50_000,
 ) -> Array:
-    """Project x0 onto (affine set) & (feasible set) by Dykstra's scheme."""
+    """Project x0 onto the intersection of two convex sets by Dykstra's scheme.
+
+    Each cycle projects onto the first set, then the second; the returned
+    point also lies on the affine set to residual 1e-11.
+    """
     x = x0
     p = np.zeros_like(x0)
     q = np.zeros_like(x0)
-    for _ in range(max_cycles):
-        u = project_affine(x + p)
+    for _ in range(_DYKSTRA_MAX_CYCLES):
+        u = project_first(x + p)
         p = x + p - u
-        v = project_set(u + q)
+        v = project_second(u + q)
         q = u + q - v
-        if float(np.linalg.norm(v - x)) <= tol and affine_residual(v) <= 1e-11:
+        if float(np.linalg.norm(v - x)) <= _DYKSTRA_TOL and affine_residual(v) <= 1e-11:
             return v
         x = v
     raise OracleFailure("Dykstra projection did not converge; intersection suspect")
 
 
 def _minimal_norm_in_slice(A: Array, b_proj: Array, fs: FeasibleSet) -> Array:
-    """argmin 0.5 ||x||^2 over {x in D : A x = b_proj}.
+    """argmin 0.5 ||x||^2 over {x in D : A x = b_proj}, the projection of 0 onto it.
 
-    Projected gradient with step 0.9 on the intersection, whose projection
-    is itself computed by Dykstra on the two constraints.  Run from two
-    starts; disagreement beyond 1e-8 means the ground truth cannot be
-    trusted and the generator refuses to hand it out.
+    Dykstra's scheme projects the origin onto the intersection twice, once
+    with each order of the two projections; disagreement beyond 1e-8 means
+    the ground truth cannot be trusted and the generator refuses to hand
+    it out.
     """
     if fs.project_fn is None or fs.dimension is None:
         raise ValueError("rank-deficient generator needs a projection oracle with dimension")
@@ -223,21 +229,11 @@ def _minimal_norm_in_slice(A: Array, b_proj: Array, fs: FeasibleSet) -> Array:
     def affine_residual(x: Array) -> float:
         return float(np.linalg.norm(A @ x - b_proj))
 
-    def solve_from(start: Array) -> Array:
-        x = _dykstra(start, project_affine, affine_residual, fs.project_fn)
-        for _ in range(500):
-            # gradient of 0.5||x||^2 is x; step 0.9 leaves the contraction 0.1*x
-            x_new = _dykstra(0.1 * x, project_affine, affine_residual, fs.project_fn)
-            if float(np.linalg.norm(x_new - x)) <= 1e-12:
-                return x_new
-            x = x_new
-        raise OracleFailure("minimal-norm oracle did not reach tolerance 1e-10")
-
-    n = fs.dimension
-    za = solve_from(fs.project_fn(np.zeros(n)))
-    zb = solve_from(fs.project_fn(np.full(n, 0.7)))
+    origin = np.zeros(fs.dimension)
+    za = _dykstra(origin, project_affine, fs.project_fn, affine_residual)
+    zb = _dykstra(origin, fs.project_fn, project_affine, affine_residual)
     if float(np.linalg.norm(za - zb)) > 1e-8:
-        raise OracleFailure("minimal-norm oracle starts disagree; ground truth not trusted")
+        raise OracleFailure("minimal-norm oracle orders disagree; ground truth not trusted")
     return za
 
 
@@ -331,16 +327,15 @@ def bundled_problem(label: str) -> GeneratedProblem:
 
 
 def default_start(gp: GeneratedProblem, method: str) -> Array:
-    """Vertex start for LMO methods, projected origin otherwise."""
+    """Vertex start for LMO methods, projected origin otherwise.
+
+    The set needs a projection and a dimension, as every bundled set has.
+    """
     fs = gp.problem.feasible_set
     if method in ("cgm", "cgrm"):
         if fs.lmo_fn is not None:
             return fs.lmo_fn(np.ones(fs.dimension))
-    if fs.project_fn is not None and fs.dimension is not None:
-        return fs.project_fn(np.zeros(fs.dimension))
-    if fs.lmo_fn is not None and fs.dimension is not None:
-        return fs.lmo_fn(np.ones(fs.dimension))
-    raise ConfigError("x0: no default start available for this set")
+    return fs.project_fn(np.zeros(fs.dimension))
 
 
 def bound_constants(
@@ -387,8 +382,6 @@ class ComplexityReport:
     attained: tuple[bool, ...]
     fitted_exponent: float
     bound_N: tuple[float, ...] = ()
-    C1: float = math.nan
-    C2: float = math.nan
 
 
 def _fit_exponent(alpha_grid, measured, attained) -> float:
@@ -429,8 +422,9 @@ def measure_complexity(trace: SolverTrace, alpha_grid=DEFAULT_ALPHA_GRID) -> Com
     strictly decreasing.
     """
     grid = tuple(float(a) for a in alpha_grid)
-    if any(a <= 0.0 for a in grid) or any(
-        grid[i] <= grid[i + 1] for i in range(len(grid) - 1)
+    # written so that a NaN entry fails both comparisons
+    if any(not a > 0.0 for a in grid) or any(
+        not grid[i] > grid[i + 1] for i in range(len(grid) - 1)
     ):
         raise ValueError("alpha_grid must be positive and strictly decreasing")
     recs = [r for r in trace.outer_records if r.l >= 1]
@@ -458,10 +452,10 @@ def with_bounds(
     consts: MethodConstants,
     xstar_norm: float,
 ) -> ComplexityReport:
-    """Attach bound_N, C1, C2 to a measured report."""
+    """Attach bound_N to a measured report."""
     C1, C2 = bound_constants(method, sched, consts, xstar_norm)
     bounds = tuple(complexity_bound(C1, C2, sched.nu, sched.sigma, a) for a in report.alpha_grid)
-    return dataclasses.replace(report, bound_N=bounds, C1=C1, C2=C2)
+    return dataclasses.replace(report, bound_N=bounds)
 
 
 @dataclass(frozen=True)

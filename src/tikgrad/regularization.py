@@ -117,17 +117,20 @@ class TikhonovRecord:
             raise ValueError("residual exceeds the certification threshold 1e-10")
 
 
+# residual target of tikhonov_solve, a tenth of TikhonovRecord's threshold
+_TIKHONOV_TOL = 1e-11
+
+
 def tikhonov_solve(
     problem: Problem,
     epsilon: float,
-    tol: float = 1e-11,
     x0: Optional[Array] = None,
     max_iter: int = 10_000_000,
 ) -> TikhonovRecord:
-    """Minimize phi_eps over the feasible set to fixed-point residual <= tol.
+    """Minimize phi_eps over the feasible set to fixed-point residual <= 1e-11.
 
     Runs projected gradient with the safe constant step 1/(L + eps) until the
-    unit-step residual ||x - P(x - grad phi_eps(x))|| drops below tol.  The
+    unit-step residual ||x - P(x - grad phi_eps(x))|| drops below 1e-11.  The
     residual scaled by the step is monotone in the step length, so the damped
     per-iteration displacement gives a certified trigger for the unit-step
     check without extra projections.
@@ -138,9 +141,6 @@ def tikhonov_solve(
         Must carry a projection oracle.
     epsilon : float
         Positive Tikhonov weight.
-    tol : float
-        Residual target, restricted to [1e-12, 1e-10] so that every returned
-        record qualifies as ground truth.
     x0 : array, optional
         Warm start; projected onto the set before use.  Defaults to P(0).
     max_iter : int
@@ -149,8 +149,6 @@ def tikhonov_solve(
     """
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be positive")
-    if not (1e-12 <= tol <= 1e-10):
-        raise ValueError("tol must lie in [1e-12, 1e-10]")
     project = problem.feasible_set.project_fn
     if project is None:
         raise ValueError("tikhonov_solve needs a projection oracle")
@@ -169,13 +167,13 @@ def tikhonov_solve(
         g = grad(x) + epsilon * x
         y = project(x - step * g)
         r = x - y
-        # ||x - P(x - s g)|| / s is non-increasing in s, so ||x - y|| <= step*tol
+        # ||x - P(x - s g)|| / s is non-increasing in s, so ||x - y|| <= step * _TIKHONOV_TOL
         # certifies the unit-step residual; the periodic check catches early
         # satisfaction that the damped trigger would miss.
-        if math.sqrt(r.dot(r)) <= step * tol or k % 64 == 0:
+        if math.sqrt(r.dot(r)) <= step * _TIKHONOV_TOL or k % 64 == 0:
             r = x - project(x - g)
             residual = math.sqrt(r.dot(r))
-            if residual <= tol:
+            if residual <= _TIKHONOV_TOL:
                 return TikhonovRecord(epsilon=epsilon, z=x, residual=residual)
         x = y
     raise OracleFailure(
@@ -204,40 +202,23 @@ class PathCheckReport:
         return self.value_decrease_ok and self.optimal_value_ok and self.norm_monotone_ok
 
 
-def path_check(
-    problem: Problem,
-    mu: float,
-    eta: float,
-    tol: float = 1e-8,
-    oracle_tol: float = 1e-11,
-    z_mu: Optional[Array] = None,
-    z_eta: Optional[Array] = None,
-) -> PathCheckReport:
-    """Verify the comparison inequalities between path points z(mu) and z(eta).
+# slack allowed on each path inequality
+_PATH_TOL = 1e-8
+
+
+def path_check(problem: Problem, mu: float, eta: float, z_mu: Array, z_eta: Array) -> PathCheckReport:
+    """Verify the comparison inequalities between path points z_mu = z(mu), z_eta = z(eta).
 
     For 0 <= mu < eta the path satisfies
       f(z(eta)) - f(z(mu))          <=  0.5 * eta * (||z(mu)||^2 - ||z(eta)||^2)
       phi*_eta  - phi*_mu           <=  0.5 * (eta - mu) * ||z(mu)||^2
       ||z(eta)||                    <=  ||z(mu)||
-    where phi*_eps is the optimal perturbed value.  mu = 0 refers to the
-    minimal-norm solution and requires known_xstar_n on the problem.  Points
-    may be passed in to reuse cached oracle output; otherwise they are
-    computed here at oracle_tol.
+    where phi*_eps is the optimal perturbed value; each holds up to 1e-8.
+    mu = 0 refers to the minimal-norm solution.
     """
     if not (0.0 <= mu < eta):
         raise ValueError("need 0 <= mu < eta")
     value = problem.objective.value_fn
-
-    if z_mu is None:
-        if mu == 0.0:
-            if problem.known_xstar_n is None:
-                raise ValueError("mu = 0 needs known_xstar_n as the path limit")
-            z_mu = problem.known_xstar_n
-        else:
-            z_mu = tikhonov_solve(problem, mu, tol=oracle_tol).z
-    if z_eta is None:
-        z_eta = tikhonov_solve(problem, eta, tol=oracle_tol, x0=z_mu).z
-
     f_mu = float(value(z_mu))
     f_eta = float(value(z_eta))
     nsq_mu = float(z_mu @ z_mu)
@@ -250,9 +231,9 @@ def path_check(
     s_norm = float(np.sqrt(nsq_eta)) - float(np.sqrt(nsq_mu))
 
     return PathCheckReport(
-        value_decrease_ok=s_value <= tol,
-        optimal_value_ok=s_opt <= tol,
-        norm_monotone_ok=s_norm <= tol,
+        value_decrease_ok=s_value <= _PATH_TOL,
+        optimal_value_ok=s_opt <= _PATH_TOL,
+        norm_monotone_ok=s_norm <= _PATH_TOL,
         value_decrease_slack=s_value,
         optimal_value_slack=s_opt,
         norm_monotone_slack=s_norm,

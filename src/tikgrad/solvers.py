@@ -189,17 +189,17 @@ def _armijo(
     beta: float,
     theta: float,
     quad_coeff: float,
-    cap: Optional[float],
+    cap: float,
     max_m: int,
     phi_at_x: Optional[float] = None,
 ) -> tuple[int, float, Array, float, int]:
     """Smallest m with phi(trial_m) <= phi(x) - beta * theta^m * quad_coeff.
 
     quad_coeff is ||d||^2 for gradient-projection steps and mu^2 for
-    conditional-gradient steps.  Trial point is x + theta^m * d, or
-    x + theta^m * cap * d when a unit-step cap is given (then powers with
-    theta^m * cap > 1 are skipped unevaluated).  Returns (m, theta^m,
-    accepted point, its phi value, number of trial evaluations).
+    conditional-gradient steps.  Trial point is x + theta^m * cap * d;
+    powers with theta^m * cap > 1 are skipped unevaluated, and cap = 1.0
+    gives the plain trial x + theta^m * d.  Returns (m, theta^m, accepted
+    point, its phi value, number of trial evaluations).
     """
     if phi_at_x is None:
         phi_at_x = phi_value(x)
@@ -208,8 +208,8 @@ def _armijo(
     step = 1.0
     trials = 0
     for m in range(max_m + 1):
-        if cap is None or step * cap <= 1.0:
-            t = step if cap is None else step * cap
+        t = step * cap
+        if t <= 1.0:
             # t * d + x is x + t * d bit for bit, with one temporary fewer
             x_new = t * d
             x_new += x
@@ -324,14 +324,16 @@ def _two_level(
     value the handoff test compares with delta_l, the Armijo quad_coeff and
     unit-step cap, and the gap mu kept on inner samples (None without one).
     Level l takes Armijo steps along d until test <= delta_l, then passes
-    handoff(phi_eps_l, x, y) to level l + 1 as its warm start; a NaN test
-    raises OracleFailure.  oracle_counter names the OracleCounters field that
-    counts step's calls.  Neither y (once the test fails) nor the level's
-    start (once x moves) stays alive through the Armijo search.
+    handoff(phi_eps_l, x, y) to level l + 1 as its warm start.  A NaN test
+    raises OracleFailure, an accepted multiplier below consts.gamma raises
+    LineSearchFailure, and consts.Lprime < L + sched.epsilon0 raises
+    ValueError.  oracle_counter names the OracleCounters field that counts
+    step's calls.  Neither y (once the test fails) nor the level's start
+    (once x moves) stays alive through the Armijo search.
     """
     stop = stop if stop is not None else StopPolicy()
-    if consts.Lprime < problem.objective.lipschitz_L:
-        raise ValueError("consts.Lprime is below the objective's Lipschitz constant")
+    if consts.Lprime < problem.objective.lipschitz_L + sched.epsilon0:
+        raise ValueError("consts.Lprime is below L + epsilon0 of the objective and schedule")
     x = _require_feasible(problem, w0)
     grad = problem.objective.gradient_fn
     beta, theta, max_m = consts.beta, consts.theta, stop.max_linesearch_m
@@ -368,6 +370,10 @@ def _two_level(
             )
             trials_total += trials
             if lam < min_lambda:
+                if lam < consts.gamma:
+                    raise LineSearchFailure(
+                        f"level {l}: accepted multiplier {lam!r} is below gamma "
+                        f"{consts.gamma!r}; objective or Lipschitz data is suspect")
                 min_lambda = lam
             N_l += 1
         cum_inner += N_l
@@ -405,8 +411,8 @@ def run_gprm(
     problem : Problem
         Needs a projection oracle.
     sched : GeometricSchedule
-        Supplies (eps_l, delta_l); sched.epsilon0 must match the epsilon0
-        baked into consts.Lprime.
+        Supplies (eps_l, delta_l); consts.Lprime must be at least
+        L + sched.epsilon0, or ValueError is raised.
     consts : MethodConstants
         From gprm_constants.
     w0 : array
@@ -427,7 +433,7 @@ def run_gprm(
         y = project(x - g)
         d = y - x
         dn2 = float(d.dot(d))
-        return y, d, math.sqrt(dn2), dn2, None, None
+        return y, d, math.sqrt(dn2), dn2, 1.0, None
 
     def better(phi, x: Array, y: Array) -> Array:
         return y if phi(y) <= phi(x) else x

@@ -3,11 +3,11 @@
 from tikgrad.regularization import tikhonov_solve
 
 
-def tikhonov_path(problem, epsilons, tol=1e-11):
+def tikhonov_path(problem, epsilons):
     """tikhonov_solve along a grid of weights, warm-starting each solve at the last z."""
     records, x = [], None
     for eps in epsilons:
-        rec = tikhonov_solve(problem, float(eps), tol=tol, x0=x)
+        rec = tikhonov_solve(problem, float(eps), x0=x)
         records.append(rec)
         x = rec.z
     return records

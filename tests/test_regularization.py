@@ -215,9 +215,6 @@ def test_tikhonov_solve_validation(ball_linear):
     for eps in (0.0, -1.0):
         with pytest.raises(ValueError):
             tikhonov_solve(ball_linear, eps)
-    for tol in (1e-13, 1e-9):
-        with pytest.raises(ValueError):
-            tikhonov_solve(ball_linear, 1.0, tol=tol)
 
     lmo_only = FeasibleSet(
         lmo_fn=lambda g: lmo_simplex(g, SimplexSet(2)),
@@ -250,15 +247,22 @@ def test_tikhonov_path_warm_start_matches_cold(ball_linear):
         assert rec.residual <= 1e-10
 
 
+def _path_pair(problem, mu, eta, z_mu=None):
+    """path_check on z(mu) (solved unless given) and z(eta) warm-started there."""
+    if z_mu is None:
+        z_mu = tikhonov_solve(problem, mu).z
+    return path_check(problem, mu, eta, z_mu, tikhonov_solve(problem, eta, x0=z_mu).z)
+
+
 def test_path_check_ball_pair(ball_linear):
-    report = path_check(ball_linear, 0.5, 2.0)
+    report = _path_pair(ball_linear, 0.5, 2.0)
     assert report.all_ok
     assert np.linalg.norm(tikhonov_solve(ball_linear, 2.0).z) == pytest.approx(0.5, abs=1e-9)
     assert np.linalg.norm(tikhonov_solve(ball_linear, 0.5).z) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_path_check_constant_path_equalities(box12_zero):
-    report = path_check(box12_zero, 0.1, 1.0)
+    report = _path_pair(box12_zero, 0.1, 1.0)
     assert report.all_ok
     # z(0.1) = z(1) = (1,1): both value inequalities collapse to equality
     assert abs(report.value_decrease_slack) <= 1e-8
@@ -266,18 +270,17 @@ def test_path_check_constant_path_equalities(box12_zero):
 
 
 def test_path_check_validation(ball_linear):
+    z = np.zeros(2)
     with pytest.raises(ValueError):
-        path_check(ball_linear, 0.5, 0.5)
+        path_check(ball_linear, 0.5, 0.5, z, z)
     with pytest.raises(ValueError):
-        path_check(ball_linear, 2.0, 0.5)
-    with pytest.raises(ValueError):
-        path_check(ball_linear, 0.0, 1.0)  # no known minimal-norm point
+        path_check(ball_linear, 2.0, 0.5, z, z)
 
 
 def test_path_check_against_zero_limit(box12_zero):
-    assert path_check(box12_zero, 0.0, 0.5).all_ok
+    assert _path_pair(box12_zero, 0.0, 0.5, box12_zero.known_xstar_n).all_ok
     gp = bundled_problem("illposed_box(2)")
-    assert path_check(gp.problem, 0.0, 1.0).all_ok
+    assert _path_pair(gp.problem, 0.0, 1.0, gp.problem.known_xstar_n).all_ok
 
 
 @pytest.fixture(scope="module")

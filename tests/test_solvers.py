@@ -65,7 +65,7 @@ def _half_tsq():
 def test_armijo_accepts_unit_step():
     phi = _half_tsq()
     x, d = np.array([1.0]), np.array([-1.0])
-    m, lam, _, _, _ = _armijo(phi.value, x, d, 0.5, 0.5, 1.0, None, 60)
+    m, lam, _, _, _ = _armijo(phi.value, x, d, 0.5, 0.5, 1.0, 1.0, 60)
     assert (m, lam) == (0, 1.0)
     assert _brute_smallest_m(phi, x, d, 0.5, 0.5, 1.0) == 0
 
@@ -73,7 +73,7 @@ def test_armijo_accepts_unit_step():
 def test_armijo_backtracks_under_strict_decrease_demand():
     phi = _half_tsq()
     x, d = np.array([1.0]), np.array([-1.0])
-    m, lam, _, _, _ = _armijo(phi.value, x, d, 0.9, 0.5, 1.0, None, 60)
+    m, lam, _, _, _ = _armijo(phi.value, x, d, 0.9, 0.5, 1.0, 1.0, 60)
     assert m == _brute_smallest_m(phi, x, d, 0.9, 0.5, 1.0) == 3
     assert lam == 0.125
 
@@ -111,7 +111,7 @@ def test_armijo_matches_brute_force_on_random_quadratics():
         beta = float(rng.uniform(0.1, 0.9))
         theta = float(rng.uniform(0.2, 0.8))
         q = float(d @ d)
-        m, lam, _, _, _ = _armijo(phi.value, x, d, beta, theta, q, None, 60)
+        m, lam, _, _, _ = _armijo(phi.value, x, d, beta, theta, q, 1.0, 60)
         assert m == _brute_smallest_m(phi, x, d, beta, theta, q, max_m=80)
         assert lam == pytest.approx(theta ** m, rel=1e-12)
 
@@ -119,7 +119,7 @@ def test_armijo_matches_brute_force_on_random_quadratics():
 def test_armijo_raises_line_search_failure():
     phi = _half_tsq()
     with pytest.raises(LineSearchFailure):
-        _armijo(phi.value, np.array([1.0]), np.array([-1.0]), 0.9, 0.5, 1.0, None, 1)
+        _armijo(phi.value, np.array([1.0]), np.array([-1.0]), 0.9, 0.5, 1.0, 1.0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +660,10 @@ def test_two_level_validation():
         run_gprm(gp_box.problem, SCHED, low_L, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         run_gprm(gp_box.problem, SCHED, ok_box, np.array([5.0, 5.0]))
+    # Lprime = 2.5 covers L = 2 but not L + epsilon0 = 3 under SCHED
+    with pytest.raises(ValueError, match="below L \\+ epsilon0"):
+        run_gprm(gp_box.problem, SCHED, gprm_constants(gp_box.analytic_L, 0.5),
+                 np.array([1.0, 0.0]))
 
     lmo_only = FeasibleSet(
         lmo_fn=gp_simplex.problem.feasible_set.lmo_fn,
@@ -728,6 +732,32 @@ def test_nan_value_fails_fast(method):
     problem = Problem(nan_value, gp.problem.feasible_set)
     with pytest.raises(OracleFailure, match="not finite at the line-search start"):
         _two_level_run(method, problem, np.array([1.0, 0.0]), STOP)
+
+
+def test_null_armijo_step_below_gamma_raises():
+    """A value that is NaN at every trial point lets the search accept the
+    trial that rounds back to x, at lambda = 2^-53 far below gamma."""
+    gp = bundled_problem("illposed_box(2)")
+    obj = gp.problem.objective
+    nan_off_start = Objective(lambda x: obj.value_fn(x) if x[0] >= 1.0 else math.nan,
+                              obj.gradient_fn, obj.lipschitz_L)
+    problem = Problem(nan_off_start, gp.problem.feasible_set)
+    stop = StopPolicy(epsilon_min=1e-4, max_inner_per_l=5)
+    with pytest.raises(LineSearchFailure, match="level 1: accepted multiplier 1.1102230246251565e-16"):
+        _two_level_run("gprm", problem, np.array([1.0, 0.0]), stop)
+
+
+def test_understated_lipschitz_constant_raises_for_cgrm():
+    """Declaring L = 0.02 for illposed_simplex(3) (L = 2) gives gamma = 0.183,
+    and the search accepts lambda = 0.125 below it."""
+    gp = bundled_problem("illposed_simplex(3)")
+    obj = gp.problem.objective
+    problem = Problem(Objective(obj.value_fn, obj.gradient_fn, 0.02), gp.problem.feasible_set)
+    w0 = np.array([1.0, 0.0, 0.0])
+    consts = cgrm_constants(problem, SCHED.epsilon0, w0)
+    assert consts.gamma == pytest.approx(0.183, abs=1e-3)
+    with pytest.raises(LineSearchFailure, match="accepted multiplier 0.125 is below gamma"):
+        run_cgrm(problem, SCHED, consts, w0, STOP)
 
 
 def test_trace_final_point():
