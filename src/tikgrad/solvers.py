@@ -62,9 +62,12 @@ DEFAULT_THETA = 0.5
 class MethodConstants:
     """Line-search parameters and the derived step lower bound gamma.
 
-    gamma is the theoretical floor for every accepted Armijo multiplier:
+    gamma is the paper's floor for the accepted Armijo multipliers:
       gradient projection:    gamma = min{1, theta * 2(1-beta) / L'}
       conditional gradient:   gamma = min{theta, 2(1-beta)/(L' B^2), 1/(L'' B)}
+    For gradient projection the search guarantees it.  For conditional
+    gradient it guarantees only theta * min{1, 2(1-beta)/(L' B^2), 1/(L'' B)},
+    since the first power it evaluates lies in (theta/mu, 1/mu].
     Build instances through gprm_constants / cgrm_constants so the formula
     matches the method.
     """
@@ -199,7 +202,9 @@ def _armijo(
     conditional-gradient steps.  Trial point is x + theta^m * cap * d;
     powers with theta^m * cap > 1 are skipped unevaluated, and cap = 1.0
     gives the plain trial x + theta^m * d.  Returns (m, theta^m, accepted
-    point, its phi value, number of trial evaluations).
+    point, its phi value, number of trial evaluations).  An accepted point
+    equal to x raises LineSearchFailure: the caller would step from the same
+    x again and again.
     """
     if phi_at_x is None:
         phi_at_x = phi_value(x)
@@ -216,6 +221,10 @@ def _armijo(
             val = phi_value(x_new)
             trials += 1
             if val <= phi_at_x - beta * step * quad_coeff:
+                if val == phi_at_x and np.array_equal(x_new, x):
+                    raise LineSearchFailure(
+                        f"the accepted step at multiplier {step!r} leaves x unchanged, "
+                        "so the search would repeat it; objective values are suspect")
                 return m, step, x_new, val, trials
         step *= theta
     raise LineSearchFailure(
@@ -325,8 +334,7 @@ def _two_level(
     unit-step cap, and the gap mu kept on inner samples (None without one).
     Level l takes Armijo steps along d until test <= delta_l, then passes
     handoff(phi_eps_l, x, y) to level l + 1 as its warm start.  A NaN test
-    raises OracleFailure, an accepted multiplier below consts.gamma raises
-    LineSearchFailure, and consts.Lprime < L + sched.epsilon0 raises
+    raises OracleFailure, and consts.Lprime < L + sched.epsilon0 raises
     ValueError.  oracle_counter names the OracleCounters field that counts
     step's calls.  Neither y (once the test fails) nor the level's start
     (once x moves) stays alive through the Armijo search.
@@ -370,10 +378,6 @@ def _two_level(
             )
             trials_total += trials
             if lam < min_lambda:
-                if lam < consts.gamma:
-                    raise LineSearchFailure(
-                        f"level {l}: accepted multiplier {lam!r} is below gamma "
-                        f"{consts.gamma!r}; objective or Lipschitz data is suspect")
                 min_lambda = lam
             N_l += 1
         cum_inner += N_l

@@ -734,30 +734,43 @@ def test_nan_value_fails_fast(method):
         _two_level_run(method, problem, np.array([1.0, 0.0]), STOP)
 
 
-def test_null_armijo_step_below_gamma_raises():
+def test_null_armijo_step_raises():
     """A value that is NaN at every trial point lets the search accept the
-    trial that rounds back to x, at lambda = 2^-53 far below gamma."""
+    trial that rounds back to x, at lambda = 2^-53, which the inner loop
+    would otherwise repeat until RunawayInnerLoop."""
     gp = bundled_problem("illposed_box(2)")
     obj = gp.problem.objective
     nan_off_start = Objective(lambda x: obj.value_fn(x) if x[0] >= 1.0 else math.nan,
                               obj.gradient_fn, obj.lipschitz_L)
     problem = Problem(nan_off_start, gp.problem.feasible_set)
     stop = StopPolicy(epsilon_min=1e-4, max_inner_per_l=5)
-    with pytest.raises(LineSearchFailure, match="level 1: accepted multiplier 1.1102230246251565e-16"):
+    with pytest.raises(LineSearchFailure,
+                       match="multiplier 1.1102230246251565e-16 leaves x unchanged"):
         _two_level_run("gprm", problem, np.array([1.0, 0.0]), stop)
 
 
-def test_understated_lipschitz_constant_raises_for_cgrm():
-    """Declaring L = 0.02 for illposed_simplex(3) (L = 2) gives gamma = 0.183,
-    and the search accepts lambda = 0.125 below it."""
-    gp = bundled_problem("illposed_simplex(3)")
-    obj = gp.problem.objective
-    problem = Problem(Objective(obj.value_fn, obj.gradient_fn, 0.02), gp.problem.feasible_set)
-    w0 = np.array([1.0, 0.0, 0.0])
+def test_armijo_null_unit_step_raises():
+    """A direction that vanishes against x rounds even the unit step back to
+    x; no floor on the multiplier would catch that step."""
+    phi = _half_tsq()
+    with pytest.raises(LineSearchFailure, match="multiplier 1.0 leaves x unchanged"):
+        _armijo(phi.value, np.array([1.0]), np.array([-1e-20]), 0.5, 0.5, 1e-40, 1.0, 60)
+
+
+def test_cgrm_multiplier_may_fall_below_gamma_with_a_correct_L():
+    """gamma's 1/(L'' B) term is not a floor for cgrm: the first power the
+    search evaluates lies in (theta/mu, 1/mu], here 2^-8 against
+    gamma = 0.00484 at level 1, with L = 1 exact.  Five levels run on,
+    above theta * gamma, which the search does guarantee."""
+    b = np.array([100.0, -100.0])
+    obj = Objective(lambda x: 0.5 * float((x - b).dot(x - b)), lambda x: x - b, 1.0)
+    problem = Problem(obj, SimplexSet(2).to_feasible_set())
+    w0 = np.array([0.0, 1.0])
     consts = cgrm_constants(problem, SCHED.epsilon0, w0)
-    assert consts.gamma == pytest.approx(0.183, abs=1e-3)
-    with pytest.raises(LineSearchFailure, match="accepted multiplier 0.125 is below gamma"):
-        run_cgrm(problem, SCHED, consts, w0, STOP)
+    trace = run_cgrm(problem, SCHED, consts, w0, StopPolicy(max_outer=5))
+    assert len(trace.outer_records) == 5
+    assert trace.min_observed_lambda == 2.0 ** -8 < consts.gamma
+    assert trace.min_observed_lambda > consts.theta * consts.gamma
 
 
 def test_trace_final_point():
