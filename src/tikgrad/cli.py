@@ -125,6 +125,7 @@ def _summarize(cfg: ExperimentConfig, trace) -> str:
         f"{cfg.method} on {cfg.problem_label}: "
         f"{len([r for r in trace.outer_records if r.l >= 1])} outer records",
         f"{trace.counters.inner_iterations} inner iterations",
+        f"{trace.counters.linesearch_trials} line-search trials",
     ]
     if last.delta_wl is not None:
         parts.append(f"final value gap {last.delta_wl:.3e}")
@@ -182,16 +183,17 @@ def _cmd_verify(_args) -> int:
 _BOUND_KEYS = ("C1", "C2", "nu", "sigma")
 
 
-def _sidecar_entries(meta) -> tuple[dict, dict]:
-    """The sidecar's (config, constants); ValueError unless both are JSON objects
-    and each bound constant is null or a number in its range: nu in (0, 1),
-    sigma in (0, 1], C1 and C2 finite and >= 0."""
+def _sidecar_entries(meta) -> tuple[dict, dict, dict]:
+    """The sidecar's (config, constants, counters); ValueError unless all three
+    are JSON objects and each bound constant is null or a number in its range:
+    nu in (0, 1), sigma in (0, 1], C1 and C2 finite and >= 0."""
     if not isinstance(meta, dict):
         raise ValueError("not a JSON object")
-    cfg, constants = meta.get("config", {}), meta.get("constants", {})
-    for key, entry in (("config", cfg), ("constants", constants)):
+    entries = {key: meta.get(key, {}) for key in ("config", "constants", "counters")}
+    for key, entry in entries.items():
         if not isinstance(entry, dict):
             raise ValueError(f"{key} is not a JSON object")
+    constants = entries["constants"]
     for key in _BOUND_KEYS:
         v = constants.get(key)
         if v is None:
@@ -200,7 +202,7 @@ def _sidecar_entries(meta) -> tuple[dict, dict]:
             raise ValueError(f"constant {key} is not a number")
         if not {"nu": 0.0 < v < 1.0, "sigma": 0.0 < v <= 1.0}.get(key, 0.0 <= v < math.inf):
             raise ValueError(f"constant {key} out of range")
-    return cfg, constants
+    return entries["config"], constants, entries["counters"]
 
 
 def _cmd_report(args) -> int:
@@ -219,14 +221,16 @@ def _cmd_report(args) -> int:
             status = EXIT_CONFIG
             continue
         print(f"== {path} ==")
-        constants: dict = {}
+        constants, counters = {}, {}
         if sidecar is not None:
-            cfg, constants = sidecar
+            cfg, constants, counters = sidecar
             print(f"method {cfg.get('method')} on {cfg.get('problem_label')}")
         last = rows[-1]
+        trials = counters.get("linesearch_trials")
         print(
             f"records {len(rows)}, cumulative inner iterations {last['cum_inner']}, "
             f"final value gap {last['delta_wl']}, final dist {last['dist_xstar']}"
+            + ("" if trials is None else f", line-search trials {trials}")
         )
         deltas = [r["delta_wl"] for r in rows if r["l"] >= 1]
         cums = [r["cum_inner"] for r in rows if r["l"] >= 1]

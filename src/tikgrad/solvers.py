@@ -190,47 +190,61 @@ def _armijo(
     x: Array,
     d: Array,
     beta: float,
-    theta: float,
+    powers: list[float],
     quad_coeff: float,
     cap: float,
-    max_m: int,
+    m0: int = 0,
     phi_at_x: Optional[float] = None,
 ) -> tuple[int, float, Array, float, int]:
     """Smallest m with phi(trial_m) <= phi(x) - beta * theta^m * quad_coeff.
 
-    quad_coeff is ||d||^2 for gradient-projection steps and mu^2 for
-    conditional-gradient steps.  Trial point is x + theta^m * cap * d;
-    powers with theta^m * cap > 1 are skipped unevaluated, and cap = 1.0
-    gives the plain trial x + theta^m * d.  Returns (m, theta^m, accepted
-    point, its phi value, number of trial evaluations).  An accepted point
-    equal to x raises LineSearchFailure: the caller would step from the same
-    x again and again.
+    powers[m] is theta^m for m = 0 .. max_m.  quad_coeff is ||d||^2 for
+    gradient-projection steps and mu^2 for conditional-gradient steps.  Trial
+    point is x + theta^m * cap * d; powers with theta^m * cap > 1 are skipped
+    unevaluated, and cap = 1.0 gives the plain trial x + theta^m * d.  phi_eps
+    is convex along the ray and the demanded decrease is linear in the step,
+    so the multipliers that pass form an interval [0, t_max]: the search tries
+    the first power >= m0 with step <= 1, then larger m while the test fails
+    or smaller m while it passes (m0 = 0 is the scan from the unit step).
+    Returns (m, theta^m, accepted point, its phi value, number of trials).
+    An accepted point equal to x raises LineSearchFailure: the caller would
+    step from the same x again and again.
     """
     if phi_at_x is None:
         phi_at_x = phi_value(x)
         if not math.isfinite(phi_at_x):
             raise OracleFailure("objective value is not finite at the line-search start")
-    step = 1.0
-    trials = 0
-    for m in range(max_m + 1):
-        t = step * cap
-        if t <= 1.0:
-            # t * d + x is x + t * d bit for bit, with one temporary fewer
-            x_new = t * d
-            x_new += x
-            val = phi_value(x_new)
-            trials += 1
-            if val <= phi_at_x - beta * step * quad_coeff:
-                if val == phi_at_x and np.array_equal(x_new, x):
-                    raise LineSearchFailure(
-                        f"the accepted step at multiplier {step!r} leaves x unchanged, "
-                        "so the search would repeat it; objective values are suspect")
-                return m, step, x_new, val, trials
-        step *= theta
-    raise LineSearchFailure(
-        f"no sufficient decrease within {max_m} backtracking steps; "
-        "gradient or Lipschitz data is suspect"
-    )
+    max_m = len(powers) - 1
+    while m0 <= max_m and powers[m0] * cap > 1.0:
+        m0 += 1
+    m, accepted, trials = m0, None, 0
+    while 0 <= m <= max_m and powers[m] * cap <= 1.0:
+        step = powers[m]
+        # t * d + x with t = step * cap is x + t * d bit for bit, with one temporary fewer
+        x_new = step * cap * d
+        x_new += x
+        val = phi_value(x_new)
+        trials += 1
+        if val <= phi_at_x - beta * step * quad_coeff:
+            accepted = m, step, x_new, val
+            if m > m0:  # m - 1 failed
+                break
+            m -= 1
+        elif accepted is None:
+            m += 1
+        else:
+            break
+    if accepted is None:
+        raise LineSearchFailure(
+            f"no sufficient decrease within {max_m} backtracking steps; "
+            "gradient or Lipschitz data is suspect"
+        )
+    m, step, x_new, val = accepted
+    if val == phi_at_x and np.array_equal(x_new, x):
+        raise LineSearchFailure(
+            f"the accepted step at multiplier {step!r} leaves x unchanged, "
+            "so the search would repeat it; objective values are suspect")
+    return m, step, x_new, val, trials
 
 
 def _require_feasible(problem: Problem, x: Array) -> Array:
@@ -324,7 +338,7 @@ def _two_level(
     samples_per_level: int,
     oracle_counter: str,
     step: Callable[[Array, Array], tuple],
-    handoff: Callable[[Callable[[Array], float], Array, Array], Array],
+    handoff: Callable[[Callable[[Array], float], Array, Array, Optional[float]], Array],
 ) -> SolverTrace:
     """Outer Tikhonov loop shared by run_gprm and run_cgrm.
 
@@ -333,18 +347,23 @@ def _two_level(
     value the handoff test compares with delta_l, the Armijo quad_coeff and
     unit-step cap, and the gap mu kept on inner samples (None without one).
     Level l takes Armijo steps along d until test <= delta_l, then passes
-    handoff(phi_eps_l, x, y) to level l + 1 as its warm start.  A NaN test
-    raises OracleFailure, and consts.Lprime < L + sched.epsilon0 raises
-    ValueError.  oracle_counter names the OracleCounters field that counts
-    step's calls.  Neither y (once the test fails) nor the level's start
-    (once x moves) stays alive through the Armijo search.
+    handoff(phi_eps_l, x, y, phi_x) to level l + 1 as its warm start, where
+    phi_x is phi_eps_l(x) from the last step, or None if the level took none.
+    Each search starts from the last accepted power, across levels too, since
+    L' does not depend on the level.  A NaN test raises OracleFailure, and
+    consts.Lprime < L + sched.epsilon0 raises ValueError.  oracle_counter
+    names the OracleCounters field that counts step's calls.  Neither y (once
+    the test fails) nor the level's start (once x moves) stays alive through
+    the Armijo search.
     """
     stop = stop if stop is not None else StopPolicy()
     if consts.Lprime < problem.objective.lipschitz_L + sched.epsilon0:
         raise ValueError("consts.Lprime is below L + epsilon0 of the objective and schedule")
     x = _require_feasible(problem, w0)
     grad = problem.objective.gradient_fn
-    beta, theta, max_m = consts.beta, consts.theta, stop.max_linesearch_m
+    beta, powers = consts.beta, [1.0]
+    for _ in range(stop.max_linesearch_m):
+        powers.append(powers[-1] * consts.theta)
     max_inner = stop.max_inner_per_l
 
     records: list[OuterRecord] = []
@@ -352,6 +371,7 @@ def _two_level(
     min_lambda = math.inf
     trials_total = 0
     cum_inner = 0
+    m = 0
     l = 1
     while True:
         eps, delta = sched.params(l)
@@ -365,7 +385,7 @@ def _two_level(
             if N_l < samples_per_level:
                 samples.append(InnerSample(l, N_l, eps, x, y, mu=mu))
             if test <= delta:
-                x = handoff(phi, x, y)
+                x = handoff(phi, x, y, phi_x)
                 break
             if not test > delta:
                 raise OracleFailure(f"level {l}: handoff test is not finite; "
@@ -374,7 +394,7 @@ def _two_level(
             if N_l >= max_inner:
                 raise RunawayInnerLoop(f"level {l} exceeded {max_inner} inner iterations")
             m, lam, x, phi_x, trials = _armijo(
-                phi, x, d, beta, theta, quad_coeff, cap, max_m, phi_x
+                phi, x, d, beta, powers, quad_coeff, cap, m, phi_x
             )
             trials_total += trials
             if lam < min_lambda:
@@ -439,8 +459,8 @@ def run_gprm(
         dn2 = float(d.dot(d))
         return y, d, math.sqrt(dn2), dn2, 1.0, None
 
-    def better(phi, x: Array, y: Array) -> Array:
-        return y if phi(y) <= phi(x) else x
+    def better(phi, x: Array, y: Array, phi_x: Optional[float]) -> Array:
+        return y if phi(y) <= (phi(x) if phi_x is None else phi_x) else x
 
     return _two_level("gprm", problem, sched, consts, w0, stop, samples_per_level,
                       "projections", step, better)
@@ -515,4 +535,4 @@ def run_cgrm(
         return y, d, mu, mu * mu, mu, mu
 
     return _two_level("cgrm", problem, sched, consts, w0, stop, samples_per_level,
-                      "lmo_calls", step, lambda phi, x, y: x)
+                      "lmo_calls", step, lambda phi, x, y, phi_x: x)

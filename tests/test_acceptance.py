@@ -84,22 +84,22 @@ GOLDEN = {
     "gprm illposed_box(2)": (
         "af3c71aee5bae7d5a6c34c744b388406449acb20d3464e659f125b3ec2dad650",
         "f6a9de137ae86840b568226dd65ffe55a88221ced774777fe11c9c2d55e98c6d",
-        (5645, 5645, 0, 5644, 5632), 0.5,
+        (5645, 5645, 0, 5652, 5632), 0.5,
     ),
     "gprm illposed_simplex(3)": (
         "5067fd8bc756a92ae5b3ba3346cff82b6cf7eeee50dbf5b5ed258fdb513dde70",
         "7776e19732271a4ee21ba7b2202893a883ca21734c7b05f8af6a866df8d2c7f9",
-        (5627, 5627, 0, 5615, 5614), 0.5,
+        (5627, 5627, 0, 5616, 5614), 0.5,
     ),
     "cgrm illposed_box(2)": (
         "b7c86c1ec974b728f388ca67d1c11bbcbb7389dd26c7d740028444f0a00ed99b",
         "9d9de4d323cca34e91115ed728078000cadd43f7a1dc02b5f742583bd289d34c",
-        (15595, 0, 15595, 31169, 15582), 0.0625,
+        (15595, 0, 15595, 31170, 15582), 0.0625,
     ),
     "cgrm illposed_simplex(3)": (
         "3f5f6eef246070b4a722c1bcf86a24003c904d27cae360672d7fbc8fd32185aa",
         "bf57e99cb7b9820646f05d9214cb0a8b980095822fa1cf88cfe628f64194db77",
-        (7824, 0, 7824, 7833, 7811), 0.125,
+        (7824, 0, 7824, 7850, 7811), 0.125,
     ),
     # gpm and cgm take their steps 1/L from estimate_lipschitz_quadratic, which
     # returns ||A||_2^2 = 4 and 1 exactly for these two problems

@@ -41,7 +41,7 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
     with open(out) as fh:
         assert fh.readline().strip() == "l,epsilon_l,delta_l,N_l,delta_wl,dist_xstar,cum_inner"
     assert capsys.readouterr().out == (
-        "gprm on illposed_box(2): 9 outer records, 28 inner iterations, "
+        "gprm on illposed_box(2): 9 outer records, 28 inner iterations, 57 line-search trials, "
         f"final value gap 5.103e-07, final dist to x*_n 7.143e-04, wrote {out}\n"
     )
 
@@ -222,6 +222,7 @@ def test_report_prints_complexity_table(tmp_path, capsys):
     assert main(["report", str(out)]) == 0
     text = capsys.readouterr().out
     assert "method gprm on illposed_box(2)" in text
+    assert "cumulative inner iterations 28," in text and text.count("line-search trials 57\n") == 1
     assert "alpha" in text and "N(alpha)" in text and "bound" in text
     assert "0.001" in text
 
@@ -250,7 +251,7 @@ def test_report_without_sidecar_omits_bounds(tmp_path, capsys):
     write_trace_csv(trace, str(path))
     assert main(["report", str(path)]) == 0
     text = capsys.readouterr().out
-    assert "records 2001" in text
+    assert "records 2001" in text and "line-search trials" not in text
     assert "-" in text  # bound column without constants
 
 
@@ -273,6 +274,7 @@ def test_report_header_only_csv_exits_1(tmp_path, capsys):
         ("[1, 2]", "not a JSON object"),
         ('{"config": []}', "config is not a JSON object"),
         ('{"constants": [1]}', "constants is not a JSON object"),
+        ('{"counters": 57}', "counters is not a JSON object"),
         ('{"constants": {"C1": "x", "C2": 1.0, "nu": 0.5, "sigma": 0.5}}',
          "constant C1 is not a number"),
         # nu = 1 divides by zero in the bound, sigma = 1e300 overflows its power

@@ -7,9 +7,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from tikgrad.bench import bundled_problem, default_start, make_illposed_box, make_illposed_simplex
+from tikgrad import solvers
+from tikgrad.bench import (
+    ExperimentConfig,
+    bundled_problem,
+    default_start,
+    make_illposed_box,
+    make_illposed_simplex,
+    run_experiment,
+)
 from tikgrad.core import (
     FeasibleSet,
     LineSearchFailure,
@@ -52,6 +62,14 @@ def _brute_smallest_m(phi, x, d, beta, theta, quad_coeff, cap=None, max_m=30):
     raise AssertionError("no admissible m found by brute force")
 
 
+def _powers(theta, max_m=60):
+    """theta^m for m = 0 .. max_m by repeated multiplication, as _two_level builds them."""
+    powers = [1.0]
+    for _ in range(max_m):
+        powers.append(powers[-1] * theta)
+    return powers
+
+
 def _half_tsq():
     """phi(t) = 0.5 t^2 with no perturbation folded in."""
     obj = Objective(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), 1.0)
@@ -65,7 +83,7 @@ def _half_tsq():
 def test_armijo_accepts_unit_step():
     phi = _half_tsq()
     x, d = np.array([1.0]), np.array([-1.0])
-    m, lam, _, _, _ = _armijo(phi.value, x, d, 0.5, 0.5, 1.0, 1.0, 60)
+    m, lam, _, _, _ = _armijo(phi.value, x, d, 0.5, _powers(0.5), 1.0, 1.0)
     assert (m, lam) == (0, 1.0)
     assert _brute_smallest_m(phi, x, d, 0.5, 0.5, 1.0) == 0
 
@@ -73,7 +91,7 @@ def test_armijo_accepts_unit_step():
 def test_armijo_backtracks_under_strict_decrease_demand():
     phi = _half_tsq()
     x, d = np.array([1.0]), np.array([-1.0])
-    m, lam, _, _, _ = _armijo(phi.value, x, d, 0.9, 0.5, 1.0, 1.0, 60)
+    m, lam, _, _, _ = _armijo(phi.value, x, d, 0.9, _powers(0.5), 1.0, 1.0)
     assert m == _brute_smallest_m(phi, x, d, 0.9, 0.5, 1.0) == 3
     assert lam == 0.125
 
@@ -85,41 +103,52 @@ def test_armijo_cap_skips_overlong_steps_unevaluated():
     phi = PerturbedObjective(obj, 0.0, 1.0)
     x, d, mu = np.array([3.0, 0.0]), np.array([-1.0, 0.0]), 3.0
     assert phi.value(x + 1.0 * mu * d) <= phi.value(x) - 0.5 * 1.0 * mu * mu
-    m, lam, _, _, _ = _armijo(phi.value, x, d, 0.5, 0.5, mu * mu, mu, 60)
+    m, lam, _, _, _ = _armijo(phi.value, x, d, 0.5, _powers(0.5), mu * mu, mu)
     assert (m, lam) == (2, 0.25)
     assert _brute_smallest_m(phi, x, d, 0.5, 0.5, mu * mu, cap=mu) == 2
 
 
-def test_armijo_matches_brute_force_on_random_quadratics():
-    rng = np.random.default_rng(21)
-    for _ in range(30):
-        n = int(rng.integers(1, 5))
-        m_ = rng.standard_normal((n, n))
-        a = m_.T @ m_ + 0.1 * np.eye(n)
-        L = float(np.linalg.eigvalsh(a)[-1])
-        obj = Objective(
-            lambda x, a=a: 0.5 * float(x @ a @ x),
-            lambda x, a=a: a @ x,
-            L,
-        )
-        eps = float(rng.uniform(0.0, 1.0))
-        phi = PerturbedObjective(obj, eps, 1.0)
-        x = rng.standard_normal(n)
-        d = -(obj.gradient_fn(x) + eps * x)
-        if not np.any(d):
-            continue
-        beta = float(rng.uniform(0.1, 0.9))
-        theta = float(rng.uniform(0.2, 0.8))
-        q = float(d @ d)
-        m, lam, _, _, _ = _armijo(phi.value, x, d, beta, theta, q, 1.0, 60)
-        assert m == _brute_smallest_m(phi, x, d, beta, theta, q, max_m=80)
-        assert lam == pytest.approx(theta ** m, rel=1e-12)
+@st.composite
+def _quadratic_search(draw):
+    """A strictly convex quadratic phi, a start x, d = -phi'(x), Armijo
+    parameters, a unit-step cap on either side of 1 and a start power m0."""
+    n = draw(st.integers(1, 4))
+    entries = arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0))
+    m_ = draw(entries)
+    a = m_.T @ m_ + 0.1 * np.eye(n)
+    obj = Objective(lambda x: 0.5 * float(x @ a @ x), lambda x: a @ x,
+                    float(np.linalg.eigvalsh(a)[-1]))
+    eps = draw(st.floats(0.0, 1.0))
+    phi = PerturbedObjective(obj, eps, 1.0)
+    x = draw(arrays(np.float64, n, elements=st.floats(-3.0, 3.0)))
+    d = -(obj.gradient_fn(x) + eps * x)
+    cap = draw(st.sampled_from([1.0, 0.25, 4.0]) | st.floats(0.05, 20.0))
+    return (phi, x, d, draw(st.floats(0.1, 0.9)), draw(st.floats(0.2, 0.8)), cap,
+            draw(st.integers(0, 30)))
+
+
+@given(_quadratic_search())
+def test_armijo_matches_brute_force_on_random_quadratics(case):
+    """From any start power the bracket returns what the scan from m = 0
+    returns, bit for bit, in at most |m - m0| + 2 trials (m - m0 + 1 above
+    m0); the scan is the smallest admissible m of the literal reference."""
+    phi, x, d, beta, theta, cap, m0 = case
+    q = cap * float(d @ d)
+    assume(q > 0.0)
+    powers = _powers(theta)
+    m, lam, point, value, _ = _armijo(phi.value, x, d, beta, powers, q, cap)
+    assert m == _brute_smallest_m(phi, x, d, beta, theta, q, cap=cap, max_m=60)
+    assert lam == pytest.approx(theta ** m, rel=1e-12)
+    bm, blam, bpoint, bvalue, trials = _armijo(phi.value, x, d, beta, powers, q, cap, m0)
+    assert (bm, blam, bpoint.tobytes(), bvalue) == (m, lam, point.tobytes(), value)
+    # upward the search stops at the first pass; downward it needs one failure
+    assert trials <= (m - m0 + 1 if m > m0 else m0 - m + 2)
 
 
 def test_armijo_raises_line_search_failure():
     phi = _half_tsq()
     with pytest.raises(LineSearchFailure):
-        _armijo(phi.value, np.array([1.0]), np.array([-1.0]), 0.9, 0.5, 1.0, 1.0, 1)
+        _armijo(phi.value, np.array([1.0]), np.array([-1.0]), 0.9, _powers(0.5, 1), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +783,7 @@ def test_armijo_null_unit_step_raises():
     x; no floor on the multiplier would catch that step."""
     phi = _half_tsq()
     with pytest.raises(LineSearchFailure, match="multiplier 1.0 leaves x unchanged"):
-        _armijo(phi.value, np.array([1.0]), np.array([-1e-20]), 0.5, 0.5, 1e-40, 1.0, 60)
+        _armijo(phi.value, np.array([1.0]), np.array([-1e-20]), 0.5, _powers(0.5), 1e-40, 1.0)
 
 
 def test_cgrm_multiplier_may_fall_below_gamma_with_a_correct_L():
@@ -771,6 +800,42 @@ def test_cgrm_multiplier_may_fall_below_gamma_with_a_correct_L():
     assert len(trace.outer_records) == 5
     assert trace.min_observed_lambda == 2.0 ** -8 < consts.gamma
     assert trace.min_observed_lambda > consts.theta * consts.gamma
+
+
+def test_bracketed_search_cuts_trials_and_keeps_the_run(monkeypatch):
+    """gprm on illposed_box(4096), L' = 4097: each search starts from the last
+    accepted power instead of scanning down from the unit step, ends at the
+    same point and needs under a quarter of the scan's trials."""
+    cfg = ExperimentConfig("illposed_box(4096)", "gprm")
+    bracketed = run_experiment(cfg)
+    armijo = solvers._armijo
+
+    def scan_from_unit_step(*args):
+        return armijo(*args[:7], 0, *args[8:])
+
+    monkeypatch.setattr(solvers, "_armijo", scan_from_unit_step)
+    scanned = run_experiment(cfg)
+    assert bracketed.final_point.tobytes() == scanned.final_point.tobytes()
+    assert bracketed.counters.inner_iterations == scanned.counters.inner_iterations
+    assert 4 * bracketed.counters.linesearch_trials <= scanned.counters.linesearch_trials
+
+
+def test_gprm_handoff_reuses_the_last_accepted_value(box12_zero):
+    """The handoff compares phi(y) with the value the level's last Armijo step
+    accepted, and evaluates phi(x) only at a level that took no step; so each
+    level costs one value call at x, one at y and one for its record, plus the
+    trials."""
+    calls = []
+    base = box12_zero.objective
+    counted = Objective(lambda x: calls.append(1) or base.value_fn(x), base.gradient_fn,
+                        base.lipschitz_L)
+    problem = Problem(counted, box12_zero.feasible_set, known_fstar=0.0,
+                      known_xstar_n=box12_zero.known_xstar_n)
+    calls.clear()
+    trace = _two_level_run("gprm", problem, np.array([2.0, 2.0]), StopPolicy(epsilon_min=1e-2))
+    n_l = [r.N_l for r in trace.outer_records]
+    assert min(n_l) == 0 < max(n_l)
+    assert len(calls) == trace.counters.linesearch_trials + 3 * len(n_l)
 
 
 def test_trace_final_point():
