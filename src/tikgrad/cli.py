@@ -10,6 +10,7 @@ report FILES...   summary and complexity tables from stored trace CSVs
 
 Config files are INI key-value text; section names are organizational only,
 keys must be ExperimentConfig field names and each key may appear once.
+Values are read literally ('%' is not interpolated).
 Exit codes: 0 success, 1 config error, 2 solver failure, 3 acceptance
 failure.
 """
@@ -68,9 +69,13 @@ _PARSERS = {
 
 
 def _flatten_ini(path: str) -> dict[str, str]:
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"config: cannot read {path!r}")
+    # no field needs %-interpolation; the parser's errors span lines, the CLI prints one
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config: cannot read {path!r}")
+    except configparser.Error as exc:
+        raise ConfigError("config: " + " ".join(str(exc).split())) from None
     flat: dict[str, str] = {}
     for section in parser.sections():
         for key, value in parser.items(section):

@@ -13,15 +13,15 @@ perturbed objective phi_eps_l runs until a displacement (gprm) or duality-gap
 (cgrm) test signals that the level is solved to accuracy delta_l, then eps
 shrinks.  run_gpm and run_iterreg share one projected-gradient loop.
 Traces record one scalar row per outer level (or per iteration for the
-single-loop baselines), the final point (the trace's only n-vector), the
-smallest accepted line-search multiplier and, when a caller asks for them,
-early inner iterates for certificate checks.
+single-loop baselines), the final point (the trace's only n-vector) and the
+smallest accepted line-search multiplier; run_gprm/run_cgrm show each inner
+iterate to an optional observe callable, for certificate checks, and keep none.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "MethodConstants",
     "StopPolicy",
     "OuterRecord",
-    "InnerSample",
     "SolverTrace",
     "gprm_constants",
     "cgrm_constants",
@@ -62,14 +61,12 @@ DEFAULT_THETA = 0.5
 class MethodConstants:
     """Line-search parameters and the derived step lower bound gamma.
 
-    gamma is the paper's floor for the accepted Armijo multipliers:
+    gamma is a floor that the Armijo search proves for the accepted multipliers:
       gradient projection:    gamma = min{1, theta * 2(1-beta) / L'}
-      conditional gradient:   gamma = min{theta, 2(1-beta)/(L' B^2), 1/(L'' B)}
-    For gradient projection the search guarantees it.  For conditional
-    gradient it guarantees only theta * min{1, 2(1-beta)/(L' B^2), 1/(L'' B)},
-    since the first power it evaluates lies in (theta/mu, 1/mu].
-    Build instances through gprm_constants / cgrm_constants so the formula
-    matches the method.
+      conditional gradient:   gamma = min{1, theta * 2(1-beta)/(L' B^2), theta/(L'' B)}
+    cgrm_constants derives its floor; gprm's follows the same way, since its
+    <phi'(x), d> <= -||d||^2 and its first trial is the unit step.  Build
+    instances through those two functions so the formula matches the method.
     """
 
     beta: float
@@ -109,9 +106,13 @@ def cgrm_constants(
 ) -> MethodConstants:
     """Constants for the conditional-gradient variant.
 
-    The gap bound mu <= L'' B uses the start point w0 as its reference:
-    L'' = ||f'(w0)|| + eps0 ||w0|| + L' B.  Any feasible reference is valid;
-    w0 keeps the constants deterministic per run.
+    gamma = min{1, theta * 2(1-beta)/(L' B^2), theta/(L'' B)} is the floor the
+    search proves.  A trial is x + theta^m mu d with d = y - x, <phi'(x), d> = -mu
+    and ||d|| <= B, and phi_eps is L'-smooth, so:
+    * every power with theta^m <= 2(1-beta)/(L' B^2) passes the Armijo test;
+    * powers with theta^m mu > 1 are skipped: the first tried is 1 or in (theta/mu, 1/mu];
+    * mu <= ||phi'(x)|| B <= L'' B, where L'' = ||f'(w0)|| + eps0 ||w0|| + L' B.
+    Any feasible reference serves for L''; w0 keeps the constants deterministic.
     """
     B = problem.feasible_set.diameter_B
     if B is None:
@@ -121,9 +122,9 @@ def cgrm_constants(
     gnorm = float(np.linalg.norm(problem.objective.gradient_fn(w0)))
     Ldoubleprime = gnorm + epsilon0 * float(np.linalg.norm(w0)) + Lprime * B
     gamma = min(
-        theta,
-        2.0 * (1.0 - beta) / (Lprime * B * B),
-        1.0 / (Ldoubleprime * B),
+        1.0,
+        theta * 2.0 * (1.0 - beta) / (Lprime * B * B),
+        theta / (Ldoubleprime * B),
     )
     return MethodConstants(beta=beta, theta=theta, gamma=gamma, Lprime=Lprime)
 
@@ -160,29 +161,14 @@ class OuterRecord:
 
 
 @dataclass
-class InnerSample:
-    """An early inner iterate (x and its candidate y: two n-vectors), kept only
-    when run_gprm/run_cgrm are asked for samples; meant for certificate checks."""
-
-    level: int
-    k: int
-    epsilon: float
-    x: Array
-    y: Array
-    mu: Optional[float] = None
-
-
-@dataclass
 class SolverTrace:
-    """Scalar records, counters and the one n-vector kept besides any inner
-    samples: final_point, the last record's w_l (the start if no level ran)."""
+    """Scalar records, counters and the one n-vector kept: final_point, the
+    last record's w_l (the start if no level ran)."""
 
-    method: str
     outer_records: list[OuterRecord]
     counters: OracleCounters
     final_point: Array
     min_observed_lambda: float = math.inf
-    inner_samples: list[InnerSample] = field(default_factory=list)
 
 
 def _armijo(
@@ -302,7 +288,7 @@ def _projected_gradient(
     counters = OracleCounters(
         gradient_evals=max_iter, projections=max_iter, inner_iterations=max_iter
     )
-    return SolverTrace(method, records, counters, x, min_observed_lambda=min_lam)
+    return SolverTrace(records, counters, x, min_observed_lambda=min_lam)
 
 
 def run_gpm(problem: Problem, lam: float, x0: Array, max_iter: int) -> SolverTrace:
@@ -328,14 +314,16 @@ def run_iterreg(problem: Problem, sched: IterRegSchedule, x0: Array, max_iter: i
     return _projected_gradient("iterreg", problem, sched.params, x0, max_iter)
 
 
+_Observer = Callable[[int, int, float, Array, Array, float], None]
+
+
 def _two_level(
-    method: str,
     problem: Problem,
     sched: GeometricSchedule,
     consts: MethodConstants,
     w0: Array,
     stop: Optional[StopPolicy],
-    samples_per_level: int,
+    observe: Optional[_Observer],
     oracle_counter: str,
     step: Callable[[Array, Array], tuple],
     handoff: Callable[[Callable[[Array], float], Array, Array, Optional[float]], Array],
@@ -343,9 +331,10 @@ def _two_level(
     """Outer Tikhonov loop shared by run_gprm and run_cgrm.
 
     step(x, phi'(x)) calls the method's oracle once and returns
-    (y, d, test, quad_coeff, cap, mu): the candidate y, the direction d, the
-    value the handoff test compares with delta_l, the Armijo quad_coeff and
-    unit-step cap, and the gap mu kept on inner samples (None without one).
+    (y, d, test, quad_coeff, cap): the candidate y, the direction d, the
+    value the handoff test compares with delta_l, and the Armijo quad_coeff
+    and unit-step cap.  observe(l, k, eps_l, x, y, test), if given, sees the
+    k-th iterate of level l before its handoff test.
     Level l takes Armijo steps along d until test <= delta_l, then passes
     handoff(phi_eps_l, x, y, phi_x) to level l + 1 as its warm start, where
     phi_x is phi_eps_l(x) from the last step, or None if the level took none.
@@ -367,7 +356,6 @@ def _two_level(
     max_inner = stop.max_inner_per_l
 
     records: list[OuterRecord] = []
-    samples: list[InnerSample] = []
     min_lambda = math.inf
     trials_total = 0
     cum_inner = 0
@@ -381,16 +369,16 @@ def _two_level(
         phi_x: Optional[float] = None
         N_l = 0
         while True:
-            y, d, test, quad_coeff, cap, mu = step(x, grad(x) + eps * x)
-            if N_l < samples_per_level:
-                samples.append(InnerSample(l, N_l, eps, x, y, mu=mu))
+            y, d, test, quad_coeff, cap = step(x, grad(x) + eps * x)
+            if observe is not None:
+                observe(l, N_l, eps, x, y, test)
             if test <= delta:
                 x = handoff(phi, x, y, phi_x)
                 break
             if not test > delta:
                 raise OracleFailure(f"level {l}: handoff test is not finite; "
                                     "gradient or oracle returned NaN")
-            del y  # a sample, if one was taken, still holds it
+            del y
             if N_l >= max_inner:
                 raise RunawayInnerLoop(f"level {l} exceeded {max_inner} inner iterations")
             m, lam, x, phi_x, trials = _armijo(
@@ -409,8 +397,7 @@ def _two_level(
         gradient_evals=evals, linesearch_trials=trials_total, inner_iterations=cum_inner,
         **{oracle_counter: evals},
     )
-    return SolverTrace(method, records, counters, x, min_observed_lambda=min_lambda,
-                       inner_samples=samples)
+    return SolverTrace(records, counters, x, min_observed_lambda=min_lambda)
 
 
 def run_gprm(
@@ -419,7 +406,7 @@ def run_gprm(
     consts: MethodConstants,
     w0: Array,
     stop: Optional[StopPolicy] = None,
-    samples_per_level: int = 0,
+    observe: Optional[_Observer] = None,
 ) -> SolverTrace:
     """Two-level regularized gradient projection.
 
@@ -443,11 +430,12 @@ def run_gprm(
         Feasible start.
     stop : StopPolicy, optional
         Halts when eps_l < epsilon_min or l > max_outer.
-    samples_per_level : int
-        How many early inner iterates of each level to keep on the trace as
-        InnerSamples, for certificate checks.  Each holds two n-vectors, so
-        the default 0 keeps none: the trace then holds one n-vector, its
-        final point.
+    observe : callable, optional
+        observe(l, k, eps_l, x, y, test) is called at every inner iterate x of
+        level l (k = 0, 1, ...) with its candidate y and its handoff test
+        value, here ||y - x||, before the test; for certificate checks.  x
+        and y are the solver's own arrays and must not be modified.  The
+        trace keeps none of them: it holds one n-vector, its final point.
     """
     project = problem.feasible_set.project_fn
     if project is None:
@@ -457,13 +445,12 @@ def run_gprm(
         y = project(x - g)
         d = y - x
         dn2 = float(d.dot(d))
-        return y, d, math.sqrt(dn2), dn2, 1.0, None
+        return y, d, math.sqrt(dn2), dn2, 1.0
 
     def better(phi, x: Array, y: Array, phi_x: Optional[float]) -> Array:
         return y if phi(y) <= (phi(x) if phi_x is None else phi_x) else x
 
-    return _two_level("gprm", problem, sched, consts, w0, stop, samples_per_level,
-                      "projections", step, better)
+    return _two_level(problem, sched, consts, w0, stop, observe, "projections", step, better)
 
 
 def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> SolverTrace:
@@ -500,7 +487,7 @@ def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> Solve
         counters.inner_iterations += 1
         min_lam = min(min_lam, lam)
         records.append(_record(problem, k, None, None, 1, x, k))
-    return SolverTrace("cgm", records, counters, x, min_observed_lambda=min_lam)
+    return SolverTrace(records, counters, x, min_observed_lambda=min_lam)
 
 
 def run_cgrm(
@@ -509,7 +496,7 @@ def run_cgrm(
     consts: MethodConstants,
     w0: Array,
     stop: Optional[StopPolicy] = None,
-    samples_per_level: int = 0,
+    observe: Optional[_Observer] = None,
 ) -> SolverTrace:
     """Two-level regularized conditional gradient.
 
@@ -519,7 +506,7 @@ def run_cgrm(
     level accuracy); otherwise move x + theta^m mu (y - x) with the Armijo
     power m, capped so the multiplier never exceeds 1 and iterates stay
     inside the set.  The handoff point is x itself, not the vertex.
-    Parameters are those of run_gprm; samples also carry the gap mu.
+    Parameters are those of run_gprm; observe's test value is the gap mu.
     """
     fs = problem.feasible_set
     if fs.lmo_fn is None:
@@ -532,7 +519,7 @@ def run_cgrm(
         y = lmo(g)
         d = y - x
         mu = -float(g.dot(d))
-        return y, d, mu, mu * mu, mu, mu
+        return y, d, mu, mu * mu, mu
 
-    return _two_level("cgrm", problem, sched, consts, w0, stop, samples_per_level,
-                      "lmo_calls", step, lambda phi, x, y, phi_x: x)
+    return _two_level(problem, sched, consts, w0, stop, observe, "lmo_calls", step,
+                      lambda phi, x, y, phi_x: x)

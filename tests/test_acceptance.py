@@ -5,12 +5,19 @@ acceptance report; shared solver runs live in a module-scoped context.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from tikgrad import acceptance
-from tikgrad.bench import bundled_problem, write_trace_csv
+from tikgrad.bench import (
+    ExperimentConfig,
+    bound_constants,
+    bundled_problem,
+    solver_constants,
+    write_trace_csv,
+)
 from tikgrad.regularization import IterRegSchedule
 from tikgrad.solvers import run_cgm, run_gpm, run_iterreg
 
@@ -44,6 +51,23 @@ def test_criterion_4_measured_complexity_within_bounds(ctx):
 
 def test_criterion_5_observed_steps_respect_gamma_floor(ctx):
     _check(acceptance.criterion_5(ctx))
+
+
+def test_criterion_5_and_the_cgrm_bound_read_the_same_gamma(ctx):
+    """The gamma that criterion 5 holds the six canonical cgrm runs to is the
+    one that C2 divides by in the sidecar `tikgrad run` writes for each."""
+    for label, sigma in itertools.product(("illposed_box(2)", "illposed_simplex(3)"),
+                                          acceptance.SIGMAS):
+        gp, sched, consts, trace, _ = ctx.two_level_run("cgrm", label, sigma)
+        w0 = np.eye(gp.problem.feasible_set.dimension)[0]
+        cfg = ExperimentConfig(label, "cgrm", sigma=sigma,
+                               epsilon_min=acceptance.ACCEPT_EPS_MIN, x0=tuple(w0))
+        assert solver_constants(cfg, gp, w0) == consts
+        C1, C2 = bound_constants("cgrm", sched, consts, float(np.linalg.norm(gp.analytic_xstar_n)))
+        e0 = sched.epsilon0
+        assert C1 / (consts.beta * C2 * e0 ** (2.0 * (1.0 + sigma))) == pytest.approx(
+            consts.gamma, rel=1e-14)
+        assert trace.min_observed_lambda >= consts.gamma
 
 
 def test_criterion_6_every_level_finishes_finitely(ctx):

@@ -199,7 +199,7 @@ def _synthetic_trace(deltas, counts):
         records.append(
             OuterRecord(i, 0.5 ** i, None, n, delta_wl=d, cum_inner=cum)
         )
-    return SolverTrace("gprm", records, OracleCounters(), np.zeros(1))
+    return SolverTrace(records, OracleCounters(), np.zeros(1))
 
 
 def test_measure_complexity_synthetic_levels():
@@ -215,9 +215,7 @@ def test_measure_complexity_validation():
     for grid in ((0.1, 0.1), (0.05, 0.1), (0.1, 0.0), (0.1, math.nan, 0.001)):
         with pytest.raises(ValueError):
             measure_complexity(trace, alpha_grid=grid)
-    empty = SolverTrace(
-        "gpm", [OuterRecord(0, None, None, 0, cum_inner=0)], OracleCounters(), np.zeros(1)
-    )
+    empty = SolverTrace([OuterRecord(0, None, None, 0, cum_inner=0)], OracleCounters(), np.zeros(1))
     with pytest.raises(ValueError):
         measure_complexity(empty)
     missing = _synthetic_trace([None, None], [3, 4])

@@ -121,6 +121,33 @@ def test_run_duplicate_key_across_sections_exits_1(tmp_path, capsys):
     assert "duplicated across sections" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("problem_label = illposed_box(2)\nmethod = gprm\n", "File contains no section headers"),
+        ("[a]\nproblem_label = illposed_box(2)\nmethod = gprm\nmethod = gpm\n",
+         "option 'method' in section 'a' already exists"),
+    ],
+    ids=["no_section_header", "duplicate_key"],
+)
+def test_malformed_ini_exits_1_with_one_line(tmp_path, capsys, command, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_run_reads_a_percent_sign_literally(tmp_path):
+    out = tmp_path / "o%1.csv"
+    cfg = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm",
+                   epsilon_min="1e-2", output_path=out)
+    assert main(["run", cfg]) == 0
+    assert out.exists() and (tmp_path / "o%1.json").exists()
+
+
 def test_run_solver_failure_exits_2(tmp_path, capsys):
     cfg = _run_ini(
         tmp_path,

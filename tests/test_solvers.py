@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
@@ -18,6 +18,7 @@ from tikgrad.bench import (
     default_start,
     make_illposed_box,
     make_illposed_simplex,
+    make_rankdef_lsq,
     run_experiment,
 )
 from tikgrad.core import (
@@ -171,7 +172,7 @@ def test_cgrm_constants_formula():
     Ldp = gnorm + 1.0 * 1.0 + Lprime * B
     assert c.Lprime == Lprime
     assert_allclose(
-        c.gamma, min(0.5, 2.0 * 0.5 / (Lprime * B * B), 1.0 / (Ldp * B)), rtol=1e-12
+        c.gamma, min(1.0, 0.5 * 2.0 * 0.5 / (Lprime * B * B), 0.5 / (Ldp * B)), rtol=1e-12
     )
 
 
@@ -216,7 +217,6 @@ def test_gpm_one_step_to_optimum(halfnorm_box):
         trace = run_gpm(halfnorm_box, 0.5, np.array([2.0, 2.0]), max_iter)
         assert_allclose(trace.final_point, [1.0, 1.0], rtol=0, atol=0)
     assert trace.min_observed_lambda == 0.5
-    assert trace.method == "gpm"
     assert trace.counters.inner_iterations == 3
     assert [r.cum_inner for r in trace.outer_records] == [0, 1, 2, 3]
 
@@ -315,14 +315,24 @@ def test_cgm_validation(shifted_simplex):
 SCHED = GeometricSchedule(1.0, 0.5, 0.5)
 STOP = StopPolicy(epsilon_min=1e-4)
 
+# what an observer of run_gprm/run_cgrm sees at one inner iterate
+Seen = collections.namedtuple("Seen", "level k epsilon x y test")
+
+
+def _observer():
+    """An observe callable that keeps every iterate, and the list it fills."""
+    seen = []
+    return lambda *args: seen.append(Seen(*args)), seen
+
 
 @pytest.fixture(scope="module")
 def gprm_run():
     gp = bundled_problem("illposed_box(2)")
     consts = gprm_constants(gp.analytic_L, SCHED.epsilon0)
-    trace = run_gprm(gp.problem, SCHED, consts, np.array([1.0, 0.0]),
-                     stop=STOP, samples_per_level=10**6)
-    return gp, consts, trace
+    observe, seen = _observer()
+    trace = run_gprm(gp.problem, SCHED, consts, np.array([1.0, 0.0]), stop=STOP,
+                     observe=observe)
+    return gp, consts, trace, seen
 
 
 @pytest.fixture(scope="module")
@@ -330,9 +340,9 @@ def cgrm_run():
     gp = bundled_problem("illposed_simplex(3)")
     w0 = np.array([1.0, 0.0, 0.0])
     consts = cgrm_constants(gp.problem, SCHED.epsilon0, w0)
-    trace = run_cgrm(gp.problem, SCHED, consts, w0,
-                     stop=STOP, samples_per_level=10**6)
-    return gp, consts, trace
+    observe, seen = _observer()
+    trace = run_cgrm(gp.problem, SCHED, consts, w0, stop=STOP, observe=observe)
+    return gp, consts, trace, seen
 
 
 @pytest.mark.parametrize(
@@ -372,8 +382,9 @@ def test_two_level_inner_loop_avoids_numpy_dispatch_wrappers(monkeypatch, label,
     assert dict(calls) == {}
 
 
-def _run_on_simplex(method, x0):
-    """A short run of method on illposed_simplex(3) from x0."""
+def _run_on_simplex(method, x0, observe=None):
+    """A short run of method on illposed_simplex(3) from x0; observe goes to
+    the two-level methods."""
     gp = bundled_problem("illposed_simplex(3)")
     p, stop = gp.problem, StopPolicy(epsilon_min=1e-2)
     if method == "gpm":
@@ -382,12 +393,11 @@ def _run_on_simplex(method, x0):
         return run_iterreg(p, IterRegSchedule(0.25), x0, 20)
     if method == "cgm":
         return run_cgm(p, 0.5, x0, 20)
-    # with samples, so that the aliasing test covers the sample vectors too
     if method == "gprm":
         return run_gprm(p, SCHED, gprm_constants(gp.analytic_L, SCHED.epsilon0), x0, stop,
-                        samples_per_level=4)
+                        observe)
     consts = cgrm_constants(p, SCHED.epsilon0, np.array([1.0, 0.0, 0.0]))
-    return run_cgrm(p, SCHED, consts, x0, stop, samples_per_level=4)
+    return run_cgrm(p, SCHED, consts, x0, stop, observe)
 
 
 FIVE_METHODS = ["gpm", "iterreg", "cgm", "gprm", "cgrm"]
@@ -403,31 +413,31 @@ def test_wrong_length_start_raises(method):
 @pytest.mark.parametrize("method", FIVE_METHODS)
 def test_trace_does_not_alias_the_callers_start(method):
     x0 = np.array([1.0, 0.0, 0.0])
-    trace = _run_on_simplex(method, x0)
-    stored = [trace.final_point] + [v for s in trace.inner_samples for v in (s.x, s.y)]
+    observe, seen = _observer()
+    trace = _run_on_simplex(method, x0, observe)
+    # the observed iterates too, for the two-level methods
+    stored = [trace.final_point] + [v for s in seen for v in (s.x, s.y)]
     before = [v.tobytes() for v in stored]
     x0[:] = np.nan
     assert [v.tobytes() for v in stored] == before
 
 
 def test_two_level_handoff_point_is_the_last_sample_itself(gprm_run, cgrm_run):
-    for _, _, trace in (gprm_run, cgrm_run):
-        last = {s.level: s for s in trace.inner_samples}
+    for _, _, trace, seen in (gprm_run, cgrm_run):
+        last = {s.level: s for s in seen}
         assert len(last) == len(trace.outer_records)
         final = last[trace.outer_records[-1].l]
         assert trace.final_point is final.x or trace.final_point is final.y
 
 
 def test_gprm_converges_to_minimal_norm_solution(gprm_run):
-    gp, _, trace = gprm_run
+    gp, _, trace, _ = gprm_run
     assert trace.outer_records[-1].dist_xstar < 5e-2
-    assert trace.method == "gprm"
 
 
 def test_cgrm_converges_to_minimal_norm_solution(cgrm_run):
-    gp, _, trace = cgrm_run
+    gp, _, trace, _ = cgrm_run
     assert trace.outer_records[-1].dist_xstar < 5e-2
-    assert trace.method == "cgrm"
 
 
 def test_gprm_zero_objective_returns_minimal_norm_corner(box12_zero):
@@ -447,7 +457,7 @@ def test_cgrm_zero_objective_returns_barycenter():
 
 
 def test_two_level_outer_levels_and_counters(gprm_run, cgrm_run):
-    for _, _, trace in (gprm_run, cgrm_run):
+    for _, _, trace, _ in (gprm_run, cgrm_run):
         assert [r.l for r in trace.outer_records] == list(
             range(1, len(trace.outer_records) + 1)
         )
@@ -463,15 +473,15 @@ def test_two_level_outer_levels_and_counters(gprm_run, cgrm_run):
 
 
 def test_two_level_step_lower_bound(gprm_run, cgrm_run):
-    for _, consts, trace in (gprm_run, cgrm_run):
+    for _, consts, trace, _ in (gprm_run, cgrm_run):
         assert trace.min_observed_lambda >= consts.gamma
 
 
 def test_two_level_sample_bookkeeping(gprm_run, cgrm_run):
-    """Each level keeps N_l stepped samples plus the handoff iterate."""
-    for _, _, trace in (gprm_run, cgrm_run):
+    """The observer sees each level's N_l stepped iterates plus the handoff one."""
+    for _, _, trace, seen in (gprm_run, cgrm_run):
         by_level = {}
-        for s in trace.inner_samples:
+        for s in seen:
             by_level.setdefault(s.level, []).append(s)
         for rec in trace.outer_records:
             level = by_level[rec.l]
@@ -479,12 +489,15 @@ def test_two_level_sample_bookkeeping(gprm_run, cgrm_run):
             assert [s.k for s in level] == list(range(rec.N_l + 1))
 
 
-def _two_level_run(method, problem, w0, stop, **kwargs):
+def _two_level_consts(method, problem, w0):
     if method == "gprm":
-        consts = gprm_constants(problem.objective.lipschitz_L, SCHED.epsilon0)
-        return run_gprm(problem, SCHED, consts, w0, stop, **kwargs)
-    consts = cgrm_constants(problem, SCHED.epsilon0, w0)
-    return run_cgrm(problem, SCHED, consts, w0, stop, **kwargs)
+        return gprm_constants(problem.objective.lipschitz_L, SCHED.epsilon0)
+    return cgrm_constants(problem, SCHED.epsilon0, w0)
+
+
+def _two_level_run(method, problem, w0, stop, **kwargs):
+    run = run_gprm if method == "gprm" else run_cgrm
+    return run(problem, SCHED, _two_level_consts(method, problem, w0), w0, stop, **kwargs)
 
 
 def _record_bytes(trace):
@@ -498,19 +511,18 @@ def _record_bytes(trace):
         ("cgrm", "illposed_simplex(3)", (1.0, 0.0, 0.0), 47),
     ],
 )
-def test_inner_samples_are_kept_only_on_request(method, label, w0, n_samples):
+def test_observing_changes_no_arithmetic(method, label, w0, n_samples):
     problem = bundled_problem(label).problem
-    default = _two_level_run(method, problem, np.array(w0), STOP)
-    sampled = _two_level_run(method, problem, np.array(w0), STOP, samples_per_level=4)
-    assert default.inner_samples == []
-    # the first four iterates of each level, or all of a shorter one
-    got = [(s.level, s.k) for s in sampled.inner_samples]
-    assert got == [(r.l, k) for r in sampled.outer_records for k in range(min(4, r.N_l + 1))]
+    plain = _two_level_run(method, problem, np.array(w0), STOP)
+    observe, seen = _observer()
+    observed = _two_level_run(method, problem, np.array(w0), STOP, observe=observe)
+    assert _record_bytes(plain) == _record_bytes(observed)
+    assert plain.counters == observed.counters
+    assert plain.min_observed_lambda == observed.min_observed_lambda
+    # the first four iterates of each level, or all of a shorter one: criterion 7's samples
+    got = [(s.level, s.k) for s in seen if s.k < 4]
+    assert got == [(r.l, k) for r in observed.outer_records for k in range(min(4, r.N_l + 1))]
     assert len(got) == n_samples
-    # sampling touches no arithmetic
-    assert _record_bytes(default) == _record_bytes(sampled)
-    assert default.counters == sampled.counters
-    assert default.min_observed_lambda == sampled.min_observed_lambda
 
 
 @pytest.mark.parametrize("method", FIVE_METHODS)
@@ -535,22 +547,80 @@ def test_default_trace_holds_one_n_vector(method):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert trace.inner_samples == [] and len(trace.outer_records) > 5
+    assert len(trace.outer_records) > 5
     assert 8 * n <= kept <= 1.1 * 8 * n
 
 
-def _accepted_steps(trace):
-    """(sample, next sample of the same level) pairs: every sample but a level's
-    last took a step, and the next sample's x is the point it accepted."""
-    samples = trace.inner_samples
-    return [(s, t) for s, t in zip(samples, samples[1:]) if t.level == s.level]
+def _accepted_steps(seen):
+    """(iterate, next iterate of the same level) pairs: every observed iterate
+    but a level's last took a step, and the next one's x is the point it accepted."""
+    return [(s, t) for s, t in zip(seen, seen[1:]) if t.level == s.level]
+
+
+@st.composite
+def _rankdef_case(draw):
+    """A make_rankdef_lsq problem in dimension 2-4 on a random box or the
+    simplex, whose A has a zero row and whose b = A x_feas for an x_feas
+    inside the set, and a vertex of the set to start from.  Draws whose
+    ground truth the generator refuses to hand out are rejected: the
+    invariants checked here do not need it."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    A = draw(arrays(np.float64, (m, n), elements=st.floats(-2.0, 2.0)))
+    A[draw(st.integers(0, m - 1))] = 0.0
+    assume(np.linalg.norm(A, 2) > 0.1)
+    unit = draw(arrays(np.float64, n, elements=st.floats(0.1, 0.9)))
+    if draw(st.booleans()):
+        lower = draw(arrays(np.float64, n, elements=st.floats(-2.0, 0.5)))
+        upper = lower + draw(arrays(np.float64, n, elements=st.floats(0.25, 2.0)))
+        fs = BoxSet(lower, upper).to_feasible_set()
+        x_feas = lower + unit * (upper - lower)
+        w0 = np.where(draw(arrays(np.bool_, n)), upper, lower)
+    else:
+        fs = SimplexSet(n).to_feasible_set()
+        x_feas = unit / unit.sum()
+        w0 = np.eye(n)[draw(st.integers(0, n - 1))]
+    try:
+        return make_rankdef_lsq(A, A @ x_feas, fs).problem, w0
+    except OracleFailure:
+        reject()
+
+
+def _far_target():
+    """f = 0.5 ||x - (100, -100)||^2 on the simplex of R^2, started at e2: its
+    gap mu nears L'' B, so cgrm accepts lambda = 2^-8 at level 1."""
+    b = np.array([100.0, -100.0])
+    obj = Objective(lambda x: 0.5 * float((x - b).dot(x - b)), lambda x: x - b, 1.0)
+    return Problem(obj, SimplexSet(2).to_feasible_set()), np.array([0.0, 1.0])
+
+
+@settings(max_examples=20)
+@given(_rankdef_case())
+@example(_far_target())
+def test_two_level_invariants_on_random_rankdef_problems(case):
+    """At every observed iterate of gprm and cgrm: x and y feasible at 1e-9,
+    phi_eps not increasing within a level, and cgrm's gap test >= -1e-12; at
+    the end every accepted multiplier is at least consts.gamma."""
+    problem, w0 = case
+    fs = problem.feasible_set
+    for method in ("gprm", "cgrm"):
+        observe, seen = _observer()
+        trace = _two_level_run(method, problem, w0, StopPolicy(epsilon_min=1e-2), observe=observe)
+        last = (None, math.inf)
+        for s in seen:
+            assert fs.contains(s.x, 1e-9) and fs.contains(s.y, 1e-9)
+            phi_x = PerturbedObjective(problem.objective, s.epsilon, SCHED.epsilon0).value(s.x)
+            if s.level == last[0]:
+                assert phi_x <= last[1] + 1e-12
+            last = (s.level, phi_x)
+            assert method == "gprm" or s.test >= -1e-12
+        assert trace.min_observed_lambda >= _two_level_consts(method, problem, w0).gamma
 
 
 def test_gprm_monotone_inner_descent(gprm_run):
     """phi(x_next) <= phi(x) - beta * gamma * ||d||^2 at every accepted step."""
-    gp, consts, trace = gprm_run
+    gp, consts, trace, seen = gprm_run
     value = gp.problem.objective.value_fn
-    steps = _accepted_steps(trace)
+    steps = _accepted_steps(seen)
     assert len(steps) == trace.counters.inner_iterations
     for s, t in steps:
         phi = lambda v, e=s.epsilon: float(value(v)) + 0.5 * e * float(v @ v)
@@ -560,28 +630,27 @@ def test_gprm_monotone_inner_descent(gprm_run):
 
 def test_cgrm_monotone_inner_descent(cgrm_run):
     """phi(x_next) <= phi(x) - beta * gamma * mu^2 at every accepted step."""
-    gp, consts, trace = cgrm_run
+    gp, consts, trace, seen = cgrm_run
     value = gp.problem.objective.value_fn
-    steps = _accepted_steps(trace)
+    steps = _accepted_steps(seen)
     assert len(steps) == trace.counters.inner_iterations
     for s, t in steps:
         phi = lambda v, e=s.epsilon: float(value(v)) + 0.5 * e * float(v @ v)
-        assert phi(t.x) <= phi(s.x) - consts.beta * consts.gamma * s.mu ** 2 + 1e-12
+        assert phi(t.x) <= phi(s.x) - consts.beta * consts.gamma * s.test ** 2 + 1e-12
 
 
 def test_cgrm_gap_never_negative(cgrm_run):
-    _, _, trace = cgrm_run
-    # samples_per_level=10**6 keeps every iterate: one sample per LMO call
-    assert len(trace.inner_samples) == trace.counters.lmo_calls > 0
-    assert all(s.mu is not None for s in trace.inner_samples)
-    assert min(s.mu for s in trace.inner_samples) >= -1e-12
+    _, _, trace, seen = cgrm_run
+    # the observer sees every iterate: one per LMO call
+    assert len(seen) == trace.counters.lmo_calls > 0
+    assert min(s.test for s in seen) >= -1e-12
 
 
 def test_two_level_all_iterates_feasible(gprm_run, cgrm_run):
-    for gp, _, trace in (gprm_run, cgrm_run):
+    for gp, _, trace, seen in (gprm_run, cgrm_run):
         fs = gp.problem.feasible_set
         assert fs.contains(trace.final_point, 1e-9)
-        for s in trace.inner_samples:
+        for s in seen:
             assert fs.contains(s.x, 1e-9)
             assert fs.contains(s.y, 1e-9)
 
@@ -592,17 +661,17 @@ def _path_points(problem, records):
     return {rec_out.l: rec_z.z for rec_out, rec_z in zip(records, recs)}
 
 
-def _handoff_points(gp, trace):
-    """Each level's w_l, rebuilt from its last sample: x for cgrm, the better of
-    x and y (ties to y) for gprm; its distance to x*_n must equal the record's
-    bit for bit."""
-    last = {s.level: s for s in trace.inner_samples}
+def _handoff_points(gp, trace, seen, method):
+    """Each level's w_l, rebuilt from its last observed iterate: x for cgrm, the
+    better of x and y (ties to y) for gprm; its distance to x*_n must equal the
+    record's bit for bit."""
+    last = {s.level: s for s in seen}
     xstar = gp.problem.known_xstar_n
     points = {}
     for rec in trace.outer_records:
         s = last[rec.l]
         w = s.x
-        if trace.method == "gprm":
+        if method == "gprm":
             phi = PerturbedObjective(gp.problem.objective, s.epsilon, SCHED.epsilon0).value
             w = s.y if phi(s.y) <= phi(s.x) else s.x
         r = w - xstar
@@ -613,8 +682,8 @@ def _handoff_points(gp, trace):
 
 def test_gprm_handoff_tracks_path(gprm_run):
     """||w_l - z(eps_l)|| <= (2(L'+1)/eps_l + 1) delta_l at every level."""
-    gp, consts, trace = gprm_run
-    w = _handoff_points(gp, trace)
+    gp, consts, trace, seen = gprm_run
+    w = _handoff_points(gp, trace, seen, "gprm")
     z = _path_points(gp.problem, trace.outer_records)
     for rec in trace.outer_records:
         bound = (2.0 * (consts.Lprime + 1.0) / rec.epsilon_l + 1.0) * rec.delta_l
@@ -623,18 +692,18 @@ def test_gprm_handoff_tracks_path(gprm_run):
 
 def test_cgrm_handoff_tracks_path(cgrm_run):
     """||w_l - z(eps_l)||^2 <= 2 delta_l / eps_l at every level."""
-    gp, _, trace = cgrm_run
-    w = _handoff_points(gp, trace)
+    gp, _, trace, seen = cgrm_run
+    w = _handoff_points(gp, trace, seen, "cgrm")
     z = _path_points(gp.problem, trace.outer_records)
     for rec in trace.outer_records:
         bound = 2.0 * rec.delta_l / rec.epsilon_l
         assert float(np.sum((w[rec.l] - z[rec.l]) ** 2)) <= bound + 1e-6
 
 
-def _certificate_samples(trace, per_level=3):
+def _certificate_samples(seen, per_level=3):
     picked = []
     by_level = {}
-    for s in trace.inner_samples:
+    for s in seen:
         by_level.setdefault(s.level, []).append(s)
     for level in sorted(by_level):
         group = by_level[level]
@@ -645,10 +714,10 @@ def _certificate_samples(trace, per_level=3):
 
 def test_gprm_sandwich_certificate(gprm_run):
     """0.5 eps ||y - z||^2 <= phi(y) - phi* <= (L'+1) ||y - x|| ||y - z||."""
-    gp, consts, trace = gprm_run
+    gp, consts, trace, seen = gprm_run
     value = gp.problem.objective.value_fn
     z = _path_points(gp.problem, trace.outer_records)
-    samples = _certificate_samples(trace)
+    samples = _certificate_samples(seen)
     assert len(samples) >= 10
     for s in samples:
         phi = lambda v, e=s.epsilon: float(value(v)) + 0.5 * e * float(v @ v)
@@ -664,10 +733,10 @@ def test_gprm_sandwich_certificate(gprm_run):
 
 def test_cgrm_gap_bound_certificate(cgrm_run):
     """0.5 eps ||x - z||^2 <= phi(x) - phi* <= mu on sampled iterates."""
-    gp, _, trace = cgrm_run
+    gp, _, trace, seen = cgrm_run
     value = gp.problem.objective.value_fn
     z = _path_points(gp.problem, trace.outer_records)
-    samples = _certificate_samples(trace)
+    samples = _certificate_samples(seen)
     assert len(samples) >= 10
     for s in samples:
         phi = lambda v, e=s.epsilon: float(value(v)) + 0.5 * e * float(v @ v)
@@ -675,7 +744,7 @@ def test_cgrm_gap_bound_certificate(cgrm_run):
         gap = phi(s.x) - phi(z_l)
         lower = 0.5 * s.epsilon * float(np.sum((s.x - z_l) ** 2))
         assert lower <= gap + 1e-8
-        assert gap <= s.mu + 1e-8
+        assert gap <= s.test + 1e-8
 
 
 def test_two_level_validation():
@@ -786,11 +855,10 @@ def test_armijo_null_unit_step_raises():
         _armijo(phi.value, np.array([1.0]), np.array([-1e-20]), 0.5, _powers(0.5), 1e-40, 1.0)
 
 
-def test_cgrm_multiplier_may_fall_below_gamma_with_a_correct_L():
-    """gamma's 1/(L'' B) term is not a floor for cgrm: the first power the
-    search evaluates lies in (theta/mu, 1/mu], here 2^-8 against
-    gamma = 0.00484 at level 1, with L = 1 exact.  Five levels run on,
-    above theta * gamma, which the search does guarantee."""
+def test_cgrm_multiplier_stays_above_the_proven_floor_with_a_correct_L():
+    """The first power the cgrm search evaluates lies in (theta/mu, 1/mu],
+    here 2^-8 at level 1 with L = 1 exact: above gamma = 0.00242, but below
+    gamma / theta = 0.00484, the floor without theta on its last two terms."""
     b = np.array([100.0, -100.0])
     obj = Objective(lambda x: 0.5 * float((x - b).dot(x - b)), lambda x: x - b, 1.0)
     problem = Problem(obj, SimplexSet(2).to_feasible_set())
@@ -798,8 +866,7 @@ def test_cgrm_multiplier_may_fall_below_gamma_with_a_correct_L():
     consts = cgrm_constants(problem, SCHED.epsilon0, w0)
     trace = run_cgrm(problem, SCHED, consts, w0, StopPolicy(max_outer=5))
     assert len(trace.outer_records) == 5
-    assert trace.min_observed_lambda == 2.0 ** -8 < consts.gamma
-    assert trace.min_observed_lambda > consts.theta * consts.gamma
+    assert consts.gamma <= trace.min_observed_lambda == 2.0 ** -8 < consts.gamma / consts.theta
 
 
 def test_bracketed_search_cuts_trials_and_keeps_the_run(monkeypatch):
