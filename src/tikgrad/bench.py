@@ -125,12 +125,13 @@ def make_illposed_box(dim: int) -> GeneratedProblem:
         raise ValueError("dim must be >= 2")
     ones = np.ones(dim)
 
+    # np.add.reduce is x.sum() without the Python-level _sum frame numpy adds
     def value(x: Array) -> float:
-        s = float(x.sum()) - 1.0
+        s = float(np.add.reduce(x)) - 1.0
         return 0.5 * s * s
 
     def gradient(x: Array) -> Array:
-        return (x.sum() - 1.0) * ones
+        return (float(np.add.reduce(x)) - 1.0) * ones
 
     box = BoxSet(-np.ones(dim), np.ones(dim))
     xstar = ones / dim
@@ -161,11 +162,11 @@ def make_illposed_simplex(dim: int) -> GeneratedProblem:
     direction[1] = -1.0
 
     def value(x: Array) -> float:
-        t = float(x[0] - x[1])
+        t = x.item(0) - x.item(1)
         return 0.5 * t * t
 
     def gradient(x: Array) -> Array:
-        return (x[0] - x[1]) * direction
+        return (x.item(0) - x.item(1)) * direction
 
     simplex = SimplexSet(dim)
     xstar = np.full(dim, 1.0 / dim)
@@ -194,7 +195,9 @@ def _dykstra(
 ) -> Array:
     """Project x0 onto the intersection of two convex sets by Dykstra's scheme.
 
-    Each cycle projects onto the first set, then the second; the returned
+    Each cycle projects onto the first set, then the second; it stops once
+    the iterate and both corrections p, q moved by at most _DYKSTRA_TOL, since
+    the iterate can stall while the corrections still change.  The returned
     point also lies on the affine set to residual 1e-11.
     """
     x = x0
@@ -202,10 +205,11 @@ def _dykstra(
     q = np.zeros_like(x0)
     for _ in range(_DYKSTRA_MAX_CYCLES):
         u = project_first(x + p)
-        p = x + p - u
+        p, p_old = x + p - u, p
         v = project_second(u + q)
-        q = u + q - v
-        if float(np.linalg.norm(v - x)) <= _DYKSTRA_TOL and affine_residual(v) <= 1e-11:
+        q, q_old = u + q - v, q
+        moved = max(np.linalg.norm(v - x), np.linalg.norm(p - p_old), np.linalg.norm(q - q_old))
+        if moved <= _DYKSTRA_TOL and affine_residual(v) <= 1e-11:
             return v
         x = v
     raise OracleFailure("Dykstra projection did not converge; intersection suspect")

@@ -77,8 +77,10 @@ class FeasibleSet:
     """A closed convex set given through its computational oracles.
 
     At least one of project_fn / lmo_fn must be present.  Both must return a
-    new array on every call, not a buffer they later overwrite: the solvers
-    keep the returned points on their traces without copying them.
+    new array on every call, never their argument and not a buffer they later
+    overwrite: the solvers keep the returned points without copying them, and
+    run_gprm's step overwrites the array it passed to project_fn with the
+    direction y - x.
     membership_fn(x, tol) decides feasibility up to tol; diameter_B bounds
     sup ||x - y|| over the set and is required by conditional-gradient
     step-size theory.

@@ -8,8 +8,8 @@ the box, smallest coordinate index for the simplex) so runs are repeatable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -48,15 +48,16 @@ class BoxSet:
         return self.lower.size
 
     def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
+        d = self.upper - self.lower
+        return math.sqrt(d.dot(d))
 
     def contains(self, x: Array, tol: float = 1e-10) -> bool:
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
     def to_feasible_set(self) -> FeasibleSet:
         return FeasibleSet(
-            project_fn=partial(project_box, box=self),
-            lmo_fn=partial(lmo_box, box=self),
+            project_fn=lambda x: project_box(x, self),
+            lmo_fn=lambda g: lmo_box(g, self),
             membership_fn=self.contains,
             diameter_B=self.diameter(),
             dimension=self.dimension,
@@ -80,12 +81,13 @@ class BallSet:
         return self.center.size
 
     def contains(self, x: Array, tol: float = 1e-10) -> bool:
-        return bool(np.linalg.norm(x - self.center) <= self.radius + tol)
+        d = x - self.center
+        return math.sqrt(d.dot(d)) <= self.radius + tol
 
     def to_feasible_set(self) -> FeasibleSet:
         return FeasibleSet(
-            project_fn=partial(project_ball, ball=self),
-            lmo_fn=partial(lmo_ball, ball=self),
+            project_fn=lambda x: project_ball(x, self),
+            lmo_fn=lambda g: lmo_ball(g, self),
             membership_fn=self.contains,
             diameter_B=2.0 * self.radius,
             dimension=self.dimension,
@@ -103,12 +105,12 @@ class SimplexSet:
             raise ValueError("dimension must be a positive integer")
 
     def contains(self, x: Array, tol: float = 1e-10) -> bool:
-        return bool(np.all(x >= -tol) and abs(float(x.sum()) - 1.0) <= tol)
+        return bool(np.all(x >= -tol) and abs(float(np.add.reduce(x)) - 1.0) <= tol)
 
     def to_feasible_set(self) -> FeasibleSet:
         return FeasibleSet(
-            project_fn=partial(project_simplex, simplex=self),
-            lmo_fn=partial(lmo_simplex, simplex=self),
+            project_fn=lambda x: project_simplex(x, self),
+            lmo_fn=lambda g: lmo_simplex(g, self),
             membership_fn=self.contains,
             diameter_B=float(np.sqrt(2.0)),
             dimension=self.dimension,
@@ -123,7 +125,7 @@ def project_box(x: Array, box: BoxSet) -> Array:
 def project_ball(x: Array, ball: BallSet) -> Array:
     """Radial projection: points outside move straight toward the center."""
     d = x - ball.center
-    n = float(np.linalg.norm(d))
+    n = math.sqrt(d.dot(d))
     if n <= ball.radius:
         return np.array(x, dtype=np.float64, copy=True)
     return ball.center + (ball.radius / n) * d
@@ -158,7 +160,7 @@ def lmo_box(g: Array, box: BoxSet) -> Array:
 
 def lmo_ball(g: Array, ball: BallSet) -> Array:
     """Boundary point center - radius * g/||g||; the center when g = 0."""
-    n = float(np.linalg.norm(g))
+    n = math.sqrt(g.dot(g))
     if n == 0.0:
         return np.array(ball.center, copy=True)
     return ball.center - (ball.radius / n) * g

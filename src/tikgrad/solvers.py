@@ -187,9 +187,11 @@ def _armijo(
     powers[m] is theta^m for m = 0 .. max_m.  quad_coeff is ||d||^2 for
     gradient-projection steps and mu^2 for conditional-gradient steps.  Trial
     point is x + theta^m * cap * d; powers with theta^m * cap > 1 are skipped
-    unevaluated, and cap = 1.0 gives the plain trial x + theta^m * d.  phi_eps
-    is convex along the ray and the demanded decrease is linear in the step,
-    so the multipliers that pass form an interval [0, t_max]: the search tries
+    unevaluated, and cap = 1.0 gives the plain trial x + theta^m * d.  A unit
+    step t = theta^m * cap = 1 forms x + d, which is 1.0 * d + x bit for bit;
+    any other t forms t * d and adds x in place.  phi_eps is convex along the
+    ray and the demanded decrease is linear in the step, so the multipliers
+    that pass form an interval [0, t_max]: the search tries
     the first power >= m0 with step <= 1, then larger m while the test fails
     or smaller m while it passes (m0 = 0 is the scan from the unit step).
     Returns (m, theta^m, accepted point, its phi value, number of trials).
@@ -206,9 +208,12 @@ def _armijo(
     m, accepted, trials = m0, None, 0
     while 0 <= m <= max_m and powers[m] * cap <= 1.0:
         step = powers[m]
-        # t * d + x with t = step * cap is x + t * d bit for bit, with one temporary fewer
-        x_new = step * cap * d
-        x_new += x
+        t = step * cap
+        if t == 1.0:  # 1.0 * d is d exactly, so x + d is the same trial
+            x_new = x + d
+        else:  # t * d + x is x + t * d bit for bit, with one temporary fewer
+            x_new = t * d
+            x_new += x
         val = phi_value(x_new)
         trials += 1
         if val <= phi_at_x - beta * step * quad_coeff:
@@ -333,8 +338,9 @@ def _two_level(
     step(x, phi'(x)) calls the method's oracle once and returns
     (y, d, test, quad_coeff, cap): the candidate y, the direction d, the
     value the handoff test compares with delta_l, and the Armijo quad_coeff
-    and unit-step cap.  observe(l, k, eps_l, x, y, test), if given, sees the
-    k-th iterate of level l before its handoff test.
+    and unit-step cap.  phi'(x) is a fresh array that only step holds, so
+    step may overwrite it (gprm's step turns it into d).  observe(l, k, eps_l,
+    x, y, test), if given, sees the k-th iterate of level l before its test.
     Level l takes Armijo steps along d until test <= delta_l, then passes
     handoff(phi_eps_l, x, y, phi_x) to level l + 1 as its warm start, where
     phi_x is phi_eps_l(x) from the last step, or None if the level took none.
@@ -436,14 +442,18 @@ def run_gprm(
         value, here ||y - x||, before the test; for certificate checks.  x
         and y are the solver's own arrays and must not be modified.  The
         trace keeps none of them: it holds one n-vector, its final point.
+
+    Each step writes x - phi'(x) and then d = y - x into the gradient array
+    the driver hands it, so a step allocates y and no other n-vector; this is
+    why the projection oracle must never return its argument.
     """
     project = problem.feasible_set.project_fn
     if project is None:
         raise ValueError("run_gprm needs a projection oracle")
 
     def step(x: Array, g: Array) -> tuple:
-        y = project(x - g)
-        d = y - x
+        y = project(np.subtract(x, g, g))
+        d = np.subtract(y, x, g)
         dn2 = float(d.dot(d))
         return y, d, math.sqrt(dn2), dn2, 1.0
 

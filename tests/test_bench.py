@@ -135,6 +135,15 @@ def test_minimal_norm_oracle_cross_checks_both_orders(monkeypatch):
     assert calls[0][:2] == calls[1][1::-1]
 
 
+def test_minimal_norm_oracle_waits_for_the_corrections():
+    """Box-first Dykstra's iterate stalls at (-0.125, -0.625), outside the box,
+    after two cycles while its corrections still change; both orders must go
+    on to the minimal-norm point (0, -0.75) of the slice x_1 + x_2 = -0.75."""
+    fs = BoxSet((0.0, -1.0), (0.5, -0.5)).to_feasible_set()
+    gp = make_rankdef_lsq([[0.0, 0.0], [1.0, 1.0]], (0.0, -0.75), fs)
+    assert_allclose(gp.analytic_xstar_n, [0.0, -0.75], rtol=0, atol=1e-10)
+
+
 def test_bundled_problems_resolve_and_memoize():
     wp_box = bundled_problem("wellposed_box(2)")
     assert_allclose(wp_box.analytic_xstar_n, [0.3, 0.4], rtol=0, atol=1e-7)

@@ -290,3 +290,40 @@ def test_lmo_simplex_picks_np_argmin_index(g):
     want = np.eye(g.size)[np.argmin(g)]
     assert _same_bits(lmo_simplex(g, SimplexSet(g.size)), want)
     assert _same_bits(lmo_simplex(g.tolist(), SimplexSet(g.size)), want)
+
+
+@st.composite
+def _ball_and_vector(draw):
+    n = draw(st.integers(1, 6))
+    center = draw(arrays(np.float64, n, elements=_BOUNDS))
+    radius = draw(st.sampled_from([1.0, 0.5]) | st.floats(1e-3, 4.0))
+    return BallSet(center, radius), draw(_vectors(n))
+
+
+@_FEW
+@given(_ball_and_vector())
+def test_ball_oracles_are_the_np_linalg_norm_formulas_bit_for_bit(case):
+    """math.sqrt(v.dot(v)) is what np.linalg.norm computes for a 1-d float
+    vector, so the ball oracles keep the bits of the np.linalg.norm formulas.
+    Huge entries overflow the squared norm to inf in both."""
+    ball, x = case
+    c, r = ball.center, ball.radius
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = float(np.linalg.norm(x - c))
+        want = np.array(x, dtype=np.float64, copy=True) if n <= r else c + (r / n) * (x - c)
+        assert _same_bits(project_ball(x, ball), want)
+        n = float(np.linalg.norm(x))
+        want = np.array(c, copy=True) if n == 0.0 else c - (r / n) * x
+        assert _same_bits(lmo_ball(x, ball), want)
+        assert ball.contains(x, 1e-10) == bool(np.linalg.norm(x - c) <= r + 1e-10)
+
+
+@_FEW
+@given(_box_and_vector())
+def test_box_diameter_and_simplex_membership_keep_their_numpy_formulas(case):
+    box, x = case
+    assert box.diameter() == float(np.linalg.norm(box.upper - box.lower))
+    simplex = SimplexSet(x.size)
+    for v in (x, np.abs(x) / x.size):
+        want = bool(np.all(v >= -1e-10) and abs(float(np.sum(v)) - 1.0) <= 1e-10)
+        assert simplex.contains(v, 1e-10) == want
