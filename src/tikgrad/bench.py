@@ -114,16 +114,32 @@ class GeneratedProblem:
         return self.problem.known_fstar
 
 
+def _constant(dim: int, value: float) -> Array:
+    """Read-only float64 vector of dim copies of value, stored as one float.
+
+    A stride-0 view of an immutable numpy scalar: ufuncs read it as the
+    full vector and give the same bits, and any write raises ValueError,
+    so the memoized problems cannot be corrupted.  One exception to the
+    bits: ndarray.clip against a zero bound keeps the sign of a tied zero
+    entry, as for a scalar bound; no bound built here is zero.  Building
+    it costs less than np.ones(2); np.broadcast_to takes about 10x as long.
+    """
+    return np.ndarray((dim,), np.float64, np.float64(value), 0, (0,))
+
+
 def make_illposed_box(dim: int) -> GeneratedProblem:
     """f(x) = 0.5 (sum x - 1)^2 on [-1, 1]^dim.
 
     Every point of the hyperplane slice {sum x = 1} inside the box is a
     minimizer, so plain gradient methods stall wherever they first touch it;
     the minimal-norm solution is (1/dim, ..., 1/dim) by symmetry.  L = dim.
+    The gradient's ones vector, the bounds -1 and 1 and x*_n are read-only
+    stride-0 views (see _constant), so the problem stores O(1) floats, not
+    four n-vectors; the gradient and the oracles still return new n-vectors.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    ones = np.ones(dim)
+    ones = _constant(dim, 1.0)
 
     # np.add.reduce is x.sum() without the Python-level _sum frame numpy adds
     def value(x: Array) -> float:
@@ -133,8 +149,8 @@ def make_illposed_box(dim: int) -> GeneratedProblem:
     def gradient(x: Array) -> Array:
         return (float(np.add.reduce(x)) - 1.0) * ones
 
-    box = BoxSet(-np.ones(dim), np.ones(dim))
-    xstar = ones / dim
+    box = BoxSet(_constant(dim, -1.0), ones)
+    xstar = _constant(dim, 1.0 / dim)
     problem = Problem(
         objective=Objective(value, gradient, float(dim)),
         feasible_set=box.to_feasible_set(),
@@ -153,7 +169,10 @@ def make_illposed_simplex(dim: int) -> GeneratedProblem:
 
     Minimizers are the whole slice {x_1 = x_2}; the minimal-norm one is the
     barycenter.  L = 2 and the simplex gives the conditional-gradient
-    methods their B = sqrt(2) diameter.
+    methods their B = sqrt(2) diameter.  x*_n is a read-only stride-0 view
+    (see _constant).  The gradient's direction (1, -1, 0, ...) stays a dense
+    vector: it holds distinct entries, and scaling it by x_1 - x_2 gives the
+    zero entries their sign, which a gradient built from zeros would not.
     """
     if dim < 3:
         raise ValueError("dim must be >= 3")
@@ -169,7 +188,7 @@ def make_illposed_simplex(dim: int) -> GeneratedProblem:
         return (x.item(0) - x.item(1)) * direction
 
     simplex = SimplexSet(dim)
-    xstar = np.full(dim, 1.0 / dim)
+    xstar = _constant(dim, 1.0 / dim)
     problem = Problem(
         objective=Objective(value, gradient, 2.0),
         feasible_set=simplex.to_feasible_set(),
@@ -247,7 +266,7 @@ def make_rankdef_lsq(A: Array, b: Array, fs: FeasibleSet, label: Optional[str] =
     Requires the residual-minimal slice {A x = proj_range(A) b} to meet the
     set, so the solution set is the polyhedron D cap slice.  The
     minimal-norm solution is computed by _minimal_norm_in_slice and frozen
-    into the returned problem as ground truth.
+    into the returned problem as read-only ground truth.
     """
     A = np.asarray(A, dtype=np.float64)
     b = as_vector(b)
@@ -269,6 +288,7 @@ def make_rankdef_lsq(A: Array, b: Array, fs: FeasibleSet, label: Optional[str] =
     if L <= 0.0:
         raise ValueError("A must be nonzero")
     xstar = _minimal_norm_in_slice(A, b_proj, fs)
+    xstar.flags.writeable = False
     fstar = value(xstar)
     if label is None:
         label = f"rankdef_lsq({A.shape[0]}x{A.shape[1]})"
@@ -290,7 +310,11 @@ _PROBLEM_CACHE: dict[str, GeneratedProblem] = {}
 
 
 def bundled_problem(label: str) -> GeneratedProblem:
-    """Label -> GeneratedProblem, memoized so oracle runs happen once."""
+    """Label -> GeneratedProblem, memoized so oracle runs happen once.
+
+    x*_n and the box bounds of every bundled problem are read-only, so no
+    caller can change the ground truth that later calls are handed.
+    """
     cached = _PROBLEM_CACHE.get(label)
     if cached is not None:
         return cached
@@ -298,7 +322,7 @@ def bundled_problem(label: str) -> GeneratedProblem:
     if m is None:
         raise ConfigError(f"problem_label: cannot parse {label!r}")
     name, dim = m.group(1), int(m.group(2))
-    box2 = lambda: BoxSet(-np.ones(2), np.ones(2)).to_feasible_set()
+    box2 = lambda: BoxSet(_constant(2, -1.0), _constant(2, 1.0)).to_feasible_set()
     if name in ("illposed_box", "illposed_simplex"):
         make = make_illposed_box if name == "illposed_box" else make_illposed_simplex
         try:

@@ -85,13 +85,25 @@ class MethodConstants:
             raise ValueError("Lprime: must be positive")
 
 
+def _check_epsilon0(epsilon0: float) -> None:
+    if not (math.isfinite(epsilon0) and epsilon0 > 0.0):
+        raise ValueError("epsilon0: must be positive")
+
+
 def gprm_constants(
     lipschitz_L: float,
     epsilon0: float,
     beta: float = DEFAULT_BETA,
     theta: float = DEFAULT_THETA,
 ) -> MethodConstants:
-    """Constants for the gradient-projection variant: L' = L + eps0."""
+    """Constants for the gradient-projection variant: L' = L + eps0.
+
+    ValueError, with the texts of Objective and GeometricSchedule, unless
+    lipschitz_L is finite and non-negative and epsilon0 finite and positive.
+    """
+    if not (math.isfinite(lipschitz_L) and lipschitz_L >= 0.0):
+        raise ValueError("lipschitz_L must be finite and non-negative")
+    _check_epsilon0(epsilon0)
     Lprime = lipschitz_L + epsilon0
     gamma = min(1.0, theta * 2.0 * (1.0 - beta) / Lprime)
     return MethodConstants(beta=beta, theta=theta, gamma=gamma, Lprime=Lprime)
@@ -113,7 +125,9 @@ def cgrm_constants(
     * powers with theta^m mu > 1 are skipped: the first tried is 1 or in (theta/mu, 1/mu];
     * mu <= ||phi'(x)|| B <= L'' B, where L'' = ||f'(w0)|| + eps0 ||w0|| + L' B.
     Any feasible reference serves for L''; w0 keeps the constants deterministic.
+    A non-finite or non-positive epsilon0 raises GeometricSchedule's ValueError.
     """
+    _check_epsilon0(epsilon0)
     B = problem.feasible_set.diameter_B
     if B is None:
         raise ValueError("conditional-gradient constants need diameter_B")
@@ -491,7 +505,8 @@ def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> Solve
         if not d.any():
             break
         dn2 = float(d.dot(d))
-        beta_k = -float(g.dot(d)) / dn2
+        # a nonzero d whose ||d||^2 underflows to 0 has beta_k = +inf, so lam = 1
+        beta_k = -float(g.dot(d)) / dn2 if dn2 > 0.0 else math.inf
         lam = min(1.0, theta_k * beta_k)
         x = x + lam * d
         counters.inner_iterations += 1

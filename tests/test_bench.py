@@ -1,7 +1,9 @@
 """Tests for problem generators, complexity measurement, and serialization."""
 
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +155,61 @@ def test_bundled_problems_resolve_and_memoize():
     for label in ("bogus(2)", "rankdef_box(3)", "illposed_box"):
         with pytest.raises(ConfigError):
             bundled_problem(label)
+
+
+BUNDLED_LABELS = (
+    "illposed_box(5)", "illposed_simplex(5)", "rankdef_box(2)",
+    "rankdef_simplex(3)", "wellposed_box(2)", "wellposed_simplex(3)",
+)
+
+
+def _write_raises(a):
+    """Whether a[0] = 9.0 raises ValueError; a write that goes through is undone."""
+    saved = a.copy()
+    try:
+        a[0] = 9.0
+    except ValueError:
+        return True
+    a[...] = saved
+    return False
+
+
+@pytest.mark.parametrize("label", BUNDLED_LABELS)
+def test_bundled_ground_truth_and_bounds_are_read_only(label):
+    """The cache hands every caller the same arrays, so x*_n and the box
+    bounds must refuse writes, and later calls still see the values built."""
+    gp = bundled_problem(label)
+    kept = {"x*": gp.analytic_xstar_n}
+    box = gp.problem.feasible_set.membership_fn.__self__
+    assert isinstance(box, BoxSet) == ("box" in label)
+    if "box" in label:
+        kept.update(lower=box.lower, upper=box.upper)
+    built = {name: a.tobytes() for name, a in kept.items()}
+    for name, a in kept.items():
+        assert _write_raises(a), name
+    again = bundled_problem(label)
+    assert again.analytic_xstar_n.tobytes() == built["x*"]
+    if "box" in label:
+        box = again.problem.feasible_set.membership_fn.__self__
+        assert (box.lower.tobytes(), box.upper.tobytes()) == (built["lower"], built["upper"])
+
+
+@pytest.mark.parametrize("make, most", [(make_illposed_box, 0.5), (make_illposed_simplex, 1.5)])
+def test_illposed_problems_keep_constants_not_n_vectors(make, most):
+    """illposed_box keeps no n-vector: the gradient's ones, the bounds and
+    x*_n are stride-0 views of one float each.  illposed_simplex keeps one,
+    its gradient's dense direction."""
+    n = 10**5
+    gc.collect()
+    tracemalloc.start()
+    try:
+        gp = make(n)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert gp.analytic_xstar_n.strides == (0,)
+    assert kept < most * 8 * n
 
 
 # ---------------------------------------------------------------------------

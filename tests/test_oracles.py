@@ -8,10 +8,11 @@ vertex enumeration of <g, q>.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from tikgrad.bench import _constant
 from tikgrad.core import OracleFailure
 from tikgrad.oracles import (
     BallSet,
@@ -327,3 +328,36 @@ def test_box_diameter_and_simplex_membership_keep_their_numpy_formulas(case):
     for v in (x, np.abs(x) / x.size):
         want = bool(np.all(v >= -1e-10) and abs(float(np.sum(v)) - 1.0) <= 1e-10)
         assert simplex.contains(v, 1e-10) == want
+
+
+@st.composite
+def _constant_box_and_vectors(draw):
+    n = draw(st.integers(1, 6))
+    lo, hi = sorted((draw(_BOUNDS), draw(_BOUNDS)))
+    return n, lo, hi, draw(_vectors(n)), draw(_vectors(n))
+
+
+@_FEW
+@given(_constant_box_and_vectors())
+@example((1, 0.0, 0.0, np.array([-0.0]), np.array([0.0])))  # a zero tie: clip's zeros differ
+@example((4, -1.0, 1.0, np.array([-0.0, np.nan, np.inf, 1.0]), np.array([0.0, -0.0, np.nan, -1.0])))
+def test_box_with_stride_0_bounds_keeps_every_bit(case):
+    """The bundled boxes keep their constant bounds as read-only stride-0
+    views; BoxSet keeps them so, and every box oracle gives the bytes it
+    gives with the same bounds stored densely, with one exception.  Where a
+    clamped entry ties a zero bound of the other sign, ndarray.clip keeps
+    the entry's zero for stride-0 bounds, as for scalar bounds, and the
+    bound's zero for dense ones.  The bundled bounds are -1 and 1."""
+    n, lo, hi, x, g = case
+    views = BoxSet(_constant(n, lo), _constant(n, hi))
+    dense = BoxSet(np.full(n, lo), np.full(n, hi))
+    assert views.lower.strides == views.upper.strides == (0,)
+    got, want = project_box(x, views), project_box(x, dense)
+    assert _same_bits(got, x.clip(lo, hi))
+    if lo != 0.0 and hi != 0.0:
+        assert _same_bits(got, want)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert _same_bits(lmo_box(g, views), lmo_box(g, dense))
+    for tol in (1e-10, 0.0):
+        assert views.contains(x, tol) == dense.contains(x, tol)
+    assert np.float64(views.diameter()).tobytes() == np.float64(dense.diameter()).tobytes()

@@ -214,6 +214,33 @@ def test_cgrm_constants_formula():
     )
 
 
+def _value_error(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+def test_constants_reject_bad_L_and_epsilon0_with_the_owners_texts():
+    """A bad L or epsilon0 raises the ValueError of the type that owns it,
+    Objective or GeometricSchedule, before L' = L + epsilon0 can divide by
+    zero or turn up as a bad gamma; L comes first, then epsilon0, then beta."""
+    def owner_L(v):
+        return _value_error(lambda: Objective(lambda x: 0.0, lambda x: x, v))
+
+    def owner_eps0(v):
+        return _value_error(lambda: GeometricSchedule(epsilon0=v))
+
+    p, w0 = bundled_problem("illposed_box(2)").problem, np.array([1.0, 0.0])
+    for v in (-1.0, math.nan, math.inf):
+        assert _value_error(lambda: gprm_constants(v, 0.5)) == owner_L(v)
+    for v in (-1.0, -2.0, 0.0, math.nan, math.inf):
+        assert _value_error(lambda: gprm_constants(1.0, v)) == owner_eps0(v)
+        assert _value_error(lambda: cgrm_constants(p, v, w0)) == owner_eps0(v)
+    assert _value_error(lambda: gprm_constants(-1.0, -1.0, beta=2.0)) == owner_L(-1.0)
+    assert _value_error(lambda: gprm_constants(1.0, -1.0, beta=2.0)) == owner_eps0(-1.0)
+    assert gprm_constants(0.0, 0.5).Lprime == 0.5  # Objective allows L = 0
+
+
 def test_method_constants_validation():
     for kw in (
         dict(beta=0.0), dict(beta=1.0), dict(theta=0.0), dict(theta=1.0),
@@ -334,6 +361,21 @@ def test_cgm_stops_when_lmo_reproduces_iterate(shifted_simplex):
     trace = run_cgm(shifted_simplex, 0.9, x0, 50)
     assert len(trace.outer_records) == 1
     assert_allclose(trace.final_point, x0, rtol=0, atol=0)
+
+
+def test_cgm_steps_to_the_vertex_when_the_squared_direction_underflows():
+    """From (1e-300, 0) the LMO vertex of f = 0.5 ||x + (1, 1)||^2 on [0, 1]^2
+    is the origin, and d = (-1e-300, 0) is nonzero while ||d||^2 underflows to
+    0.  beta_k is then +inf, so lam = 1 lands on the vertex, where the next
+    LMO call reproduces the iterate and the run stops."""
+    c = np.array([-1.0, -1.0])
+    obj = Objective(lambda x: 0.5 * float((x - c) @ (x - c)), lambda x: x - c, 1.0)
+    p = Problem(obj, BoxSet([0.0, 0.0], [1.0, 1.0]).to_feasible_set())
+    trace = run_cgm(p, 0.5, np.array([1e-300, 0.0]), 10)
+    assert trace.final_point.tolist() == [0.0, 0.0]
+    assert trace.min_observed_lambda == 1.0
+    assert trace.counters.inner_iterations == 1
+    assert len(trace.outer_records) == 2
 
 
 def test_cgm_validation(shifted_simplex):
