@@ -141,6 +141,11 @@ def _summarize(cfg: ExperimentConfig, trace) -> str:
     return ", ".join(parts)
 
 
+def _write_failure(cfg: ExperimentConfig, exc: OSError) -> str:
+    # the only I/O after validation is writing the trace and its sidecar
+    return f"cannot write {cfg.output_path}: {exc.strerror or exc}"
+
+
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -153,6 +158,9 @@ def _cmd_run(args) -> int:
     except (RunawayInnerLoop, LineSearchFailure, OracleFailure) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:
+        print(_write_failure(cfg, exc), file=sys.stderr)
+        return EXIT_CONFIG
     print(_summarize(cfg, trace))
     return EXIT_OK
 
@@ -173,6 +181,10 @@ def _cmd_sweep(args) -> int:
         except (RunawayInnerLoop, LineSearchFailure, OracleFailure) as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             status = EXIT_SOLVER
+            continue
+        except OSError as exc:
+            print(_write_failure(cfg, exc), file=sys.stderr)
+            status = max(status, EXIT_CONFIG)
             continue
         print(_summarize(cfg, trace))
     return status

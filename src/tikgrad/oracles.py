@@ -118,7 +118,13 @@ class SimplexSet:
 
 
 def project_box(x: Array, box: BoxSet) -> Array:
-    """Clamp each coordinate to its interval."""
+    """Clamp each coordinate to its interval.
+
+    The bytes of a clamped zero depend on how the bounds are stored: where an
+    entry ties a zero bound of the other sign (x = -0.0 on [0, 0]), dense
+    bounds give the bound's zero, but stride-0 bounds, like scalar ones, keep
+    x's zero.  No bundled bound is zero.
+    """
     return np.asarray(x).clip(box.lower, box.upper)
 
 

@@ -352,8 +352,13 @@ def _two_level(
     step(x, phi'(x)) calls the method's oracle once and returns
     (y, d, test, quad_coeff, cap): the candidate y, the direction d, the
     value the handoff test compares with delta_l, and the Armijo quad_coeff
-    and unit-step cap.  phi'(x) is a fresh array that only step holds, so
-    step may overwrite it (gprm's step turns it into d).  observe(l, k, eps_l,
+    and unit-step cap.  phi'(x) = f'(x) + eps_l x is written into the last
+    d, which is dead once a search has returned or a level has handed off
+    (eps_l x first, then f'(x) + that, the operands of the plain expression
+    in its order, so the bits are the same); only a run's first step gets a
+    new array.  Nothing else reads phi'(x), so step may overwrite it (gprm's
+    step turns it into d).  The driver never writes f'(x)'s own array, an x,
+    a y, the start or a trial point.  observe(l, k, eps_l,
     x, y, test), if given, sees the k-th iterate of level l before its test.
     Level l takes Armijo steps along d until test <= delta_l, then passes
     handoff(phi_eps_l, x, y, phi_x) to level l + 1 as its warm start, where
@@ -362,8 +367,10 @@ def _two_level(
     L' does not depend on the level.  A NaN test raises OracleFailure, and
     consts.Lprime < L + sched.epsilon0 raises ValueError.  oracle_counter
     names the OracleCounters field that counts step's calls.  Neither y (once
-    the test fails) nor the level's start (once x moves) stays alive through
-    the Armijo search.
+    the test is done) nor the level's start (once x moves) stays alive through
+    the Armijo search or the level's record.  So above the caller's w0 a run
+    holds x and d between steps, and at its peak four n-vectors: x, d and
+    two trial points in a search, or in a cgrm step x, phi'(x), y and the new d.
     """
     stop = stop if stop is not None else StopPolicy()
     if consts.Lprime < problem.objective.lipschitz_L + sched.epsilon0:
@@ -375,6 +382,8 @@ def _two_level(
         powers.append(powers[-1] * consts.theta)
     max_inner = stop.max_inner_per_l
 
+    # phi'(x)'s buffer for the first step; each later step reuses the last, dead d
+    d = np.empty_like(x)
     records: list[OuterRecord] = []
     min_lambda = math.inf
     trials_total = 0
@@ -389,11 +398,13 @@ def _two_level(
         phi_x: Optional[float] = None
         N_l = 0
         while True:
-            y, d, test, quad_coeff, cap = step(x, grad(x) + eps * x)
+            # f'(x) + eps * x bit for bit: eps * x first, then f'(x) + that
+            y, d, test, quad_coeff, cap = step(x, np.add(grad(x), np.multiply(x, eps, d), d))
             if observe is not None:
                 observe(l, N_l, eps, x, y, test)
             if test <= delta:
                 x = handoff(phi, x, y, phi_x)
+                del y
                 break
             if not test > delta:
                 raise OracleFailure(f"level {l}: handoff test is not finite; "
@@ -457,9 +468,11 @@ def run_gprm(
         and y are the solver's own arrays and must not be modified.  The
         trace keeps none of them: it holds one n-vector, its final point.
 
-    Each step writes x - phi'(x) and then d = y - x into the gradient array
-    the driver hands it, so a step allocates y and no other n-vector; this is
-    why the projection oracle must never return its argument.
+    Each step writes x - phi'(x) and then d = y - x into the phi'(x) array
+    the driver hands it, which is the previous step's d: an iteration
+    allocates f'(x), y and the trial points and no other n-vector, and its
+    peak is x, d and two trial points.  This is why the projection oracle
+    must never return its argument.
     """
     project = problem.feasible_set.project_fn
     if project is None:
@@ -532,6 +545,10 @@ def run_cgrm(
     power m, capped so the multiplier never exceeds 1 and iterates stay
     inside the set.  The handoff point is x itself, not the vertex.
     Parameters are those of run_gprm; observe's test value is the gap mu.
+
+    phi'(x) is written into the previous step's d, so an iteration allocates
+    f'(x), the vertex y, the new d = y - x and the trial points; its peak is
+    x, phi'(x), y and d inside the step, or x, d and two trial points.
     """
     fs = problem.feasible_set
     if fs.lmo_fn is None:

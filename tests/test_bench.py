@@ -18,6 +18,7 @@ from tikgrad.bench import (
     bound_constants,
     bundled_problem,
     complexity_bound,
+    default_start,
     make_illposed_box,
     make_illposed_simplex,
     make_rankdef_lsq,
@@ -192,6 +193,22 @@ def test_bundled_ground_truth_and_bounds_are_read_only(label):
     if "box" in label:
         box = again.problem.feasible_set.membership_fn.__self__
         assert (box.lower.tobytes(), box.upper.tobytes()) == (built["lower"], built["upper"])
+
+
+@pytest.mark.parametrize(
+    "label", BUNDLED_LABELS + ("illposed_box(1000)", "illposed_simplex(1000)")
+)
+def test_default_start_is_the_start_of_a_dense_argument(label):
+    """The projection reads the origin as a stride-0 view and returns what it
+    returns for np.zeros, as a new, writable array; so does the LMO start."""
+    fs = bundled_problem(label).problem.feasible_set
+    vertex = fs.lmo_fn(np.ones(fs.dimension))
+    origin = fs.project_fn(np.zeros(fs.dimension))
+    for method, dense in [("cgm", vertex), ("cgrm", vertex), ("gpm", origin),
+                          ("iterreg", origin), ("gprm", origin)]:
+        start = default_start(bundled_problem(label), method)
+        assert start.dtype == dense.dtype and start.tobytes() == dense.tobytes()
+        assert start.flags.writeable and start.flags.c_contiguous
 
 
 @pytest.mark.parametrize("make, most", [(make_illposed_box, 0.5), (make_illposed_simplex, 1.5)])

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tikgrad import acceptance
+from tikgrad import acceptance, bench
 from tikgrad.acceptance import CriterionResult
 from tikgrad.bench import (
     DEFAULT_ALPHA_GRID,
@@ -212,6 +212,71 @@ def test_sweep_validates_every_config_before_running(tmp_path, capsys):
     assert main(["sweep", cfg]) == 1
     assert "epsilon_min: must be positive" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _no_solver(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the solver ran")
+    for name in ("run_gprm", "run_cgrm", "run_gpm", "run_cgm", "run_iterreg"):
+        monkeypatch.setattr(bench, name, fail)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("file/out.csv", "is not a directory"),
+        ("file/sub/out.csv", "is not a directory"),
+        ("dir", "is a directory"),
+        ("dir.csv", "dir.json' is a directory"),
+    ],
+)
+def test_unwritable_output_is_a_config_error_before_solving(
+    tmp_path, capsys, monkeypatch, command, where, message
+):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir.json").mkdir()
+    cfg = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm",
+                   epsilon_min="1e-2", output_path=tmp_path / where)
+    _no_solver(monkeypatch)
+    assert main([command, cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output_path: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_run_output_flag_under_a_file_solves_nothing(tmp_path, capsys, monkeypatch):
+    (tmp_path / "F").write_text("")
+    cfg = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm")
+    _no_solver(monkeypatch)
+    assert main(["run", cfg, "--output", str(tmp_path / "F" / "out.csv")]) == 1
+    assert "is not a directory" in capsys.readouterr().err
+
+
+def test_output_directory_without_write_access_is_a_config_error(tmp_path, capsys, monkeypatch):
+    cfg = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm",
+                   output_path=tmp_path / "new" / "out.csv")
+    _no_solver(monkeypatch)
+    monkeypatch.setattr(bench.os, "access", lambda path, mode: False)
+    assert main(["run", cfg]) == 1
+    assert f"cannot write in {str(tmp_path)!r}" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_failed_write_exits_1_with_one_line(tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "out.csv"
+    cfg = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm",
+                   epsilon_min="1e-2", output_path=out)
+
+    def refuse(*args):
+        raise PermissionError(13, "Permission denied", str(out))
+    monkeypatch.setattr(bench, "write_sidecar", refuse)
+    assert main([command, cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"cannot write {out}: Permission denied\n"
+    assert captured.out == ""
 
 
 def _fake_results(fail_at=None):

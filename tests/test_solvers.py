@@ -647,24 +647,53 @@ def test_default_trace_holds_one_n_vector(method):
     assert 8 * n <= kept <= 1.1 * 8 * n
 
 
-def test_gprm_step_peaks_at_five_n_vectors():
-    """Above its start, a gprm run on illposed_box(10**5) holds at most five
-    n-vectors at once: its x, the last level's y and d, the gradient that the
-    step turns into x - phi'(x) and then into d, and the new y.  Half a vector
-    of slack covers the scalar bookkeeping."""
+@pytest.mark.parametrize(
+    "method, make, stop",
+    [
+        ("gprm", make_illposed_box, StopPolicy()),
+        ("cgrm", make_illposed_simplex, StopPolicy(epsilon_min=1e-2)),
+    ],
+    ids=["gprm", "cgrm"],
+)
+def test_two_level_run_peaks_at_four_n_vectors(method, make, stop):
+    """Above its start, a two-level run on an n = 10**5 problem holds at most
+    four n-vectors at once.  The direction d is the next phi'(x)'s buffer, so
+    the run keeps x and d, and at its peak two more: the accepted and the next
+    trial point of a search, or (cgrm) y and the new d while phi'(x) is live.
+    Half a vector of slack covers the scalar bookkeeping."""
     n = 10**5
-    gp = make_illposed_box(n)
-    p, w0 = gp.problem, default_start(gp, "gprm")
+    gp = make(n)
+    p, w0 = gp.problem, default_start(gp, method)
     gc.collect()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        trace = _two_level_run("gprm", p, w0, StopPolicy())
+        trace = _two_level_run(method, p, w0, stop)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert trace.counters.inner_iterations > 5
-    assert peak - start <= 5.5 * 8 * n
+    assert peak - start <= 4.5 * 8 * n
+
+
+@pytest.mark.parametrize("method", ["gprm", "cgrm"])
+@pytest.mark.parametrize("label, w0", [("illposed_box(2)", (1.0, 0.0)),
+                                       ("illposed_simplex(3)", (1.0, 0.0, 0.0))],
+                         ids=["box", "simplex"])
+def test_no_observed_array_is_written_later(method, label, w0):
+    """The driver writes phi'(x) into a buffer it owns; every x and y an
+    observer saw, and the start, keep the bytes they had when seen."""
+    w0 = np.array(w0)
+    start = w0.tobytes()
+    kept = []
+
+    def observe(l, k, eps, x, y, test):
+        kept.append((x, x.tobytes(), y, y.tobytes()))
+    trace = _two_level_run(method, bundled_problem(label).problem, w0, STOP, observe=observe)
+    assert len(trace.outer_records) > 5 and len(kept) > 1000
+    assert w0.tobytes() == start
+    changed = [i for i, (x, xb, y, yb) in enumerate(kept) if x.tobytes() != xb or y.tobytes() != yb]
+    assert changed == []
 
 
 def _accepted_steps(seen):
