@@ -561,9 +561,12 @@ def solver_constants(cfg: ExperimentConfig, gp: GeneratedProblem, x0: Array) -> 
 
 
 def _check_output_dir(path: str) -> None:
-    """ConfigError unless neither path nor its sidecar is a directory and the
-    nearest existing ancestor is a directory this process may write in;
-    nothing is created."""
+    """ConfigError unless path is not its own sidecar path, neither path nor
+    its sidecar is a directory, and the nearest existing ancestor is a
+    directory this process may write in; nothing is created."""
+    if sidecar_path(path) == path:
+        raise ConfigError(f"output_path: {path!r} is its own sidecar path; "
+                          "the trace needs a name not ending in .json")
     for target in (path, sidecar_path(path)):
         if os.path.isdir(target):
             raise ConfigError(f"output_path: {target!r} is a directory")
@@ -580,7 +583,8 @@ def validate_experiment(cfg: ExperimentConfig) -> tuple[GeneratedProblem, Array,
     """Everything run_experiment checks before solving; returns (gp, x0, lam, theta_k).
 
     Raises ConfigError for a field outside its mandated interval, an
-    output_path whose directory cannot be created or written, an unknown
+    output_path ending in .json (the sidecar would replace the trace) or
+    whose directory cannot be created or written, an unknown
     problem label, a baseline step at or above 2/L, or an x0 that has the
     wrong dimension, a non-finite entry, or lies outside the feasible set.
     lam and theta_k default to 1/L.

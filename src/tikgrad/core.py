@@ -138,7 +138,14 @@ class Problem:
 
 @dataclass
 class OracleCounters:
-    """Per-run work counters.  One instance per solver call, never global."""
+    """Per-run work counters.  One instance per solver call, never global.
+
+    gradient_evals, projections and lmo_calls count the oracle calls the run
+    made, including the last one of a run that stops on a test: the two-level
+    drivers' final handoff test, or a baseline's step that found x again.
+    inner_iterations counts the steps taken, linesearch_trials the Armijo
+    trial points evaluated.
+    """
 
     gradient_evals: int = 0
     projections: int = 0

@@ -279,6 +279,14 @@ def _record(
     )
 
 
+def _same_bits(x_new: Array, x: Array) -> bool:
+    """Whether two float64 vectors hold the same bytes.  Unequal first entries
+    settle most calls without a pass over the vectors (a NaN first entry
+    never matches); the int64 views then compare the rest without a copy and
+    tell 0.0 from -0.0."""
+    return x_new.item(0) == x.item(0) and bool((x_new.view(np.int64) == x.view(np.int64)).all())
+
+
 def _projected_gradient(
     method: str,
     problem: Problem,
@@ -289,7 +297,12 @@ def _projected_gradient(
     """Single loop x <- P(x - lam_k (f'(x) + eps_k x)) with (lam_k, eps_k) = params(k).
 
     eps_k = None drops the regularization term (and leaves the trace's
-    epsilon_l column empty).
+    epsilon_l column empty).  When params(k + 1) equals params(k) and the
+    step maps x to x bit for bit, every later iterate would repeat those
+    bytes, so the loop stops there: always true of a fixed step once it
+    reaches such a point, never of run_iterreg's decaying schedule.  The
+    repeated point is not recorded; the counters count the gradients and
+    projections made, one more than the steps taken.
     """
     project = problem.feasible_set.project_fn
     if project is None:
@@ -298,14 +311,22 @@ def _projected_gradient(
     grad = problem.objective.gradient_fn
     records = [_record(problem, 0, None, None, 0, x, 0)]
     min_lam = math.inf
-    for k in range(max_iter):
-        lam_k, eps_k = params(k)
+    evals = steps = 0
+    next_params = params(0)
+    while steps < max_iter:
+        this_params, next_params = next_params, params(steps + 1)
+        lam_k, eps_k = this_params
         g = grad(x) if eps_k is None else grad(x) + eps_k * x
-        x = project(x - lam_k * g)
+        x_new = project(x - lam_k * g)
+        evals += 1
+        if next_params == this_params and _same_bits(x_new, x):
+            break
+        x = x_new
+        steps += 1
         min_lam = min(min_lam, lam_k)
-        records.append(_record(problem, k + 1, eps_k, None, 1, x, k + 1))
+        records.append(_record(problem, steps, eps_k, None, 1, x, steps))
     counters = OracleCounters(
-        gradient_evals=max_iter, projections=max_iter, inner_iterations=max_iter
+        gradient_evals=evals, projections=evals, inner_iterations=steps
     )
     return SolverTrace(records, counters, x, min_observed_lambda=min_lam)
 
@@ -315,7 +336,11 @@ def run_gpm(problem: Problem, lam: float, x0: Array, max_iter: int) -> SolverTra
 
     Requires 0 < lam < 2/L.  Converges in objective value but the iterates
     may stall at any minimizer, not the minimal-norm one; that failure mode
-    is exactly what the regularized methods exist to fix.
+    is exactly what the regularized methods exist to fix.  Stops before
+    max_iter at the first step whose new point equals x bit for bit: each
+    step depends only on x, so every later iterate would be that point.  The
+    trace ends at x, and the counters count the gradients and projections
+    made, steps + 1 then.
     """
     L = problem.objective.lipschitz_L
     if not (lam > 0.0 and lam * L < 2.0):
@@ -495,7 +520,11 @@ def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> Solve
 
     beta_k = -<f'(x), d>/||d||^2 measures how far the unconstrained minimum
     along the vertex direction lies; theta_k must stay below 2/L for the C/k
-    value rate.  Stops early if the LMO reproduces the current iterate.
+    value rate.  Stops before max_iter if the LMO returns x itself, or at the
+    first step whose new point equals x bit for bit: each step depends only
+    on x, so every later iterate would be that point.  The trace ends at x,
+    that last step's multiplier is not in min_observed_lambda, and the
+    counters count the gradients and LMO calls made, steps + 1 then.
     """
     L = problem.objective.lipschitz_L
     if not (theta_k > 0.0 and theta_k * L < 2.0):
@@ -521,7 +550,10 @@ def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> Solve
         # a nonzero d whose ||d||^2 underflows to 0 has beta_k = +inf, so lam = 1
         beta_k = -float(g.dot(d)) / dn2 if dn2 > 0.0 else math.inf
         lam = min(1.0, theta_k * beta_k)
-        x = x + lam * d
+        x_new = x + lam * d
+        if _same_bits(x_new, x):
+            break
+        x = x_new
         counters.inner_iterations += 1
         min_lam = min(min_lam, lam)
         records.append(_record(problem, k, None, None, 1, x, k))

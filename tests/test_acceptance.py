@@ -18,8 +18,9 @@ from tikgrad.bench import (
     solver_constants,
     write_trace_csv,
 )
+from tikgrad.core import OracleCounters
 from tikgrad.regularization import IterRegSchedule
-from tikgrad.solvers import run_cgm, run_gpm, run_iterreg
+from tikgrad.solvers import OuterRecord, SolverTrace, run_cgm, run_gpm, run_iterreg
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,61 @@ def test_criterion_9_baseline_value_rate_stays_bounded(ctx):
     _check(acceptance.criterion_9(ctx))
 
 
+def _criterion_9_runs():
+    box = bundled_problem("wellposed_box(2)")
+    simplex = bundled_problem("wellposed_simplex(3)")
+    return (
+        run_gpm(box.problem, 1.0 / box.analytic_L, np.zeros(2), acceptance.RATE_ITERS),
+        run_cgm(simplex.problem, 1.0 / simplex.analytic_L, np.array([1.0, 0.0, 0.0]),
+                acceptance.RATE_ITERS),
+    )
+
+
+def test_rate_checkpoints_of_the_stopped_baselines_are_the_full_runs_floats():
+    """Both criterion-9 baselines stop at an exact fixed point long before
+    1e4 steps; with the repeated tail counted, their checkpoints are the
+    floats the full 1e4-step runs gave."""
+    gpm, cgm = _criterion_9_runs()
+    assert len(gpm.outer_records) == 125 and len(cgm.outer_records) == 57
+    assert acceptance._rate_checkpoints(gpm, acceptance.RATE_ITERS) == (0.050625, 0.050625)
+    assert acceptance._rate_checkpoints(cgm, acceptance.RATE_ITERS) == (
+        0.030000000000000002, 0.030000000000000002)
+
+
+def _rate_trace(gaps):
+    records = [OuterRecord(l, None, None, int(l > 0), delta_wl=g, cum_inner=l)
+               for l, g in enumerate(gaps)]
+    return SolverTrace(records, OracleCounters(), np.zeros(1))
+
+
+@pytest.mark.parametrize("stall_gap", [1e-3, 0.0, -1e-12])
+def test_a_stopped_baseline_scores_as_its_full_run(monkeypatch, stall_gap):
+    """A baseline that stops at a fixed point after 50 steps of gap 1/k gets
+    the checkpoints of the 1e4-step run that repeats its last gap; stalled at
+    a positive gap it fails criterion 9 as that run does."""
+    gaps = [1.0] + [1.0 / k for k in range(1, 50)] + [stall_gap]
+    stopped = _rate_trace(gaps)
+    full = _rate_trace(gaps + [stall_gap] * (acceptance.RATE_ITERS - 50))
+    assert acceptance._rate_checkpoints(stopped, acceptance.RATE_ITERS) == (
+        acceptance._rate_checkpoints(full, acceptance.RATE_ITERS))
+    verdicts = []
+    for trace in (stopped, full):
+        monkeypatch.setattr(acceptance, "run_gpm", lambda *args: trace)
+        verdicts.append(acceptance.criterion_9(None))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0].passed == (stall_gap <= 0.0)
+
+
+def test_only_the_certified_runs_are_observed(ctx):
+    """Criterion 7 reads the inner iterates of two sigma = 0.5 runs; the
+    other ten canonical runs keep none, and the two keep 41 and 47."""
+    for (method, label), sigma in itertools.product(acceptance.TWO_LEVEL_CASES,
+                                                    acceptance.SIGMAS):
+        ctx.two_level_run(method, label, sigma)
+    assert {key: len(kept) for key, kept in ctx.samples.items()} == {
+        ("gprm", "illposed_box(2)", 0.5): 41, ("cgrm", "illposed_simplex(3)", 0.5): 47}
+
+
 def test_criterion_10_oracle_randomized_suites(ctx):
     _check(acceptance.criterion_10(ctx))
 
@@ -126,16 +182,18 @@ GOLDEN = {
         (7824, 0, 7824, 7850, 7811), 0.125,
     ),
     # gpm and cgm take their steps 1/L from estimate_lipschitz_quadratic, which
-    # returns ||A||_2^2 = 4 and 1 exactly for these two problems
+    # returns ||A||_2^2 = 4 and 1 exactly for these two problems.  Their step
+    # maps the 124th and 56th iterate to itself bit for bit, so they stop
+    # there: the trace is a prefix of the 200-step one, with its final point.
     "gpm": (
-        "ea91446effa9f6be17954257f7f397e3914ba29b0e872ca65f489e0f73868503",
+        "3f41f24ecfb0a9994f41563495cdc70cfcf956fc05b1ae48d12c7204d55521d8",
         "029ca80705776adb14f722f9a4c98e1b359462e452770ff1d1f9699317a21e67",
-        (200, 200, 0, 0, 200), 0.25,
+        (125, 125, 0, 0, 124), 0.25,
     ),
     "cgm": (
-        "cfee5d0397486869f77030158332c41eb65aa20ed566a348fce65e57931e5ec5",
+        "bc4a0d647000800d7938b09cb672da6c9cacda78664a0e31f8e4e2c55794a4f6",
         "77f167be29d8ea73023c5674a8dfac9f4008c692e931c61dcd778babfc4963c1",
-        (200, 0, 200, 0, 200), -0.0,
+        (57, 0, 57, 0, 56), 2.2657612747452175e-17,
     ),
     "iterreg": (
         "0b6a070cb211dc33081bb77aedcd499f4af2cc6a3b0513d75c8db089c1fc8a9f",

@@ -246,6 +246,22 @@ def test_unwritable_output_is_a_config_error_before_solving(
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_output_path_that_is_its_own_sidecar_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command
+):
+    """A trace named *.json would be replaced by its sidecar, which gets the
+    same name."""
+    cfg = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm",
+                   epsilon_min="1e-2", output_path=tmp_path / "out.json")
+    _no_solver(monkeypatch)
+    assert main([command, cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output_path: ") and "own sidecar path" in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.ini"]
+
+
 def test_run_output_flag_under_a_file_solves_nothing(tmp_path, capsys, monkeypatch):
     (tmp_path / "F").write_text("")
     cfg = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm")
@@ -339,11 +355,13 @@ def test_report_without_sidecar_omits_bounds(tmp_path, capsys):
     trace = run_experiment(
         ExperimentConfig("wellposed_box(2)", "gpm", max_iter=2000)
     )
+    # the fixed step maps its 124th iterate to itself bit for bit, so the run stops there
+    assert trace.counters.inner_iterations == 124
     path = tmp_path / "bare.csv"
     write_trace_csv(trace, str(path))
     assert main(["report", str(path)]) == 0
     text = capsys.readouterr().out
-    assert "records 2001" in text and "line-search trials" not in text
+    assert "records 125" in text and "line-search trials" not in text
     assert "-" in text  # bound column without constants
 
 

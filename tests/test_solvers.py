@@ -1,6 +1,7 @@
 """Tests for the five methods: baselines, two-level solvers, line search."""
 
 import collections
+import dataclasses
 import gc
 import math
 import os
@@ -27,6 +28,7 @@ from tikgrad.core import (
     FeasibleSet,
     LineSearchFailure,
     Objective,
+    OracleCounters,
     OracleFailure,
     Problem,
     RunawayInnerLoop,
@@ -280,24 +282,95 @@ def test_gpm_one_step_to_optimum(halfnorm_box):
     )
     for max_iter in (1, 2, 3):
         trace = run_gpm(halfnorm_box, 0.5, np.array([2.0, 2.0]), max_iter)
-        assert_allclose(trace.final_point, [1.0, 1.0], rtol=0, atol=0)
-    assert trace.min_observed_lambda == 0.5
-    assert trace.counters.inner_iterations == 3
-    assert [r.cum_inner for r in trace.outer_records] == [0, 1, 2, 3]
+        assert trace.final_point.tolist() == [1.0, 1.0]
+        assert trace.min_observed_lambda == 0.5
+        # the second step maps (1, 1) to itself bit for bit: the run stops
+        # there, unrecorded, and counts the gradient and projection it made
+        assert [r.cum_inner for r in trace.outer_records] == [0, 1]
+        assert trace.counters.inner_iterations == 1
+        assert trace.counters.gradient_evals == trace.counters.projections == min(max_iter, 2)
 
 
 def test_gpm_stalls_at_stationary_start():
     """A zero-gradient start never moves: value converges, iterates need not
-    approach the minimal-norm solution."""
+    approach the minimal-norm solution.  The first step maps the start to
+    itself, so the trace is the start's record alone."""
     gp = bundled_problem("illposed_box(2)")
     x0 = np.array([1.0, 0.0])
     trace = run_gpm(gp.problem, 0.5, x0, 50)
-    assert_allclose(trace.final_point, x0, rtol=0, atol=0)
+    assert trace.final_point.tobytes() == x0.tobytes()
+    [rec] = trace.outer_records
+    assert rec.delta_wl == 0.0
+    assert rec.dist_xstar == pytest.approx(math.sqrt(0.5))
+    assert trace.counters == OracleCounters(gradient_evals=1, projections=1)
+    assert trace.min_observed_lambda == math.inf
+
+
+def _gpm_steps(problem, lam, x, n):
+    """n plain fixed steps of projected gradient, with no stop rule."""
+    project, grad = problem.feasible_set.project_fn, problem.objective.gradient_fn
+    points = [x]
+    for _ in range(n):
+        points.append(project(points[-1] - lam * grad(points[-1])))
+    return points
+
+
+def _cgm_steps(problem, theta_k, x, n):
+    """n plain conditional-gradient steps with the analytic rule, with no stop rule."""
+    lmo, grad = problem.feasible_set.lmo_fn, problem.objective.gradient_fn
+    points = [x]
+    for _ in range(n):
+        x = points[-1]
+        g = grad(x)
+        d = lmo(g) - x
+        dn2 = float(d.dot(d))
+        lam = min(1.0, theta_k * (-float(g.dot(d)) / dn2 if dn2 > 0.0 else math.inf))
+        points.append(x + lam * d)
+    return points
+
+
+@pytest.mark.parametrize(
+    "run, steps, label, x0, stop_at",
+    [
+        (run_gpm, _gpm_steps, "wellposed_box(2)", (0.0, 0.0), 124),
+        (run_cgm, _cgm_steps, "wellposed_simplex(3)", (1.0, 0.0, 0.0), 56),
+    ],
+    ids=["gpm", "cgm"],
+)
+def test_baselines_stop_at_the_first_bitwise_repeat(run, steps, label, x0, stop_at):
+    """The run stops at the first step whose new point holds the current
+    point's bytes, since each step depends only on x; for any max_iter
+    beyond that step the trace is the same, and up to it nothing changes."""
+    gp = bundled_problem(label)
+    step = 1.0 / gp.analytic_L
+    points = [p.tobytes() for p in steps(gp.problem, step, np.array(x0), stop_at + 3)]
+    assert [points[k + 1] == points[k] for k in range(stop_at + 1)] == [False] * stop_at + [True]
+    stopped = [run(gp.problem, step, np.array(x0), n) for n in (stop_at + 1, stop_at + 7, 10**4)]
+    for trace in stopped:
+        assert [vars(r) for r in trace.outer_records] == [vars(r) for r in stopped[0].outer_records]
+        assert trace.final_point.tobytes() == points[stop_at]
+        assert trace.min_observed_lambda == stopped[0].min_observed_lambda
+        assert trace.counters == stopped[0].counters
+    assert len(stopped[0].outer_records) == stop_at + 1
+    # one gradient and oracle call beyond the steps taken: the one that found the repeat
+    assert stopped[0].counters.gradient_evals == stop_at + 1
+    assert stopped[0].counters.inner_iterations == stop_at
+    # max_iter = stop_at ends at the same point without the repeat's evaluation
+    full = run(gp.problem, step, np.array(x0), stop_at)
+    assert [vars(r) for r in full.outer_records] == [vars(r) for r in stopped[0].outer_records]
+    assert full.counters.gradient_evals == full.counters.inner_iterations == stop_at
+
+
+def test_iterreg_never_stops_early(box12_zero):
+    """From its first step on, iterreg maps (1, 1) to itself bit for bit on
+    the zero objective, but its next step has another (lambda, eps), so it
+    runs all max_iter steps."""
+    trace = run_iterreg(box12_zero, IterRegSchedule(0.25), np.array([2.0, 2.0]), 50)
+    assert trace.final_point.tolist() == [1.0, 1.0]
     assert len(trace.outer_records) == 51
-    for rec in trace.outer_records:
-        assert rec.dist_xstar == trace.outer_records[0].dist_xstar
-        assert rec.delta_wl == 0.0
-    assert trace.outer_records[-1].dist_xstar == pytest.approx(math.sqrt(0.5))
+    assert trace.counters == OracleCounters(
+        gradient_evals=50, projections=50, inner_iterations=50)
+    assert trace.min_observed_lambda == 50.0 ** -0.5
 
 
 def test_gpm_validation(halfnorm_box):
@@ -628,10 +701,11 @@ def test_default_trace_holds_one_n_vector(method):
     n = 2**17
     gp = (make_illposed_simplex if method in ("cgm", "cgrm") else make_illposed_box)(n)
     p, w0 = gp.problem, default_start(gp, method)
+    # steps 0.5/L (gpm) and 0.9 (cgm) reach no exact fixed point within 50 steps
     runs = {
-        "gpm": lambda: run_gpm(p, 1.0 / n, w0, 50),
+        "gpm": lambda: run_gpm(p, 0.5 / n, w0, 50),
         "iterreg": lambda: run_iterreg(p, IterRegSchedule(0.25), w0, 50),
-        "cgm": lambda: run_cgm(p, 0.5, w0, 50),
+        "cgm": lambda: run_cgm(p, 0.9, w0, 50),
         "gprm": lambda: _two_level_run("gprm", p, w0, StopPolicy()),
         "cgrm": lambda: _two_level_run("cgrm", p, w0, StopPolicy(epsilon_min=1e-2)),
     }
@@ -1063,3 +1137,56 @@ def test_trace_final_point():
         none_run = _two_level_run(method, gp.problem, x0, StopPolicy(epsilon_min=2.0))
         assert none_run.outer_records == []
         assert_allclose(none_run.final_point, x0, rtol=0, atol=0)
+
+
+def _counting(problem):
+    """Copy of problem whose gradient, projection and LMO count their calls."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+        return call
+
+    obj, fs = problem.objective, problem.feasible_set
+    copy = dataclasses.replace(
+        problem,
+        objective=dataclasses.replace(obj, gradient_fn=counted("gradient_evals", obj.gradient_fn)),
+        feasible_set=dataclasses.replace(
+            fs, project_fn=counted("projections", fs.project_fn),
+            lmo_fn=counted("lmo_calls", fs.lmo_fn)),
+    )
+    return copy, calls
+
+
+@pytest.mark.parametrize("max_iter", [20, 300])
+@pytest.mark.parametrize("label", ["wellposed_box(2)", "illposed_simplex(3)"])
+@pytest.mark.parametrize("method", FIVE_METHODS)
+def test_counters_equal_the_oracle_calls_made(method, label, max_iter):
+    """OracleCounters of every method count the gradient, projection and LMO
+    calls the run made, its steps and (baselines) no line-search trial.  On
+    the box, gpm and cgm stop at a repeated point within 300 steps and run
+    out of steps at 20; on the simplex they stop within a step.  max_iter
+    does not apply to the two-level methods."""
+    gp = bundled_problem(label)
+    x0 = default_start(gp, method)
+    # cgrm_constants evaluates the gradient at w0; that is not the run's work
+    consts = _two_level_consts(method, gp.problem, x0)
+    problem, calls = _counting(gp.problem)
+    step = 1.0 / gp.analytic_L
+    if method == "gpm":
+        trace = run_gpm(problem, step, x0, max_iter)
+    elif method == "cgm":
+        trace = run_cgm(problem, step, x0, max_iter)
+    elif method == "iterreg":
+        trace = run_iterreg(problem, IterRegSchedule(0.25), x0, max_iter)
+    else:
+        run = run_gprm if method == "gprm" else run_cgrm
+        trace = run(problem, SCHED, consts, x0, StopPolicy(epsilon_min=1e-2))
+    steps = sum(r.N_l for r in trace.outer_records)
+    trials = trace.counters.linesearch_trials if method in ("gprm", "cgrm") else 0
+    assert trace.counters == OracleCounters(
+        **calls, linesearch_trials=trials, inner_iterations=steps)
+    if method in ("gpm", "cgm"):
+        assert (steps < max_iter) == (max_iter == 300 or label == "illposed_simplex(3)")
