@@ -35,6 +35,9 @@ EXPONENT_ALPHA_GRID = tuple(2.0**-i for i in range(10, 20))
 RATE_ITERS = 10**4
 # the sigma = 0.5 runs whose inner iterates criterion 7 certifies
 CERTIFIED_RUNS = (("gprm", "illposed_box(2)"), ("cgrm", "illposed_simplex(3)"))
+# criterion 3's gpm start on illposed_box(2): off the solution set (its sum
+# is 0, not 1), so f' is nonzero there and the fixed step has a step to take
+CRITERION_3_START = (1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,7 @@ def criterion_2(ctx: SuiteContext) -> CriterionResult:
 def criterion_3(ctx: SuiteContext) -> CriterionResult:
     gp = bundled_problem("illposed_box(2)")
     lam = 1.0 / gp.analytic_L
-    trace = run_gpm(gp.problem, lam, np.array([1.0, 0.0]), 2000)
+    trace = run_gpm(gp.problem, lam, np.array(CRITERION_3_START), 2000)
     d_gpm = trace.outer_records[-1].dist_xstar
     ok_gprm = criterion_1(ctx).passed
     passed = d_gpm >= 0.7 and ok_gprm

@@ -123,6 +123,10 @@ def _constant(dim: int, value: float) -> Array:
     bits: ndarray.clip against a zero bound keeps the sign of a tied zero
     entry, as for a scalar bound; no bound built here is zero.  Building
     it costs less than np.ones(2); np.broadcast_to takes about 10x as long.
+    The library's elementwise checks (as_vector, BoxSet and the membership
+    tests) read one entry of such a view, so a problem built from them is
+    checked in O(1) work, except for the reductions whose bits depend on the
+    summation order: f(x*_n), the simplex sum test and the box diameter.
     """
     return np.ndarray((dim,), np.float64, np.float64(value), 0, (0,))
 
@@ -133,13 +137,12 @@ def make_illposed_box(dim: int) -> GeneratedProblem:
     Every point of the hyperplane slice {sum x = 1} inside the box is a
     minimizer, so plain gradient methods stall wherever they first touch it;
     the minimal-norm solution is (1/dim, ..., 1/dim) by symmetry.  L = dim.
-    The gradient's ones vector, the bounds -1 and 1 and x*_n are read-only
-    stride-0 views (see _constant), so the problem stores O(1) floats, not
-    four n-vectors; the gradient and the oracles still return new n-vectors.
+    The bounds -1 and 1 and x*_n are read-only stride-0 views (see
+    _constant), so the problem stores O(1) floats, not three n-vectors; the
+    gradient and the oracles still return new n-vectors.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    ones = _constant(dim, 1.0)
 
     # np.add.reduce is x.sum() without the Python-level _sum frame numpy adds
     def value(x: Array) -> float:
@@ -147,9 +150,11 @@ def make_illposed_box(dim: int) -> GeneratedProblem:
         return 0.5 * s * s
 
     def gradient(x: Array) -> Array:
-        return (float(np.add.reduce(x)) - 1.0) * ones
+        g = np.empty(dim)
+        g.fill(float(np.add.reduce(x)) - 1.0)
+        return g
 
-    box = BoxSet(_constant(dim, -1.0), ones)
+    box = BoxSet(_constant(dim, -1.0), _constant(dim, 1.0))
     xstar = _constant(dim, 1.0 / dim)
     problem = Problem(
         objective=Objective(value, gradient, float(dim)),
@@ -170,22 +175,25 @@ def make_illposed_simplex(dim: int) -> GeneratedProblem:
     Minimizers are the whole slice {x_1 = x_2}; the minimal-norm one is the
     barycenter.  L = 2 and the simplex gives the conditional-gradient
     methods their B = sqrt(2) diameter.  x*_n is a read-only stride-0 view
-    (see _constant).  The gradient's direction (1, -1, 0, ...) stays a dense
-    vector: it holds distinct entries, and scaling it by x_1 - x_2 gives the
-    zero entries their sign, which a gradient built from zeros would not.
+    (see _constant), and the problem keeps no n-vector: the gradient
+    t (1, -1, 0, ...) with t = x_1 - x_2 is filled with t * 0.0 and gets
+    t * 1.0 and t * -1.0 in its first two entries, the products a dense
+    direction scaled by t would form, so its zeros carry the sign of t.
     """
     if dim < 3:
         raise ValueError("dim must be >= 3")
-    direction = np.zeros(dim)
-    direction[0] = 1.0
-    direction[1] = -1.0
 
     def value(x: Array) -> float:
         t = x.item(0) - x.item(1)
         return 0.5 * t * t
 
     def gradient(x: Array) -> Array:
-        return (x.item(0) - x.item(1)) * direction
+        t = x.item(0) - x.item(1)
+        g = np.empty(dim)
+        g.fill(t * 0.0)
+        g[0] = t * 1.0
+        g[1] = t * -1.0
+        return g
 
     simplex = SimplexSet(dim)
     xstar = _constant(dim, 1.0 / dim)
@@ -200,6 +208,12 @@ def make_illposed_simplex(dim: int) -> GeneratedProblem:
         label=f"illposed_simplex({dim})",
         dstar_description=f"{{x in unit simplex of R^{dim} : x_1 = x_2}}",
     )
+
+
+def _norm(r: Array) -> float:
+    """sqrt(r . r), the formula np.linalg.norm uses for a 1-d float vector,
+    without its Python-level dispatch."""
+    return math.sqrt(r.dot(r))
 
 
 _DYKSTRA_TOL = 1e-13
@@ -227,35 +241,34 @@ def _dykstra(
         p, p_old = x + p - u, p
         v = project_second(u + q)
         q, q_old = u + q - v, q
-        moved = max(np.linalg.norm(v - x), np.linalg.norm(p - p_old), np.linalg.norm(q - q_old))
+        moved = max(_norm(v - x), _norm(p - p_old), _norm(q - q_old))
         if moved <= _DYKSTRA_TOL and affine_residual(v) <= 1e-11:
             return v
         x = v
     raise OracleFailure("Dykstra projection did not converge; intersection suspect")
 
 
-def _minimal_norm_in_slice(A: Array, b_proj: Array, fs: FeasibleSet) -> Array:
+def _minimal_norm_in_slice(A: Array, pinv: Array, b_proj: Array, fs: FeasibleSet) -> Array:
     """argmin 0.5 ||x||^2 over {x in D : A x = b_proj}, the projection of 0 onto it.
 
     Dykstra's scheme projects the origin onto the intersection twice, once
     with each order of the two projections; disagreement beyond 1e-8 means
     the ground truth cannot be trusted and the generator refuses to hand
-    it out.
+    it out.  pinv is np.linalg.pinv(A).
     """
     if fs.project_fn is None or fs.dimension is None:
         raise ValueError("rank-deficient generator needs a projection oracle with dimension")
-    pinv = np.linalg.pinv(A)
 
     def project_affine(x: Array) -> Array:
         return x - pinv @ (A @ x - b_proj)
 
     def affine_residual(x: Array) -> float:
-        return float(np.linalg.norm(A @ x - b_proj))
+        return _norm(A @ x - b_proj)
 
     origin = np.zeros(fs.dimension)
     za = _dykstra(origin, project_affine, fs.project_fn, affine_residual)
     zb = _dykstra(origin, fs.project_fn, project_affine, affine_residual)
-    if float(np.linalg.norm(za - zb)) > 1e-8:
+    if _norm(za - zb) > 1e-8:
         raise OracleFailure("minimal-norm oracle orders disagree; ground truth not trusted")
     return za
 
@@ -275,7 +288,8 @@ def make_rankdef_lsq(A: Array, b: Array, fs: FeasibleSet, label: Optional[str] =
     if fs.dimension is not None and A.shape[1] != fs.dimension:
         raise ValueError("A columns must match the set dimension")
     At = np.ascontiguousarray(A.T)
-    b_proj = A @ (np.linalg.pinv(A) @ b)
+    pinv = np.linalg.pinv(A)
+    b_proj = A @ (pinv @ b)
 
     def value(x: Array) -> float:
         r = A @ x - b
@@ -287,7 +301,7 @@ def make_rankdef_lsq(A: Array, b: Array, fs: FeasibleSet, label: Optional[str] =
     L = estimate_lipschitz_quadratic(A)
     if L <= 0.0:
         raise ValueError("A must be nonzero")
-    xstar = _minimal_norm_in_slice(A, b_proj, fs)
+    xstar = _minimal_norm_in_slice(A, pinv, b_proj, fs)
     xstar.flags.writeable = False
     fstar = value(xstar)
     if label is None:

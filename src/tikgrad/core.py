@@ -42,6 +42,15 @@ class RunawayInnerLoop(RuntimeError):
     """An inner loop exceeded its iteration cap before its stop test fired."""
 
 
+def _collapse_stride0(v: Array) -> Array:
+    """v[:1] for a 1-d stride-0 view, whose entries all share one float; v
+    otherwise.  An elementwise check of the result broadcasts to the verdict
+    it gives on v, in O(1) work for the stride-0 views the scalable bundled
+    problems store.  Reductions whose bits depend on the summation order
+    (sums, dots) must still read v itself."""
+    return v[:1] if v.strides == (0,) else v
+
+
 def as_vector(x) -> Array:
     """Convert to a 1-d float64 array and reject non-finite components."""
     v = np.asarray(x, dtype=np.float64)
@@ -49,7 +58,8 @@ def as_vector(x) -> Array:
         v = np.atleast_1d(v.squeeze())
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {np.shape(x)}")
-    if not np.all(np.isfinite(v)):
+    # np.logical_and.reduce is v.all() without the Python-level _all frame numpy adds
+    if not np.logical_and.reduce(np.isfinite(_collapse_stride0(v))):
         raise ValueError("vector has non-finite components")
     return v
 
@@ -165,6 +175,6 @@ def estimate_lipschitz_quadratic(A: Array) -> float:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError("A must be a matrix")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("A has non-finite entries")
     return float(np.linalg.norm(A, 2)) ** 2

@@ -133,8 +133,10 @@ def cgrm_constants(
         raise ValueError("conditional-gradient constants need diameter_B")
     w0 = as_vector(w0)
     Lprime = problem.objective.lipschitz_L + epsilon0
-    gnorm = float(np.linalg.norm(problem.objective.gradient_fn(w0)))
-    Ldoubleprime = gnorm + epsilon0 * float(np.linalg.norm(w0)) + Lprime * B
+    # sqrt(v . v) is np.linalg.norm's formula for a 1-d float vector
+    g = problem.objective.gradient_fn(w0)
+    gnorm = math.sqrt(g.dot(g))
+    Ldoubleprime = gnorm + epsilon0 * math.sqrt(w0.dot(w0)) + Lprime * B
     gamma = min(
         1.0,
         theta * 2.0 * (1.0 - beta) / (Lprime * B * B),
@@ -420,11 +422,12 @@ def _two_level(
         if eps < stop.epsilon_min or l > stop.max_outer:
             break
         phi = PerturbedObjective(problem.objective, eps, sched.epsilon0).value
+        eps_0d = np.array(eps)  # a 0-d operand skips converting the float at every step
         phi_x: Optional[float] = None
         N_l = 0
         while True:
             # f'(x) + eps * x bit for bit: eps * x first, then f'(x) + that
-            y, d, test, quad_coeff, cap = step(x, np.add(grad(x), np.multiply(x, eps, d), d))
+            y, d, test, quad_coeff, cap = step(x, np.add(grad(x), np.multiply(x, eps_0d, d), d))
             if observe is not None:
                 observe(l, N_l, eps, x, y, test)
             if test <= delta:

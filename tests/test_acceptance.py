@@ -46,6 +46,18 @@ def test_criterion_3_weak_vs_strong_contrast(ctx):
     _check(acceptance.criterion_3(ctx))
 
 
+def test_criterion_3_starts_gpm_off_the_solution_set():
+    """A start where f' = 0, such as the minimizer (1, 0), would make gpm stop
+    before its first step, and the distance it reports would be the start's
+    own; from CRITERION_3_START the fixed step moves before it stalls."""
+    gp = bundled_problem("illposed_box(2)")
+    x0 = np.array(acceptance.CRITERION_3_START)
+    assert gp.problem.objective.gradient_fn(x0).any()
+    trace = run_gpm(gp.problem, 1.0 / gp.analytic_L, x0, 2000)
+    assert trace.counters.inner_iterations > 0
+    assert trace.outer_records[-1].dist_xstar >= 0.7
+
+
 def test_criterion_4_measured_complexity_within_bounds(ctx):
     _check(acceptance.criterion_4(ctx))
 

@@ -211,11 +211,11 @@ def test_default_start_is_the_start_of_a_dense_argument(label):
         assert start.flags.writeable and start.flags.c_contiguous
 
 
-@pytest.mark.parametrize("make, most", [(make_illposed_box, 0.5), (make_illposed_simplex, 1.5)])
+@pytest.mark.parametrize("make, most", [(make_illposed_box, 0.5), (make_illposed_simplex, 0.5)])
 def test_illposed_problems_keep_constants_not_n_vectors(make, most):
-    """illposed_box keeps no n-vector: the gradient's ones, the bounds and
-    x*_n are stride-0 views of one float each.  illposed_simplex keeps one,
-    its gradient's dense direction."""
+    """Neither scalable problem keeps an n-vector: the box bounds and x*_n
+    are stride-0 views of one float each, and the gradients are built from
+    scalars at each call."""
     n = 10**5
     gc.collect()
     tracemalloc.start()
@@ -227,6 +227,46 @@ def test_illposed_problems_keep_constants_not_n_vectors(make, most):
         tracemalloc.stop()
     assert gp.analytic_xstar_n.strides == (0,)
     assert kept < most * 8 * n
+
+
+@pytest.mark.parametrize("make, most", [(make_illposed_box, 1.05), (make_illposed_simplex, 0.05)])
+def test_building_the_illposed_problems_reads_their_constants_in_o1(make, most):
+    """The checks that validate the stride-0 constants (finiteness, bound
+    order, membership of x*_n) read one entry of each, so building either
+    problem at n = 10**6 makes no n-vector temporary; the box's one is the
+    difference upper - lower that its diameter sums, whose bits depend on
+    the summation order.  Building with n-entry checks peaked at 1.13
+    n-vectors for both."""
+    n = 10**6
+    gc.collect()
+    tracemalloc.start()
+    try:
+        make(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < most * 8 * n
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, 1.5, -2.5, np.inf, -np.inf, np.nan, -np.nan])
+def test_illposed_gradients_have_the_bytes_of_a_scaled_dense_vector(t):
+    """The simplex gradient t (1, -1, 0, ...) is filled from the products t * 0.0,
+    t * 1.0 and t * -1.0, and the box gradient s (1, ..., 1) from s: the bytes
+    of t times a dense direction and s times a dense ones vector, signed
+    zeros and the sign of a NaN included."""
+    n = 5
+    direction = np.zeros(n)
+    direction[:2] = 1.0, -1.0
+    x = np.zeros(n)
+    x[0] = t  # x_1 - x_2 = t - 0.0 = t
+    got = make_illposed_simplex(n).problem.objective.gradient_fn(x)
+    with np.errstate(invalid="ignore"):  # inf * 0.0
+        want = t * direction
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    x[1] = 1.0  # sum(x) - 1 = t, -0.0 aside
+    s = float(np.add.reduce(x)) - 1.0
+    got = make_illposed_box(n).problem.objective.gradient_fn(x)
+    assert np.array_equal(got.view(np.int64), (s * np.ones(n)).view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from tikgrad.bench import _constant
-from tikgrad.core import OracleFailure
+from tikgrad.core import OracleFailure, as_vector
 from tikgrad.oracles import (
     BallSet,
     BoxSet,
@@ -361,3 +361,60 @@ def test_box_with_stride_0_bounds_keeps_every_bit(case):
     for tol in (1e-10, 0.0):
         assert views.contains(x, tol) == dense.contains(x, tol)
     assert np.float64(views.diameter()).tobytes() == np.float64(dense.diameter()).tobytes()
+
+
+_ANY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.nan, np.inf, -np.inf]) | st.floats(width=64)
+
+
+@st.composite
+def _constants_and_vector(draw):
+    n = draw(st.integers(1, 5))
+    return n, draw(_ANY), draw(_ANY), draw(_ANY), draw(_vectors(n))
+
+
+def _outcome(fn, *args):
+    """What fn(*args) gives: the bytes of the arrays it returns, a verdict,
+    or the ValueError it raises."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    if isinstance(out, BoxSet):
+        return out.lower.tobytes(), out.upper.tobytes()
+    return out.tobytes() if isinstance(out, np.ndarray) else out
+
+
+@_FEW
+@given(_constants_and_vector())
+@example((3, np.nan, 1.0, np.nan, np.array([0.0, np.nan, 1.0])))
+@example((2, -np.inf, np.inf, np.inf, np.array([-np.inf, 0.5])))
+@example((4, -0.0, 0.0, -0.0, np.array([-0.0, 0.0, -1e-10, 1e-300])))
+@example((3, 1.0, -1.0, 0.0, np.zeros(3)))  # lower > upper
+@example((3, -1.0, 1.0, 1.0 / 3.0, np.array([1.0, 0.0, 0.0])))  # illposed_simplex(3)'s x*_n
+def test_stride_0_and_dense_copies_pass_the_same_checks(case):
+    """as_vector, BoxSet and the box and simplex membership tests read one
+    entry of a stride-0 view, so they must accept, refuse or judge a stride-0
+    constant vector exactly as its dense copy, whichever way the bounds and
+    the point are stored, and as numpy's module functions judge the dense
+    copy."""
+    n, lo, hi, c, x = case
+    lows, highs, points = [(_constant(n, v), np.full(n, v)) for v in (lo, hi, c)]
+    for view, dense in (lows, highs, points, (x, x)):
+        finite = _outcome(as_vector, dense)
+        assert (finite[0] != "ValueError") == bool(np.all(np.isfinite(dense)))
+        assert _outcome(as_vector, view) == finite
+    built = [_outcome(BoxSet, a, b) for a in lows for b in highs]
+    assert built.count(built[0]) == 4
+    empty = np.isfinite([lo, hi]).all() and lo > hi
+    assert (built[0][0] == "ValueError") == (not np.isfinite([lo, hi]).all() or empty)
+    simplex = SimplexSet(n)
+    for tol in (1e-10, 0.0):
+        want = bool(np.all(points[1] >= -tol) and abs(float(np.sum(points[1])) - 1.0) <= tol)
+        assert [simplex.contains(p, tol) for p in points] == [want, want]
+        if built[0][0] == "ValueError":
+            continue
+        boxes = [BoxSet(a, b) for a in lows for b in highs]
+        for same in (points, (x,)):
+            dense = same[-1]
+            want = bool(np.all(dense >= lows[1] - tol) and np.all(dense <= highs[1] + tol))
+            assert [box.contains(p, tol) for box in boxes for p in same] == [want] * 4 * len(same)
