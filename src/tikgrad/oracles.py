@@ -111,7 +111,10 @@ class SimplexSet:
             raise ValueError("dimension must be a positive integer")
 
     def contains(self, x: Array, tol: float = 1e-10) -> bool:
+        """ValueError unless x has shape (dimension,)."""
         x = np.asarray(x)
+        if x.shape != (self.dimension,):
+            raise ValueError(f"expected shape {(self.dimension,)}, got {x.shape}")
         return bool(np.logical_and.reduce(_collapse_stride0(x) >= -tol)
                     and abs(float(np.add.reduce(x)) - 1.0) <= tol)
 
@@ -167,7 +170,9 @@ def project_simplex(x: Array, simplex: SimplexSet) -> Array:
     return np.maximum(x - tau, 0.0)
 
 
+# a 0-d array operand: g < 0.0 converts the Python float at every call
 _ZERO = np.array(0.0)
+_ZERO.flags.writeable = False
 
 
 def lmo_box(g: Array, box: BoxSet) -> Array:

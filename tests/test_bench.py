@@ -235,8 +235,7 @@ def test_building_the_illposed_problems_reads_their_constants_in_o1(make, most):
     order, membership of x*_n) read one entry of each, so building either
     problem at n = 10**6 makes no n-vector temporary; the box's one is the
     difference upper - lower that its diameter sums, whose bits depend on
-    the summation order.  Building with n-entry checks peaked at 1.13
-    n-vectors for both."""
+    the summation order."""
     n = 10**6
     gc.collect()
     tracemalloc.start()

@@ -232,6 +232,11 @@ def test_to_feasible_set_wiring():
 def test_shape_validation():
     with pytest.raises(ValueError):
         BoxSet(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    # a one-entry check of stride-0 bounds would broadcast against any length
+    for s in (BoxSet(_constant(3, -1.0), _constant(3, 1.0)), BOX_SYM3, SIMPLEX3):
+        for x in (np.full(2, 0.5), np.ones(1), np.zeros((3, 1))):
+            with pytest.raises(ValueError, match="expected shape"):
+                s.contains(x)
     with pytest.raises(ValueError):
         BallSet(np.zeros(2), 0.0)
     with pytest.raises(ValueError):
