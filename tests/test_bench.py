@@ -211,12 +211,7 @@ def test_default_start_is_the_start_of_a_dense_argument(label):
         assert start.flags.writeable and start.flags.c_contiguous
 
 
-@pytest.mark.parametrize("make, most", [(make_illposed_box, 0.5), (make_illposed_simplex, 0.5)])
-def test_illposed_problems_keep_constants_not_n_vectors(make, most):
-    """Neither scalable problem keeps an n-vector: the box bounds and x*_n
-    are stride-0 views of one float each, and the gradients are built from
-    scalars at each call."""
-    n = 10**5
+def _bytes_kept_by(make, n):
     gc.collect()
     tracemalloc.start()
     try:
@@ -225,8 +220,27 @@ def test_illposed_problems_keep_constants_not_n_vectors(make, most):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    return gp, kept
+
+
+@pytest.mark.parametrize("make, most", [(make_illposed_box, 0.5), (make_illposed_simplex, 1.5)])
+def test_illposed_problems_keep_constants_not_n_vectors(make, most):
+    """Neither scalable problem keeps its constant vectors as n-vectors: the
+    box bounds and x*_n are stride-0 views of one float each."""
+    n = 10**5
+    gp, kept = _bytes_kept_by(make, n)
     assert gp.analytic_xstar_n.strides == (0,)
     assert kept < most * 8 * n
+
+
+@pytest.mark.parametrize("make", [make_illposed_box, make_illposed_simplex])
+def test_illposed_gradients_are_built_from_scalars(make):
+    """Neither scalable problem keeps an n-vector at all: the gradients are
+    built from scalars at each call, so what the problem keeps is under half
+    an n-vector."""
+    n = 10**5
+    _, kept = _bytes_kept_by(make, n)
+    assert kept < 0.5 * 8 * n
 
 
 @pytest.mark.parametrize("make, most", [(make_illposed_box, 1.05), (make_illposed_simplex, 0.05)])
