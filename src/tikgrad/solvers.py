@@ -8,14 +8,17 @@ Five methods share the container types here:
 * run_cgm       conditional gradient with the analytic step rule (baseline)
 * run_cgrm      two-level regularized conditional gradient
 
-The two-level methods share one outer loop: an inner Armijo loop on the
-perturbed objective phi_eps_l runs until a displacement (gprm) or duality-gap
-(cgrm) test signals that the level is solved to accuracy delta_l, then eps
-shrinks.  run_gpm and run_iterreg share one projected-gradient loop.
-Traces record one scalar row per outer level (or per iteration for the
-single-loop baselines), the final point (the trace's only n-vector) and the
-smallest accepted line-search multiplier; run_gprm/run_cgrm show each inner
-iterate to an optional observe callable, for certificate checks, and keep none.
+Each method validates its parameters and hands a step to one of two private
+drivers, which own the start check, the stop rule, the counters, the records
+and what a run holds in memory; their docstrings state each.  _single_loop
+takes one step per iteration for gpm, iterreg and cgm.  _two_level runs the
+outer Tikhonov loop of gprm and cgrm: an inner Armijo loop on the perturbed
+objective phi_eps_l runs until a displacement (gprm) or duality-gap (cgrm)
+test signals that the level is solved to accuracy delta_l, then eps shrinks.
+A trace holds scalar records (one per level, or per step of a single-loop
+method), the smallest accepted multiplier and the final point, its only
+n-vector; run_gprm/run_cgrm show each inner iterate to an optional observe
+callable, for certificate checks, and keep none.
 """
 
 from __future__ import annotations
@@ -289,46 +292,54 @@ def _same_bits(x_new: Array, x: Array) -> bool:
     return x_new.item(0) == x.item(0) and bool((x_new.view(np.int64) == x.view(np.int64)).all())
 
 
-def _projected_gradient(
-    method: str,
-    problem: Problem,
-    params: Callable[[int], tuple[float, Optional[float]]],
-    x0: Array,
-    max_iter: int,
-) -> SolverTrace:
-    """Single loop x <- P(x - lam_k (f'(x) + eps_k x)) with (lam_k, eps_k) = params(k).
+def _oracle(problem: Problem, method: str, lmo: bool = False) -> Callable[[Array], Array]:
+    """The set's projection, or with lmo its LMO; ValueError naming run_<method>
+    if the set lacks it (an LMO also needs diameter_B)."""
+    fs = problem.feasible_set
+    fn = fs.lmo_fn if lmo else fs.project_fn
+    if fn is None or (lmo and fs.diameter_B is None):
+        need = "an LMO over a bounded set" if lmo else "a projection oracle"
+        raise ValueError(f"run_{method} needs {need}")
+    return fn
 
-    eps_k = None drops the regularization term (and leaves the trace's
-    epsilon_l column empty).  When params(k + 1) equals params(k) and the
-    step maps x to x bit for bit, every later iterate would repeat those
-    bytes, so the loop stops there: always true of a fixed step once it
-    reaches such a point, never of run_iterreg's decaying schedule.  The
-    repeated point is not recorded; the counters count the gradients and
-    projections made, one more than the steps taken.
+
+def _single_loop(
+    problem: Problem, x0: Array, max_iter: int, oracle_counter: str,
+    step: Callable[[int, Array], Optional[tuple]], x_alone: bool,
+) -> SolverTrace:
+    """Loop shared by run_gpm, run_iterreg and run_cgm: x <- step(k, x) for k < max_iter.
+
+    step(k, x) calls the gradient and the method's oracle once each and
+    returns (x_new, lam_k, eps_k), or None when x needs no step; the loop
+    then stops.  Each new point gets a record with eps_k in its epsilon_l
+    column.  x_alone says that x_new depends on x alone (gpm, cgm): a step
+    that maps x to x bit for bit (_same_bits) would then repeat those bytes
+    forever, so the loop stops there, records no repeat and leaves its lam_k
+    out of min_observed_lambda.  iterreg's (lam_k, eps_k) changes at every
+    step, so it takes no such stop and runs all max_iter steps.
+    gradient_evals and the oracle_counter field count the calls made:
+    steps + 1 when a run stops early, max_iter when it runs out.  Only x
+    outlives a step: the gradient and the LMO vertex die inside it, so above
+    the caller's x0 a run holds x and, while a step runs, its temporaries.
     """
-    project = problem.feasible_set.project_fn
-    if project is None:
-        raise ValueError(f"run_{method} needs a projection oracle")
     x = _require_feasible(problem, x0)
-    grad = problem.objective.gradient_fn
     records = [_record(problem, 0, None, None, 0, x, 0)]
     min_lam = math.inf
     evals = steps = 0
-    next_params = params(0)
     while steps < max_iter:
-        this_params, next_params = next_params, params(steps + 1)
-        lam_k, eps_k = this_params
-        g = grad(x) if eps_k is None else grad(x) + eps_k * x
-        x_new = project(x - lam_k * g)
+        taken = step(steps, x)
         evals += 1
-        if next_params == this_params and _same_bits(x_new, x):
+        if taken is None:
+            break
+        x_new, lam, eps = taken
+        if x_alone and _same_bits(x_new, x):
             break
         x = x_new
         steps += 1
-        min_lam = min(min_lam, lam_k)
-        records.append(_record(problem, steps, eps_k, None, 1, x, steps))
+        min_lam = min(min_lam, lam)
+        records.append(_record(problem, steps, eps, None, 1, x, steps))
     counters = OracleCounters(
-        gradient_evals=evals, projections=evals, inner_iterations=steps
+        gradient_evals=evals, inner_iterations=steps, **{oracle_counter: evals}
     )
     return SolverTrace(records, counters, x, min_observed_lambda=min_lam)
 
@@ -338,16 +349,15 @@ def run_gpm(problem: Problem, lam: float, x0: Array, max_iter: int) -> SolverTra
 
     Requires 0 < lam < 2/L.  Converges in objective value but the iterates
     may stall at any minimizer, not the minimal-norm one; that failure mode
-    is exactly what the regularized methods exist to fix.  Stops before
-    max_iter at the first step whose new point equals x bit for bit: each
-    step depends only on x, so every later iterate would be that point.  The
-    trace ends at x, and the counters count the gradients and projections
-    made, steps + 1 then.
+    is exactly what the regularized methods exist to fix.  The step depends
+    on x alone, so the run stops at an exact fixed point (see _single_loop).
     """
     L = problem.objective.lipschitz_L
     if not (lam > 0.0 and lam * L < 2.0):
         raise ValueError("need 0 < lam < 2/L")
-    return _projected_gradient("gpm", problem, lambda k: (lam, None), x0, max_iter)
+    project, grad = _oracle(problem, "gpm"), problem.objective.gradient_fn
+    return _single_loop(problem, x0, max_iter, "projections",
+                        lambda k, x: (project(x - lam * grad(x)), lam, None), x_alone=True)
 
 
 def run_iterreg(problem: Problem, sched: IterRegSchedule, x0: Array, max_iter: int) -> SolverTrace:
@@ -357,7 +367,13 @@ def run_iterreg(problem: Problem, sched: IterRegSchedule, x0: Array, max_iter: i
     lambda_k and eps_k.  Converges to the minimal-norm solution without an
     outer loop, at the cost of having no complexity guarantee.
     """
-    return _projected_gradient("iterreg", problem, sched.params, x0, max_iter)
+    project, grad = _oracle(problem, "iterreg"), problem.objective.gradient_fn
+
+    def step(k: int, x: Array) -> tuple:
+        lam, eps = sched.params(k)
+        return project(x - lam * (grad(x) + eps * x)), lam, eps
+
+    return _single_loop(problem, x0, max_iter, "projections", step, x_alone=False)
 
 
 _Observer = Callable[[int, int, float, Array, Array, float], None]
@@ -392,10 +408,11 @@ def _two_level(
     phi_x is phi_eps_l(x) from the last step, or None if the level took none.
     Each search starts from the last accepted power, across levels too, since
     L' does not depend on the level.  A NaN test raises OracleFailure, and
-    consts.Lprime < L + sched.epsilon0 raises ValueError.  oracle_counter
-    names the OracleCounters field that counts step's calls.  Neither y (once
-    the test is done) nor the level's start (once x moves) stays alive through
-    the Armijo search or the level's record.  So above the caller's w0 a run
+    consts.Lprime < L + sched.epsilon0 raises ValueError.  gradient_evals and
+    the OracleCounters field named by oracle_counter count one call per step
+    and one more per level, for its last test.  Neither y (once the test is
+    done) nor the level's start (once x moves) stays alive through the
+    Armijo search or the level's record.  So above the caller's w0 a run
     holds x and d between steps, and at its peak four n-vectors: x, d and
     two trial points in a search, or in a cgrm step x, phi'(x), y and the new d.
     """
@@ -450,7 +467,6 @@ def _two_level(
         cum_inner += N_l
         records.append(_record(problem, l, eps, delta, N_l, x, cum_inner))
         l += 1
-    # each level evaluates the gradient and the oracle once per step plus once for the last test
     evals = cum_inner + len(records)
     counters = OracleCounters(
         gradient_evals=evals, linesearch_trials=trials_total, inner_iterations=cum_inner,
@@ -497,14 +513,10 @@ def run_gprm(
         trace keeps none of them: it holds one n-vector, its final point.
 
     Each step writes x - phi'(x) and then d = y - x into the phi'(x) array
-    the driver hands it, which is the previous step's d: an iteration
-    allocates f'(x), y and the trial points and no other n-vector, and its
-    peak is x, d and two trial points.  This is why the projection oracle
-    must never return its argument.
+    the driver hands it, so the projection oracle must never return its
+    argument.  _two_level states what a run holds.
     """
-    project = problem.feasible_set.project_fn
-    if project is None:
-        raise ValueError("run_gprm needs a projection oracle")
+    project = _oracle(problem, "gprm")
 
     def step(x: Array, g: Array) -> tuple:
         y = project(np.subtract(x, g, g))
@@ -523,44 +535,28 @@ def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> Solve
 
     beta_k = -<f'(x), d>/||d||^2 measures how far the unconstrained minimum
     along the vertex direction lies; theta_k must stay below 2/L for the C/k
-    value rate.  Stops before max_iter if the LMO returns x itself, or at the
-    first step whose new point equals x bit for bit: each step depends only
-    on x, so every later iterate would be that point.  The trace ends at x,
-    that last step's multiplier is not in min_observed_lambda, and the
-    counters count the gradients and LMO calls made, steps + 1 then.
+    value rate.  The step depends on x alone, so the run stops at an exact
+    fixed point (see _single_loop), and also when the LMO returns x itself:
+    x + lam * 0 would not repeat the bytes of a -0.0 entry of x.
     """
     L = problem.objective.lipschitz_L
     if not (theta_k > 0.0 and theta_k * L < 2.0):
         raise ValueError("need 0 < theta_k < 2/L")
-    fs = problem.feasible_set
-    if fs.lmo_fn is None or fs.diameter_B is None:
-        raise ValueError("run_cgm needs an LMO over a bounded set")
-    lmo = fs.lmo_fn
-    x = _require_feasible(problem, x0)
-    grad = problem.objective.gradient_fn
-    counters = OracleCounters()
-    records = [_record(problem, 0, None, None, 0, x, 0)]
-    min_lam = math.inf
-    for k in range(1, max_iter + 1):
+    lmo, grad = _oracle(problem, "cgm", lmo=True), problem.objective.gradient_fn
+
+    def step(k: int, x: Array) -> Optional[tuple]:
         g = grad(x)
-        counters.gradient_evals += 1
-        y = lmo(g)
-        counters.lmo_calls += 1
-        d = y - x
+        d = lmo(g) - x
         if not d.any():
-            break
+            return None
         dn2 = float(d.dot(d))
         # a nonzero d whose ||d||^2 underflows to 0 has beta_k = +inf, so lam = 1
         beta_k = -float(g.dot(d)) / dn2 if dn2 > 0.0 else math.inf
+        del g  # so the new point's temporaries take its place
         lam = min(1.0, theta_k * beta_k)
-        x_new = x + lam * d
-        if _same_bits(x_new, x):
-            break
-        x = x_new
-        counters.inner_iterations += 1
-        min_lam = min(min_lam, lam)
-        records.append(_record(problem, k, None, None, 1, x, k))
-    return SolverTrace(records, counters, x, min_observed_lambda=min_lam)
+        return x + lam * d, lam, None
+
+    return _single_loop(problem, x0, max_iter, "lmo_calls", step, x_alone=True)
 
 
 def run_cgrm(
@@ -580,17 +576,8 @@ def run_cgrm(
     power m, capped so the multiplier never exceeds 1 and iterates stay
     inside the set.  The handoff point is x itself, not the vertex.
     Parameters are those of run_gprm; observe's test value is the gap mu.
-
-    phi'(x) is written into the previous step's d, so an iteration allocates
-    f'(x), the vertex y, the new d = y - x and the trial points; its peak is
-    x, phi'(x), y and d inside the step, or x, d and two trial points.
     """
-    fs = problem.feasible_set
-    if fs.lmo_fn is None:
-        raise ValueError("run_cgrm needs an LMO")
-    if fs.diameter_B is None:
-        raise ValueError("run_cgrm needs diameter_B")
-    lmo = fs.lmo_fn
+    lmo = _oracle(problem, "cgrm", lmo=True)
 
     def step(x: Array, g: Array) -> tuple:
         y = lmo(g)

@@ -6,6 +6,8 @@ acceptance report; shared solver runs live in a module-scoped context.
 
 import hashlib
 import itertools
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -160,6 +162,43 @@ def test_criterion_10_oracle_randomized_suites(ctx):
 
 def test_criterion_11_complexity_exponent_tracks_sigma(ctx):
     _check(acceptance.criterion_11(ctx))
+
+
+def _criterion_11_margins(detail):
+    found = re.search(r"margins (\S+) \(sigma 1 vs 0.5\), (\S+) \(sigma 0.5 vs 0.25\)", detail)
+    return float(found[1]), float(found[2])
+
+
+class _FixedExponents:
+    """Stand-in for the suite context and measure_complexity: criterion 11
+    fits the given exponents, each from ten attained points."""
+
+    def __init__(self, exponents):
+        self.left = list(exponents)
+
+    def two_level_run(self, method, label, sigma):
+        return None, None, None, None, None
+
+    def measure_complexity(self, trace, grid):
+        return SimpleNamespace(fitted_exponent=self.left.pop(0), measured_N=[1] * 10,
+                               attained=[True] * 10)
+
+
+@pytest.mark.parametrize("exponents", [None, (0.55, 0.544, 0.286), (0.5, 0.5, 0.5),
+                                       (0.5, 0.6, 0.2), (0.6, 0.5, 0.7)])
+def test_criterion_11_prints_its_margins(ctx, monkeypatch, exponents):
+    """Criterion 11's detail ends with exps[sigma=1] - exps[sigma=0.5] and
+    exps[sigma=0.5] - exps[sigma=0.25]; with every fit well fed, both are
+    >= 0 exactly when the criterion passes.  None is the canonical runs."""
+    if exponents is not None:
+        ctx = _FixedExponents(exponents)
+        monkeypatch.setattr(acceptance, "measure_complexity", ctx.measure_complexity)
+    result = acceptance.criterion_11(ctx)
+    margins = _criterion_11_margins(result.detail)
+    if exponents is not None:
+        a, b, c = exponents
+        assert margins == (float(f"{a - b:.3e}"), float(f"{b - c:.3e}"))
+    assert (min(margins) >= 0.0) == result.passed
 
 
 def test_run_all_covers_every_criterion_once(ctx):

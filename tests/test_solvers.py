@@ -363,8 +363,8 @@ def test_baselines_stop_at_the_first_bitwise_repeat(run, steps, label, x0, stop_
 
 def test_iterreg_never_stops_early(box12_zero):
     """From its first step on, iterreg maps (1, 1) to itself bit for bit on
-    the zero objective, but its next step has another (lambda, eps), so it
-    runs all max_iter steps."""
+    the zero objective, but its (lambda, eps) changes at every step, so its
+    step takes no repeat stop and it runs all max_iter steps."""
     trace = run_iterreg(box12_zero, IterRegSchedule(0.25), np.array([2.0, 2.0]), 50)
     assert trace.final_point.tolist() == [1.0, 1.0]
     assert len(trace.outer_records) == 51
@@ -748,6 +748,55 @@ def test_two_level_run_peaks_at_four_n_vectors(method, make, stop):
         tracemalloc.stop()
     assert trace.counters.inner_iterations > 5
     assert peak - start <= 4.5 * 8 * n
+
+
+@pytest.mark.parametrize("method", FIVE_METHODS)
+def test_a_missing_oracle_is_named_with_the_method(box12_zero, method):
+    """The projection methods refuse a set with only an LMO, and the
+    conditional-gradient methods a set with an LMO but no diameter_B."""
+    fs = box12_zero.feasible_set
+    if method in ("cgm", "cgrm"):
+        fs, need = dataclasses.replace(fs, diameter_B=None), "an LMO over a bounded set"
+    else:
+        fs, need = dataclasses.replace(fs, project_fn=None), "a projection oracle"
+    problem, x0 = dataclasses.replace(box12_zero, feasible_set=fs), np.ones(2)
+    consts = MethodConstants(0.5, 0.5, 0.5, 2.0)
+    runs = {
+        "gpm": lambda: run_gpm(problem, 0.5, x0, 5),
+        "iterreg": lambda: run_iterreg(problem, IterRegSchedule(0.25), x0, 5),
+        "cgm": lambda: run_cgm(problem, 0.5, x0, 5),
+        "gprm": lambda: run_gprm(problem, SCHED, consts, x0),
+        "cgrm": lambda: run_cgrm(problem, SCHED, consts, x0),
+    }
+    with pytest.raises(ValueError, match=f"^run_{method} needs {need}$"):
+        runs[method]()
+
+
+@pytest.mark.parametrize("method", ["gpm", "iterreg", "cgm"])
+def test_single_loop_run_peaks_below_three_and_a_half_n_vectors(method):
+    """Above its start, a baseline run on an n = 10**5 problem holds x and one
+    step's arrays: the gradient and the LMO vertex die inside the step, before
+    the new point is formed, so the peak is x, the step point and its
+    projection (gpm, iterreg) or x, d and the new point (cgm).  Half a
+    vector of slack covers the scalar bookkeeping."""
+    n = 10**5
+    gp = (make_illposed_simplex if method == "cgm" else make_illposed_box)(n)
+    p, w0 = gp.problem, default_start(gp, method)
+    runs = {
+        "gpm": lambda: run_gpm(p, 0.5 / n, w0, 20),
+        "iterreg": lambda: run_iterreg(p, IterRegSchedule(0.25), w0, 20),
+        "cgm": lambda: run_cgm(p, 0.9, w0, 20),
+    }
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        trace = runs[method]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.counters.inner_iterations == 20
+    assert peak - start <= 3.5 * 8 * n
 
 
 @pytest.mark.parametrize("method", ["gprm", "cgrm"])
