@@ -144,7 +144,7 @@ def criterion_4(ctx: SuiteContext) -> CriterionResult:
     for (method, label), sigma in itertools.product(TWO_LEVEL_CASES, SIGMAS):
         gp, sched, consts, trace, _ = ctx.two_level_run(method, label, sigma)
         xnorm = float(np.linalg.norm(gp.analytic_xstar_n))
-        report = with_bounds(measure_complexity(trace), method, sched, consts, xnorm)
+        report = with_bounds(measure_complexity(trace.outer_records), method, sched, consts, xnorm)
         for alpha, n, ok, bound in zip(
             report.alpha_grid, report.measured_N, report.attained, report.bound_N
         ):
@@ -354,7 +354,7 @@ def criterion_11(ctx: SuiteContext) -> CriterionResult:
     rows = []
     for sigma in SIGMAS:
         _, _, _, trace, _ = ctx.two_level_run("gprm", "illposed_box(2)", sigma)
-        report = measure_complexity(trace, EXPONENT_ALPHA_GRID)
+        report = measure_complexity(trace.outer_records, EXPONENT_ALPHA_GRID)
         usable = sum(
             1 for n, ok in zip(report.measured_N, report.attained) if ok and n >= 1
         )

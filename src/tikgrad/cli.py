@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-run CONFIG        one experiment from an INI config file
+run CONFIG        one experiment from an INI config file, run as a sweep of one
 sweep CONFIG      cartesian product over semicolon-separated value lists,
                   every expanded config validated before the first run
 verify            full acceptance suite (exit 3 if any criterion fails)
@@ -30,17 +30,17 @@ from typing import Optional
 
 from . import acceptance
 from .bench import (
-    DEFAULT_ALPHA_GRID,
     ConfigError,
     ExperimentConfig,
     complexity_bound,
-    complexity_count,
+    measure_complexity,
     read_trace_csv,
     run_experiment,
     sidecar_path,
     validate_experiment,
 )
 from .core import LineSearchFailure, OracleFailure, RunawayInnerLoop
+from .solvers import OuterRecord
 
 __all__ = ["main", "load_config", "load_sweep_configs"]
 
@@ -146,29 +146,19 @@ def _write_failure(cfg: ExperimentConfig, exc: OSError) -> str:
     return f"cannot write {cfg.output_path}: {exc.strerror or exc}"
 
 
+def _load_run(args) -> list[ExperimentConfig]:
+    """run is a sweep of one config, with --output applied."""
+    cfg = load_config(args.config)
+    if args.output is not None:
+        cfg = dataclasses.replace(cfg, output_path=args.output)
+    return [cfg]
+
+
 def _cmd_run(args) -> int:
+    """run and sweep: every config is validated before the first run."""
     try:
-        cfg = load_config(args.config)
-        if args.output is not None:
-            cfg = dataclasses.replace(cfg, output_path=args.output)
-        trace = run_experiment(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (RunawayInnerLoop, LineSearchFailure, OracleFailure) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except OSError as exc:
-        print(_write_failure(cfg, exc), file=sys.stderr)
-        return EXIT_CONFIG
-    print(_summarize(cfg, trace))
-    return EXIT_OK
-
-
-def _cmd_sweep(args) -> int:
-    try:
-        configs = load_sweep_configs(args.config)
-        # reject the whole sweep before any run writes its outputs
+        configs = args.load(args)
+        # reject them all before any run writes its outputs
         for cfg in configs:
             validate_experiment(cfg)
     except ConfigError as exc:
@@ -249,18 +239,19 @@ def _cmd_report(args) -> int:
             f"final value gap {last['delta_wl']}, final dist {last['dist_xstar']}"
             + ("" if trials is None else f", line-search trials {trials}")
         )
-        deltas = [r["delta_wl"] for r in rows if r["l"] >= 1]
-        cums = [r["cum_inner"] for r in rows if r["l"] >= 1]
-        if deltas and all(d is not None for d in deltas):
-            print(f"{'alpha':>10} {'N(alpha)':>10} {'bound':>12}")
-            bound_args = [constants.get(k) for k in _BOUND_KEYS]
-            for alpha in DEFAULT_ALPHA_GRID:
-                n, attained = complexity_count(deltas, cums, alpha)
-                if not attained:
-                    print(f"{alpha:>10g} {'unattained':>10} {'-':>12}")
-                    continue
-                btxt = "-" if None in bound_args else f"{complexity_bound(*bound_args, alpha):.4e}"
-                print(f"{alpha:>10g} {n:>10} {btxt:>12}")
+        records = [OuterRecord(**row) for row in rows]
+        try:
+            report = measure_complexity(records)
+        except ValueError:
+            continue  # no level, or a level without Delta: no table
+        print(f"{'alpha':>10} {'N(alpha)':>10} {'bound':>12}")
+        bound_args = [constants.get(k) for k in _BOUND_KEYS]
+        for alpha, n, attained in zip(report.alpha_grid, report.measured_N, report.attained):
+            if not attained:
+                print(f"{alpha:>10g} {'unattained':>10} {'-':>12}")
+                continue
+            btxt = "-" if None in bound_args else f"{complexity_bound(*bound_args, alpha):.4e}"
+            print(f"{alpha:>10g} {n:>10} {btxt:>12}")
     return status
 
 
@@ -273,10 +264,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run = sub.add_parser("run", help="run one experiment from a config file")
     p_run.add_argument("config")
     p_run.add_argument("--output", help="override output_path from the config")
-    p_run.set_defaults(fn=_cmd_run)
+    p_run.set_defaults(fn=_cmd_run, load=_load_run)
     p_sweep = sub.add_parser("sweep", help="run the cartesian product of value lists")
     p_sweep.add_argument("config")
-    p_sweep.set_defaults(fn=_cmd_sweep)
+    p_sweep.set_defaults(fn=_cmd_run, load=lambda args: load_sweep_configs(args.config))
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
     p_verify.set_defaults(fn=_cmd_verify)
     p_report = sub.add_parser("report", help="summarize stored trace files")

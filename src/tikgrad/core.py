@@ -47,7 +47,10 @@ def _collapse_stride0(v: Array) -> Array:
     otherwise.  An elementwise check of the result broadcasts to the verdict
     it gives on v, in O(1) work for the stride-0 views the scalable bundled
     problems store.  Reductions whose bits depend on the summation order
-    (sums, dots) must still read v itself."""
+    (sums, dots) must still read v itself.  A one-entry result broadcasts
+    against a point of any length, so a membership test compares shapes
+    first (BoxSet.contains, SimplexSet.contains), and a Problem so refuses
+    an x*_n of the wrong length."""
     return v[:1] if v.strides == (0,) else v
 
 

@@ -186,20 +186,18 @@ def tikhonov_solve(
 class PathCheckReport:
     """Outcome of the three pairwise path inequalities for 0 <= mu < eta.
 
-    Each slack is (left side) - (right side); the check passes when the slack
-    is at most the allowed tolerance.
+    Each slack is (left side) - (right side); all_ok holds when every slack
+    is at most the allowed tolerance, so a NaN slack fails it.
     """
 
-    value_decrease_ok: bool
-    optimal_value_ok: bool
-    norm_monotone_ok: bool
     value_decrease_slack: float
     optimal_value_slack: float
     norm_monotone_slack: float
 
     @property
     def all_ok(self) -> bool:
-        return self.value_decrease_ok and self.optimal_value_ok and self.norm_monotone_ok
+        slacks = (self.value_decrease_slack, self.optimal_value_slack, self.norm_monotone_slack)
+        return all(s <= _PATH_TOL for s in slacks)
 
 
 # slack allowed on each path inequality
@@ -231,10 +229,5 @@ def path_check(problem: Problem, mu: float, eta: float, z_mu: Array, z_eta: Arra
     s_norm = float(np.sqrt(nsq_eta)) - float(np.sqrt(nsq_mu))
 
     return PathCheckReport(
-        value_decrease_ok=s_value <= _PATH_TOL,
-        optimal_value_ok=s_opt <= _PATH_TOL,
-        norm_monotone_ok=s_norm <= _PATH_TOL,
-        value_decrease_slack=s_value,
-        optimal_value_slack=s_opt,
-        norm_monotone_slack=s_norm,
+        value_decrease_slack=s_value, optimal_value_slack=s_opt, norm_monotone_slack=s_norm
     )

@@ -70,6 +70,7 @@ class MethodConstants:
     cgrm_constants derives its floor; gprm's follows the same way, since its
     <phi'(x), d> <= -||d||^2 and its first trial is the unit step.  Build
     instances through those two functions so the formula matches the method.
+    Acceptance criterion 5 and the complexity bound's C2 read gamma.
     """
 
     beta: float
@@ -102,7 +103,9 @@ def gprm_constants(
     """Constants for the gradient-projection variant: L' = L + eps0.
 
     ValueError, with the texts of Objective and GeometricSchedule, unless
-    lipschitz_L is finite and non-negative and epsilon0 finite and positive.
+    lipschitz_L is finite and non-negative and epsilon0 finite and positive,
+    checked in that order: gprm_constants(-1.0, 0.5) raises
+    "lipschitz_L must be finite and non-negative".
     """
     if not (math.isfinite(lipschitz_L) and lipschitz_L >= 0.0):
         raise ValueError("lipschitz_L must be finite and non-negative")
@@ -119,7 +122,7 @@ def cgrm_constants(
     beta: float = DEFAULT_BETA,
     theta: float = DEFAULT_THETA,
 ) -> MethodConstants:
-    """Constants for the conditional-gradient variant.
+    """Constants for the conditional-gradient variant: L' = L + eps0.
 
     gamma = min{1, theta * 2(1-beta)/(L' B^2), theta/(L'' B)} is the floor the
     search proves.  A trial is x + theta^m mu d with d = y - x, <phi'(x), d> = -mu
@@ -213,9 +216,15 @@ def _armijo(
     that pass form an interval [0, t_max]: the search tries
     the first power >= m0 with step <= 1, then larger m while the test fails
     or smaller m while it passes (m0 = 0 is the scan from the unit step).
+    Whatever m0 is, the accepted power is that of the scan, so a caller that
+    passes the last accepted power changes only the trial count: on
+    illposed_box(10**6), where L' = 10**6 + 1 puts m near 20, gprm takes 39
+    trials for 10 steps instead of 210.
     Returns (m, theta^m, accepted point, its phi value, number of trials).
-    An accepted point equal to x raises LineSearchFailure: the caller would
-    step from the same x again and again.
+    An accepted point equal to x raises LineSearchFailure naming the
+    multiplier, since the caller would step from the same x again and again;
+    it happens when phi is NaN wherever the search steps, or when d vanishes
+    against x.
     """
     if phi_at_x is None:
         phi_at_x = phi_value(x)
@@ -509,8 +518,11 @@ def run_gprm(
         observe(l, k, eps_l, x, y, test) is called at every inner iterate x of
         level l (k = 0, 1, ...) with its candidate y and its handoff test
         value, here ||y - x||, before the test; for certificate checks.  x
-        and y are the solver's own arrays and must not be modified.  The
-        trace keeps none of them: it holds one n-vector, its final point.
+        and y are the solver's own arrays and must not be modified; an
+        observer that keeps them holds their memory.  The trace keeps none
+        of them: it holds one n-vector, its final point.  Observing changes
+        no arithmetic: an observed run has the same records, counters and
+        final point.
 
     Each step writes x - phi'(x) and then d = y - x into the phi'(x) array
     the driver hands it, so the projection oracle must never return its

@@ -177,9 +177,9 @@ class _FixedExponents:
         self.left = list(exponents)
 
     def two_level_run(self, method, label, sigma):
-        return None, None, None, None, None
+        return None, None, None, SimpleNamespace(outer_records=None), None
 
-    def measure_complexity(self, trace, grid):
+    def measure_complexity(self, records, grid):
         return SimpleNamespace(fitted_exponent=self.left.pop(0), measured_N=[1] * 10,
                                attained=[True] * 10)
 

@@ -1,5 +1,6 @@
 """The exported surface: every advertised name exists, config keys match the config type."""
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
@@ -22,6 +23,22 @@ MODULES = ["tikgrad"] + [f"tikgrad.{m.name}" for m in pkgutil.iter_modules(tikgr
 def test_every_all_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_used(name):
+    """Each name a module imports (but * and __future__) is read in it or
+    listed in its __all__."""
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names if a.name != "*")
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(getattr(module, "__all__", ()))) == []
 
 
 def test_package_reexports_every_library_module():

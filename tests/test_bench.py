@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tikgrad import bench
+from tikgrad import acceptance, bench
 from tikgrad.bench import (
     DEFAULT_ALPHA_GRID,
     ComplexityReport,
@@ -340,7 +340,7 @@ def _synthetic_trace(deltas, counts):
 
 def test_measure_complexity_synthetic_levels():
     trace = _synthetic_trace([0.5, 0.1, 0.01], [3, 4, 5])
-    report = measure_complexity(trace, alpha_grid=(0.6, 0.05, 0.005))
+    report = measure_complexity(trace.outer_records, alpha_grid=(0.6, 0.05, 0.005))
     assert report.measured_N == (0, 7, 12)
     assert report.attained == (True, True, False)
     assert math.isnan(report.fitted_exponent)  # one usable point is too few
@@ -350,13 +350,13 @@ def test_measure_complexity_validation():
     trace = _synthetic_trace([0.5, 0.1], [3, 4])
     for grid in ((0.1, 0.1), (0.05, 0.1), (0.1, 0.0), (0.1, math.nan, 0.001)):
         with pytest.raises(ValueError):
-            measure_complexity(trace, alpha_grid=grid)
+            measure_complexity(trace.outer_records, alpha_grid=grid)
     empty = SolverTrace([OuterRecord(0, None, None, 0, cum_inner=0)], OracleCounters(), np.zeros(1))
     with pytest.raises(ValueError):
-        measure_complexity(empty)
+        measure_complexity(empty.outer_records)
     missing = _synthetic_trace([None, None], [3, 4])
     with pytest.raises(ValueError):
-        measure_complexity(missing)
+        measure_complexity(missing.outer_records)
 
 
 @pytest.fixture(scope="module")
@@ -371,7 +371,7 @@ def gprm_box_trace():
 
 def test_measured_complexity_is_monotone_and_bounded(gprm_box_trace):
     gp, sched, consts, trace = gprm_box_trace
-    report = measure_complexity(trace)
+    report = measure_complexity(trace.outer_records)
     assert report.alpha_grid == DEFAULT_ALPHA_GRID
     assert all(b >= a for a, b in zip(report.measured_N, report.measured_N[1:]))
     full = with_bounds(report, "gprm", sched, consts,
@@ -393,7 +393,7 @@ def test_gprm_exponent_falls_with_sigma():
         sched = GeometricSchedule(1.0, 0.5, sigma)
         consts = gprm_constants(gp.analytic_L, 1.0)
         trace = run_gprm(gp.problem, sched, consts, np.array([1.0, 0.0]), stop=stop)
-        report = measure_complexity(trace, alpha_grid=grid)
+        report = measure_complexity(trace.outer_records, alpha_grid=grid)
         assert not math.isnan(report.fitted_exponent)
         assert report.fitted_exponent <= 1.0 + 2.0 * sigma + 0.5
         fits.append(report.fitted_exponent)
@@ -496,27 +496,27 @@ def test_run_experiment_defaults_baseline_steps():
 
 
 def test_baseline_value_rate_stays_bounded():
-    """sup k * Delta over the whole run settles early for both baselines."""
-    for label, method in (("wellposed_box(2)", "gpm"), ("wellposed_simplex(3)", "cgm")):
+    """run_experiment's default baseline steps and starts are criterion 9's, so
+    its sup k * Delta checkpoints come out as the suite's; a step of 1.5/L
+    would give 0.07625 and 0.08296."""
+    cases = (("wellposed_box(2)", "gpm", (0.050625, 0.050625)),
+             ("wellposed_simplex(3)", "cgm", (0.030000000000000002, 0.030000000000000002)))
+    for label, method, want in cases:
         trace = run_experiment(ExperimentConfig(label, method, max_iter=10**4))
-        sup, sup_at_1000 = 0.0, 0.0
-        for rec in trace.outer_records:
-            if rec.l < 1:
-                continue
-            sup = max(sup, rec.l * rec.delta_wl)
-            if rec.l < 1000:
-                sup_at_1000 = sup
-        assert math.isfinite(sup)
-        assert sup <= 2.0 * sup_at_1000, (label, sup_at_1000, sup)
+        first, final = acceptance._rate_checkpoints(trace, 10**4)
+        assert (first, final) == want, label
 
 
 def test_weak_vs_strong_convergence_contrast():
+    """gpm starts off the solution set, where f' is nonzero, and stalls after
+    taking steps; gprm from a point of the solution set still converges."""
     weak = run_experiment(
-        ExperimentConfig("illposed_box(2)", "gpm", x0=(1.0, 0.0), max_iter=1000)
+        ExperimentConfig("illposed_box(2)", "gpm", x0=acceptance.CRITERION_3_START, max_iter=1000)
     )
     strong = run_experiment(
         ExperimentConfig("illposed_box(2)", "gprm", x0=(1.0, 0.0))
     )
+    assert weak.counters.inner_iterations >= 1
     assert weak.outer_records[-1].dist_xstar > 0.7
     assert strong.outer_records[-1].dist_xstar < 5e-2
 

@@ -1,5 +1,7 @@
 """Tests for the perturbed objective, schedules, and the path oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from tikgrad.oracles import SimplexSet, lmo_simplex
 from tikgrad.regularization import (
     GeometricSchedule,
     IterRegSchedule,
+    PathCheckReport,
     PerturbedObjective,
     TikhonovRecord,
     path_check,
@@ -275,6 +278,16 @@ def test_path_check_validation(ball_linear):
         path_check(ball_linear, 0.5, 0.5, z, z)
     with pytest.raises(ValueError):
         path_check(ball_linear, 2.0, 0.5, z, z)
+
+
+@pytest.mark.parametrize("nan_at", range(3))
+def test_path_check_nan_slack_fails(nan_at):
+    """all_ok tests each slack, so a NaN in any position fails it; max() of the
+    slacks would drop a NaN that is not its first argument."""
+    slacks = [0.0, -1.0, 1e-8]
+    assert PathCheckReport(*slacks).all_ok
+    slacks[nan_at] = math.nan
+    assert not PathCheckReport(*slacks).all_ok
 
 
 def test_path_check_against_zero_limit(box12_zero):
