@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bench import bundled_problem, measure_complexity, with_bounds
+from .bench import bound_constants, bundled_problem, measure_complexity, with_bounds
 from .oracles import BallSet, BoxSet, SimplexSet
 from .regularization import GeometricSchedule, PerturbedObjective, path_check, tikhonov_solve
 from .solvers import StopPolicy, cgrm_constants, gprm_constants, run_cgm, run_cgrm, run_gpm, run_gprm
@@ -143,8 +143,8 @@ def criterion_4(ctx: SuiteContext) -> CriterionResult:
     worst = None
     for (method, label), sigma in itertools.product(TWO_LEVEL_CASES, SIGMAS):
         gp, sched, consts, trace, _ = ctx.two_level_run(method, label, sigma)
-        xnorm = float(np.linalg.norm(gp.analytic_xstar_n))
-        report = with_bounds(measure_complexity(trace.outer_records), method, sched, consts, xnorm)
+        C1, C2 = bound_constants(method, sched, consts, float(np.linalg.norm(gp.analytic_xstar_n)))
+        report = with_bounds(measure_complexity(trace.outer_records), C1, C2, sched.nu, sched.sigma)
         for alpha, n, ok, bound in zip(
             report.alpha_grid, report.measured_N, report.attained, report.bound_N
         ):
@@ -191,7 +191,7 @@ def criterion_7(ctx: SuiteContext) -> CriterionResult:
     details = []
     passed = True
     for method, label in CERTIFIED_RUNS:
-        gp, sched, consts, _, _ = ctx.two_level_run(method, label, 0.5)
+        gp, _, consts, _, _ = ctx.two_level_run(method, label, 0.5)
         samples = ctx.samples[(method, label, 0.5)]
         if len(samples) < 10:
             passed = False
@@ -200,7 +200,7 @@ def criterion_7(ctx: SuiteContext) -> CriterionResult:
         worst = -math.inf
         for eps, x, y, test in samples:
             z = ctx.z_oracle(label, eps)
-            phi = PerturbedObjective(gp.problem.objective, eps, sched.epsilon0).value
+            phi = PerturbedObjective(gp.problem.objective, eps).value
             point = y if method == "gprm" else x
             gap = phi(point) - phi(z)
             lower = 0.5 * eps * float(np.sum((point - z) ** 2))

@@ -4,8 +4,8 @@ The generators build problems whose minimal-norm solution is known exactly
 (by symmetry) or computed once by an independent high-accuracy oracle and
 cross-checked by a second run in the other projection order.
 measure_complexity turns a trace's records into N(alpha) counts on an accuracy
-grid and fits the growth exponent; complexity_bound evaluates the
-closed-form upper bound the two-level methods must stay under.
+grid and fits the growth exponent; with_bounds attaches the closed-form
+upper bound the two-level methods must stay under.
 run_experiment ties a validated config to a bundled problem, runs the
 configured method, and serializes the trace as CSV plus a JSON sidecar.
 """
@@ -66,7 +66,6 @@ __all__ = [
     "bundled_problem",
     "default_start",
     "bound_constants",
-    "complexity_bound",
     "measure_complexity",
     "with_bounds",
     "validate_experiment",
@@ -405,25 +404,6 @@ def bound_constants(
     return C1, C2
 
 
-def complexity_bound(C1: float, C2: float, nu: float, sigma: float, alpha: float) -> float:
-    """Closed-form upper bound on N(alpha) for the two-level methods.
-
-    N(alpha) <= C2 ((C1/alpha)^(1+2 sigma) - 1) / (nu (1 - nu^(1+2 sigma))),
-    with (C1, C2) from bound_constants.  alpha >= C1 needs no outer
-    iterations at all, so the bound is 0 there.  A bound past the float range
-    is math.inf.
-    """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    if alpha >= C1:
-        return 0.0
-    s = 1.0 + 2.0 * sigma
-    try:
-        return C2 * ((C1 / alpha) ** s - 1.0) / (nu * (1.0 - nu**s))
-    except OverflowError:  # a float power raises where a product would give inf
-        return math.inf
-
-
 @dataclass(frozen=True)
 class ComplexityReport:
     """Measured N(alpha) on a grid, with the matching theoretical bound."""
@@ -454,9 +434,9 @@ def measure_complexity(records, alpha_grid=DEFAULT_ALPHA_GRID) -> ComplexityRepo
     with l >= 1.  N(alpha) is the cumulative inner count at the last level
     with Delta(w^l) >= alpha; if even the last level has Delta >= alpha the
     grid point is unattained (its total count stored, excluded from the
-    exponent fit).  ValueError if there is no level, if a level lacks Delta
-    (the problem had no known f*), or unless alpha_grid is positive and
-    strictly decreasing.
+    exponent fit).  ValueError if there is no level, if a level lacks a
+    finite Delta (a missing one: the problem had no known f*), or unless
+    alpha_grid is positive and strictly decreasing.
     """
     grid = tuple(float(a) for a in alpha_grid)
     # written so that a NaN entry fails both comparisons
@@ -467,8 +447,9 @@ def measure_complexity(records, alpha_grid=DEFAULT_ALPHA_GRID) -> ComplexityRepo
     recs = [r for r in records if r.l >= 1]
     if not recs:
         raise ValueError("trace has no iteration records")
-    if any(r.delta_wl is None for r in recs):
-        raise ValueError("trace lacks Delta records; the problem had no known f*")
+    # a NaN Delta would fail every >= test below and count as attained
+    if not all(r.delta_wl is not None and math.isfinite(r.delta_wl) for r in recs):
+        raise ValueError("a level lacks a finite Delta; a missing one means no known f*")
     # an unattained alpha is met by the last level, so its count is the total
     measured = tuple(
         int(next((r.cum_inner for r in reversed(recs) if r.delta_wl >= a), 0)) for a in grid
@@ -483,16 +464,26 @@ def measure_complexity(records, alpha_grid=DEFAULT_ALPHA_GRID) -> ComplexityRepo
 
 
 def with_bounds(
-    report: ComplexityReport,
-    method: str,
-    sched: GeometricSchedule,
-    consts: MethodConstants,
-    xstar_norm: float,
+    report: ComplexityReport, C1: float, C2: float, nu: float, sigma: float
 ) -> ComplexityReport:
-    """Attach bound_N to a measured report."""
-    C1, C2 = bound_constants(method, sched, consts, xstar_norm)
-    bounds = tuple(complexity_bound(C1, C2, sched.nu, sched.sigma, a) for a in report.alpha_grid)
-    return dataclasses.replace(report, bound_N=bounds)
+    """Attach bound_N, the closed-form upper bound on N(alpha), to a measured report.
+
+    N(alpha) <= C2 ((C1/alpha)^(1+2 sigma) - 1) / (nu (1 - nu^(1+2 sigma))),
+    with (C1, C2) from bound_constants and (nu, sigma) of the run's schedule.
+    alpha >= C1 needs no outer iterations at all, so the bound is 0 there.  A
+    bound past the float range is math.inf.  ValueError unless every alpha on
+    the report's grid is positive.
+    """
+    s = 1.0 + 2.0 * sigma
+    bounds = []
+    for alpha in report.alpha_grid:
+        if not alpha > 0.0:
+            raise ValueError("alpha must be positive")
+        try:
+            bounds.append(0.0 if alpha >= C1 else C2 * ((C1 / alpha) ** s - 1.0) / (nu * (1.0 - nu**s)))
+        except OverflowError:  # a float power raises where a product would give inf
+            bounds.append(math.inf)
+    return dataclasses.replace(report, bound_N=tuple(bounds))
 
 
 @dataclass(frozen=True)
@@ -686,7 +677,8 @@ def write_trace_csv(trace: SolverTrace, path: str) -> None:
 
 
 def read_trace_csv(path: str) -> list[dict]:
-    """Parsed rows of the trace CSV (None for empty cells); ValueError if malformed or empty."""
+    """Parsed rows of the trace CSV (None for empty cells); ValueError if malformed
+    or empty, or if a number cell is not finite (no run writes one)."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(TRACE_HEADER):
@@ -696,7 +688,11 @@ def read_trace_csv(path: str) -> list[dict]:
             # DictReader files a long row's extra cells under None and fills a short one with None
             if None in raw or None in raw.values():
                 raise ValueError(f"line {reader.line_num} of {path}: expected {len(TRACE_HEADER)} cells")
-            rows.append({c: _parse(c, raw[c]) for c in TRACE_HEADER})
+            row = {c: _parse(c, raw[c]) for c in TRACE_HEADER}
+            bad = [c for c, v in row.items() if isinstance(v, float) and not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"line {reader.line_num} of {path}: {bad[0]} is not finite")
+            rows.append(row)
     if not rows:
         raise ValueError(f"no data rows in {path}")
     return rows

@@ -32,12 +32,12 @@ from . import acceptance
 from .bench import (
     ConfigError,
     ExperimentConfig,
-    complexity_bound,
     measure_complexity,
     read_trace_csv,
     run_experiment,
     sidecar_path,
     validate_experiment,
+    with_bounds,
 )
 from .core import LineSearchFailure, OracleFailure, RunawayInnerLoop
 from .solvers import OuterRecord
@@ -232,25 +232,30 @@ def _cmd_report(args) -> int:
         if sidecar is not None:
             cfg, constants, counters = sidecar
             print(f"method {cfg.get('method')} on {cfg.get('problem_label')}")
-        last = rows[-1]
+        records = [OuterRecord(**row) for row in rows]
+        last = records[-1]
         trials = counters.get("linesearch_trials")
         print(
-            f"records {len(rows)}, cumulative inner iterations {last['cum_inner']}, "
-            f"final value gap {last['delta_wl']}, final dist {last['dist_xstar']}"
+            f"outer records {sum(r.l >= 1 for r in records)}, cumulative inner iterations "
+            f"{last.cum_inner}, final value gap {last.delta_wl}, final dist {last.dist_xstar}"
             + ("" if trials is None else f", line-search trials {trials}")
         )
-        records = [OuterRecord(**row) for row in rows]
         try:
             report = measure_complexity(records)
         except ValueError:
             continue  # no level, or a level without Delta: no table
-        print(f"{'alpha':>10} {'N(alpha)':>10} {'bound':>12}")
         bound_args = [constants.get(k) for k in _BOUND_KEYS]
-        for alpha, n, attained in zip(report.alpha_grid, report.measured_N, report.attained):
+        if None not in bound_args:
+            report = with_bounds(report, *bound_args)
+        print(f"{'alpha':>10} {'N(alpha)':>10} {'bound':>12}")
+        # bound_N is empty when the sidecar lacks a constant: zip_longest pads it with None
+        for alpha, n, attained, bound in itertools.zip_longest(
+            report.alpha_grid, report.measured_N, report.attained, report.bound_N
+        ):
             if not attained:
                 print(f"{alpha:>10g} {'unattained':>10} {'-':>12}")
                 continue
-            btxt = "-" if None in bound_args else f"{complexity_bound(*bound_args, alpha):.4e}"
+            btxt = "-" if bound is None else f"{bound:.4e}"
             print(f"{alpha:>10g} {n:>10} {btxt:>12}")
     return status
 

@@ -32,22 +32,15 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PerturbedObjective:
-    """View of a base objective with a quadratic Tikhonov term folded in.
-
-    epsilon is the weight actually applied; epsilon0 is the largest weight of
-    the surrounding schedule and fixes the uniform gradient Lipschitz bound
-    L' = L + epsilon0 used by step-size rules across all levels.
-    """
+    """View of a base objective with a quadratic Tikhonov term folded in:
+    phi_eps(x) = f(x) + 0.5 * epsilon * ||x||^2, for a finite epsilon >= 0."""
 
     base: Objective
     epsilon: float
-    epsilon0: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon0) and self.epsilon0 > 0.0):
-            raise ValueError("epsilon0 must be positive")
-        if not (0.0 <= self.epsilon <= self.epsilon0):
-            raise ValueError("need 0 <= epsilon <= epsilon0")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon: must be finite and non-negative")
 
     def value(self, x: Array) -> float:
         return float(self.base.value_fn(x)) + 0.5 * self.epsilon * float(x.dot(x))

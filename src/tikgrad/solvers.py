@@ -447,7 +447,7 @@ def _two_level(
         eps, delta = sched.params(l)
         if eps < stop.epsilon_min or l > stop.max_outer:
             break
-        phi = PerturbedObjective(problem.objective, eps, sched.epsilon0).value
+        phi = PerturbedObjective(problem.objective, eps).value
         eps_0d = np.array(eps)  # a 0-d operand skips converting the float at every step
         phi_x: Optional[float] = None
         N_l = 0

@@ -17,7 +17,6 @@ from tikgrad.bench import (
     ExperimentConfig,
     bound_constants,
     bundled_problem,
-    complexity_bound,
     default_start,
     make_illposed_box,
     make_illposed_simplex,
@@ -311,7 +310,8 @@ def test_theoretical_bound_degenerate_and_scaling():
     consts = gprm_constants(2.0, 1.0)
     xnorm = math.sqrt(0.5)
     C1, C2 = bound_constants("gprm", sched, consts, xnorm)
-    bound = lambda alpha: complexity_bound(C1, C2, sched.nu, sched.sigma, alpha)
+    bound = lambda alpha: with_bounds(ComplexityReport((alpha,), (0,), (True,), math.nan),
+                                      C1, C2, sched.nu, sched.sigma).bound_N[0]
     assert bound(C1) == 0.0
     assert bound(2.0 * C1) == 0.0
     # sigma = 0.5 makes 1+2 sigma = 2: alpha = C1/2 gives C2 (4-1)/(0.5 * 0.75)
@@ -359,6 +359,14 @@ def test_measure_complexity_validation():
         measure_complexity(missing.outer_records)
 
 
+def test_measure_complexity_refuses_a_non_finite_delta():
+    """A NaN Delta fails every Delta >= alpha test and would count as attained."""
+    for bad in (math.nan, math.inf):
+        trace = _synthetic_trace([0.5, 0.1, bad], [3, 4, 5])
+        with pytest.raises(ValueError, match="lacks a finite Delta"):
+            measure_complexity(trace.outer_records)
+
+
 @pytest.fixture(scope="module")
 def gprm_box_trace():
     gp = bundled_problem("illposed_box(2)")
@@ -374,8 +382,8 @@ def test_measured_complexity_is_monotone_and_bounded(gprm_box_trace):
     report = measure_complexity(trace.outer_records)
     assert report.alpha_grid == DEFAULT_ALPHA_GRID
     assert all(b >= a for a, b in zip(report.measured_N, report.measured_N[1:]))
-    full = with_bounds(report, "gprm", sched, consts,
-                       float(np.linalg.norm(gp.analytic_xstar_n)))
+    C1, C2 = bound_constants("gprm", sched, consts, float(np.linalg.norm(gp.analytic_xstar_n)))
+    full = with_bounds(report, C1, C2, sched.nu, sched.sigma)
     assert len(full.bound_N) == len(full.alpha_grid)
     for n, ok, bound in zip(full.measured_N, full.attained, full.bound_N):
         if ok:

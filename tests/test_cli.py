@@ -361,7 +361,7 @@ def test_report_without_sidecar_omits_bounds(tmp_path, capsys):
     write_trace_csv(trace, str(path))
     assert main(["report", str(path)]) == 0
     text = capsys.readouterr().out
-    assert "records 125" in text and "line-search trials" not in text
+    assert "outer records 124" in text and "line-search trials" not in text
     assert "-" in text  # bound column without constants
 
 
@@ -425,3 +425,21 @@ def test_report_row_with_wrong_cell_count_exits_1(tmp_path, capsys, rows, line):
         read_trace_csv(str(path))
     assert main(["report", str(path)]) == 1
     assert f"cannot read {path}: line {line} of" in capsys.readouterr().err
+
+
+def test_report_refuses_a_nan_delta_cell(tmp_path, capsys):
+    """A NaN Delta fails every Delta >= alpha test, so counted it would mark
+    every alpha attained; report must refuse the file instead of printing."""
+    trace = run_experiment(ExperimentConfig("illposed_box(2)", "gprm", epsilon_min=1e-3))
+    path = tmp_path / "nan.csv"
+    write_trace_csv(trace, str(path))
+    lines = path.read_text().splitlines()
+    cells = lines[-1].split(",")
+    cells[4] = "nan"  # delta_wl of the last level
+    lines[-1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line {len(lines)} of .*delta_wl is not finite"):
+        read_trace_csv(str(path))
+    assert main(["report", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"cannot read {path}: line {len(lines)} of" in err

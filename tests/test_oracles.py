@@ -275,6 +275,10 @@ def _box_and_vector(draw):
 
 @_FEW
 @given(_box_and_vector())
+# a -0.0 entry against a +0.0 bound stored stride-0, as the bundled bounds are:
+# clip keeps the entry's zero there, np.minimum(np.maximum(...)) gives the bound's
+@example((BoxSet(_constant(2, 0.0), _constant(2, 1.0)), np.array([-0.0, 0.5])))
+@example((BoxSet(np.array([0.0, -1.0, -1.0]), np.ones(3)), np.array([np.nan, np.inf, -np.inf])))
 def test_project_box_is_np_clip_bit_for_bit(case):
     box, x = case
     want = np.clip(x, box.lower, box.upper)
@@ -308,6 +312,8 @@ def _ball_and_vector(draw):
 
 @_FEW
 @given(_ball_and_vector())
+# x on the sphere, where c + (r/n)(x - c) rounds to a point other than x
+@example((BallSet(np.array([-0.2]), 0.6000000000000001), np.array([0.4])))
 def test_ball_oracles_are_the_np_linalg_norm_formulas_bit_for_bit(case):
     """math.sqrt(v.dot(v)) is what np.linalg.norm computes for a 1-d float
     vector, so the ball oracles keep the bits of the np.linalg.norm formulas.
@@ -326,6 +332,7 @@ def test_ball_oracles_are_the_np_linalg_norm_formulas_bit_for_bit(case):
 
 @_FEW
 @given(_box_and_vector())
+@example((BOX01, np.array([-1e-10, 1.0 + 1e-10])))  # an entry exactly at -tol
 def test_box_diameter_and_simplex_membership_keep_their_numpy_formulas(case):
     box, x = case
     assert box.diameter() == float(np.linalg.norm(box.upper - box.lower))

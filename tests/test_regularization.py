@@ -37,31 +37,29 @@ def _linear_objective(c):
 
 
 def test_perturbed_value_linear_objective():
-    p = PerturbedObjective(_linear_objective([1.0, 0.0]), 2.0, 2.0)
+    p = PerturbedObjective(_linear_objective([1.0, 0.0]), 2.0)
     assert p.value(np.array([1.0, 1.0])) == 3.0
 
 
 def test_perturbed_value_zero_epsilon_is_base():
     obj = Objective(lambda x: float(x @ x) + 7.0, lambda x: 2.0 * x, 2.0)
-    p = PerturbedObjective(obj, 0.0, 1.0)
+    p = PerturbedObjective(obj, 0.0)
     for x in (np.array([0.3, -1.2]), np.zeros(2), np.array([5.0, 5.0])):
         assert p.value(x) == obj.value_fn(x)
 
 
 def test_perturbed_value_quadratic():
     obj = Objective(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), 1.0)
-    p = PerturbedObjective(obj, 1.0, 1.0)
+    p = PerturbedObjective(obj, 1.0)
     assert p.value(np.array([2.0, 0.0])) == 4.0
 
 
 def test_perturbation_weight_validation():
     obj = _linear_objective([1.0])
-    with pytest.raises(ValueError):
-        PerturbedObjective(obj, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        PerturbedObjective(obj, -0.1, 1.0)
-    with pytest.raises(ValueError):
-        PerturbedObjective(obj, 0.0, 0.0)
+    # the weight must be finite and non-negative
+    for epsilon in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            PerturbedObjective(obj, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +330,7 @@ def test_perturbed_strong_convexity_inequality(ball_linear):
         project = prob.feasible_set.project_fn
         n = prob.feasible_set.dimension
         for eps in (1.0, 0.1):
-            p = PerturbedObjective(prob.objective, eps, 1.0)
+            p = PerturbedObjective(prob.objective, eps)
             for _ in range(50):
                 x = project(rng.uniform(-2.0, 2.0, n))
                 y = project(rng.uniform(-2.0, 2.0, n))

@@ -21,10 +21,12 @@ def test_report_table_is_the_acceptance_suites_count_and_bound(
                            output_path=str(tmp_path / "run.csv"))
     trace = run_experiment(cfg)
     gp, x0, _, _ = bench.validate_experiment(cfg)
+    sched = GeometricSchedule(cfg.epsilon0, cfg.nu, cfg.sigma)
     report = bench.with_bounds(
-        bench.measure_complexity(trace.outer_records), method,
-        GeometricSchedule(cfg.epsilon0, cfg.nu, cfg.sigma), bench.solver_constants(cfg, gp, x0),
-        float(np.linalg.norm(gp.analytic_xstar_n)),
+        bench.measure_complexity(trace.outer_records),
+        *bench.bound_constants(method, sched, bench.solver_constants(cfg, gp, x0),
+                               float(np.linalg.norm(gp.analytic_xstar_n))),
+        sched.nu, sched.sigma,
     )
     assert report.attained.count(False) == unattained
     assert main(["report", cfg.output_path]) == 0
@@ -47,5 +49,5 @@ def test_report_with_an_empty_delta_cell_prints_no_table(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert main(["report", str(path)]) == 0
     out = capsys.readouterr().out
-    assert out.startswith(f"== {path} ==\nrecords 9, cumulative inner iterations 28,")
+    assert out.startswith(f"== {path} ==\nouter records 9, cumulative inner iterations 28,")
     assert len(out.splitlines()) == 2 and "N(alpha)" not in out

@@ -78,7 +78,7 @@ def _powers(theta, max_m=60):
 def _half_tsq():
     """phi(t) = 0.5 t^2 with no perturbation folded in."""
     obj = Objective(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), 1.0)
-    return PerturbedObjective(obj, 0.0, 1.0)
+    return PerturbedObjective(obj, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def test_armijo_cap_skips_overlong_steps_unevaluated():
     """With cap mu=3, m=0 would pass the decrease test if it were evaluated
     (the trial point is the origin), so m=2 proves the cap filters first."""
     obj = Objective(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), 1.0)
-    phi = PerturbedObjective(obj, 0.0, 1.0)
+    phi = PerturbedObjective(obj, 0.0)
     x, d, mu = np.array([3.0, 0.0]), np.array([-1.0, 0.0]), 3.0
     assert phi.value(x + 1.0 * mu * d) <= phi.value(x) - 0.5 * 1.0 * mu * mu
     m, lam, _, _, _ = _armijo(phi.value, x, d, 0.5, _powers(0.5), mu * mu, mu)
@@ -124,7 +124,7 @@ def _quadratic_search(draw):
     obj = Objective(lambda x: 0.5 * float(x @ a @ x), lambda x: a @ x,
                     float(np.linalg.eigvalsh(a)[-1]))
     eps = draw(st.floats(0.0, 1.0))
-    phi = PerturbedObjective(obj, eps, 1.0)
+    phi = PerturbedObjective(obj, eps)
     x = draw(arrays(np.float64, n, elements=st.floats(-3.0, 3.0)))
     d = -(obj.gradient_fn(x) + eps * x)
     cap = draw(st.sampled_from([1.0, 0.25, 4.0]) | st.floats(0.05, 20.0))
@@ -876,7 +876,7 @@ def test_two_level_invariants_on_random_rankdef_problems(case):
         last = (None, math.inf)
         for s in seen:
             assert fs.contains(s.x, 1e-9) and fs.contains(s.y, 1e-9)
-            phi_x = PerturbedObjective(problem.objective, s.epsilon, SCHED.epsilon0).value(s.x)
+            phi_x = PerturbedObjective(problem.objective, s.epsilon).value(s.x)
             if s.level == last[0]:
                 assert phi_x <= last[1] + 1e-12
             last = (s.level, phi_x)
@@ -940,7 +940,7 @@ def _handoff_points(gp, trace, seen, method):
         s = last[rec.l]
         w = s.x
         if method == "gprm":
-            phi = PerturbedObjective(gp.problem.objective, s.epsilon, SCHED.epsilon0).value
+            phi = PerturbedObjective(gp.problem.objective, s.epsilon).value
             w = s.y if phi(s.y) <= phi(s.x) else s.x
         r = w - xstar
         assert math.sqrt(r.dot(r)) == rec.dist_xstar
