@@ -5,6 +5,8 @@ Tikhonov oracle solutions so criteria can share them) and returns a
 CriterionResult.  run_all executes all eleven in order; format_line renders
 the one-line verdict.  The CLI `verify` subcommand and the test suite both
 drive this module, so a failure shows up identically in both places.
+Each solver run is an ExperimentConfig, set up as `tikgrad run` sets it up
+by validate_experiment and solver_constants.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .bench import bound_constants, bundled_problem, measure_complexity, with_bounds
+from .bench import (ExperimentConfig, bound_constants, bundled_problem, measure_complexity,
+                    solver_constants, validate_experiment, with_bounds)
 from .oracles import BallSet, BoxSet, SimplexSet
 from .regularization import GeometricSchedule, PerturbedObjective, path_check, tikhonov_solve
-from .solvers import StopPolicy, cgrm_constants, gprm_constants, run_cgm, run_cgrm, run_gpm, run_gprm
+from .solvers import StopPolicy, run_cgm, run_cgrm, run_gpm, run_gprm
 
 __all__ = ["CriterionResult", "SuiteContext", "CRITERIA", "run_all", "format_line"]
 
@@ -59,21 +62,18 @@ class SuiteContext:
         self.samples: dict = {}
 
     def two_level_run(self, method: str, label: str, sigma: float):
-        """Run (or fetch) the canonical run; returns (gp, sched, consts, trace, seconds)."""
+        """Run (or fetch) the canonical run; returns (gp, sched, consts, trace, seconds).
+        Its config sets sigma, epsilon_min and x0 = e_1, feasible for box and simplex."""
         key = (method, label, sigma)
         if key not in self._runs:
-            gp = bundled_problem(label)
-            sched = GeometricSchedule(1.0, 0.5, sigma)
-            stop = StopPolicy(epsilon_min=ACCEPT_EPS_MIN)
-            dim = gp.problem.feasible_set.dimension
-            w0 = np.zeros(dim)
-            w0[0] = 1.0  # box corner-edge point / simplex vertex; feasible for both
-            if method == "gprm":
-                consts = gprm_constants(gp.problem.objective.lipschitz_L, sched.epsilon0)
-                run = run_gprm
-            else:
-                consts = cgrm_constants(gp.problem, sched.epsilon0, w0)
-                run = run_cgrm
+            dim = bundled_problem(label).problem.feasible_set.dimension
+            cfg = ExperimentConfig(label, method, sigma=sigma, epsilon_min=ACCEPT_EPS_MIN,
+                                   x0=(1.0,) + (0.0,) * (dim - 1))
+            gp, w0, _, _ = validate_experiment(cfg)
+            sched = GeometricSchedule(cfg.epsilon0, cfg.nu, cfg.sigma)
+            consts = solver_constants(cfg, gp, w0)
+            stop = StopPolicy(cfg.epsilon_min)
+            run = run_gprm if method == "gprm" else run_cgrm
             observe = None
             if (method, label) in CERTIFIED_RUNS and sigma == 0.5:
                 kept = self.samples[key] = []
@@ -97,6 +97,14 @@ class SuiteContext:
             record = tikhonov_solve(gp.problem, epsilon, x0=x0)
             self._z[key] = record.z
         return self._z[key]
+
+
+def _baseline_run(label: str, method: str, x0: tuple, max_iter: int):
+    """The gpm or cgm run of that config: its validated start, its default step 1/L."""
+    cfg = ExperimentConfig(label, method, max_iter=max_iter, x0=x0)
+    gp, x0, lam, theta_k = validate_experiment(cfg)
+    step, run = (lam, run_gpm) if method == "gpm" else (theta_k, run_cgm)
+    return run(gp.problem, step, x0, max_iter)
 
 
 def _strong_convergence(ctx: SuiteContext, number: int, name: str, method: str,
@@ -123,9 +131,7 @@ def criterion_2(ctx: SuiteContext) -> CriterionResult:
 
 
 def criterion_3(ctx: SuiteContext) -> CriterionResult:
-    gp = bundled_problem("illposed_box(2)")
-    lam = 1.0 / gp.analytic_L
-    trace = run_gpm(gp.problem, lam, np.array(CRITERION_3_START), 2000)
+    trace = _baseline_run("illposed_box(2)", "gpm", CRITERION_3_START, 2000)
     d_gpm = trace.outer_records[-1].dist_xstar
     ok_gprm = criterion_1(ctx).passed
     passed = d_gpm >= 0.7 and ok_gprm
@@ -268,12 +274,8 @@ def _rate_checkpoints(trace, max_iter: int) -> tuple[float, float]:
 
 
 def criterion_9(ctx: SuiteContext) -> CriterionResult:
-    box = bundled_problem("wellposed_box(2)")
-    trace_g = run_gpm(box.problem, 1.0 / box.analytic_L, np.zeros(2), RATE_ITERS)
-    simplex = bundled_problem("wellposed_simplex(3)")
-    trace_c = run_cgm(
-        simplex.problem, 1.0 / simplex.analytic_L, np.array([1.0, 0.0, 0.0]), RATE_ITERS
-    )
+    trace_g = _baseline_run("wellposed_box(2)", "gpm", (0.0, 0.0), RATE_ITERS)
+    trace_c = _baseline_run("wellposed_simplex(3)", "cgm", (1.0, 0.0, 0.0), RATE_ITERS)
     details = []
     passed = True
     for name, trace in (("projected gradient", trace_g), ("conditional gradient", trace_c)):

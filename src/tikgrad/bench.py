@@ -555,15 +555,17 @@ def solver_constants(cfg: ExperimentConfig, gp: GeneratedProblem, x0: Array) -> 
 
 
 def _check_output_dir(path: str) -> None:
-    """ConfigError unless path is not its own sidecar path, neither path nor
-    its sidecar is a directory, and the nearest existing ancestor is a
-    directory this process may write in; nothing is created."""
+    """ConfigError unless path is not its own sidecar path, neither path nor its
+    sidecar is a directory, path names a file (not empty, no trailing separator)
+    and its nearest existing ancestor is a writable directory; nothing is created."""
     if sidecar_path(path) == path:
         raise ConfigError(f"output_path: {path!r} is its own sidecar path; "
                           "the trace needs a name not ending in .json")
     for target in (path, sidecar_path(path)):
         if os.path.isdir(target):
             raise ConfigError(f"output_path: {target!r} is a directory")
+    if not os.path.basename(path):
+        raise ConfigError(f"output_path: {path!r} names no file")
     parent = os.path.dirname(os.path.abspath(path))
     while not os.path.exists(parent):
         parent = os.path.dirname(parent)
@@ -577,8 +579,8 @@ def validate_experiment(cfg: ExperimentConfig) -> tuple[GeneratedProblem, Array,
     """Everything run_experiment checks before solving; returns (gp, x0, lam, theta_k).
 
     Raises ConfigError for a field outside its mandated interval, an
-    output_path ending in .json (the sidecar would replace the trace) or
-    whose directory cannot be created or written, an unknown
+    output_path ending in .json (the sidecar would replace the trace), naming
+    no file, or whose directory cannot be created or written, an unknown
     problem label, a baseline step at or above 2/L, or an x0 that has the
     wrong dimension, a non-finite entry, or lies outside the feasible set.
     lam and theta_k default to 1/L.
@@ -648,9 +650,14 @@ def _cell(column: str, v) -> str:
 
 
 def _parse(column: str, text: str):
-    if column in _INT_COLUMNS:
-        return int(text)
-    return float(text) if text else None
+    """The cell's int, finite float or None (an empty float cell); ValueError naming column."""
+    try:
+        v = int(text) if column in _INT_COLUMNS else float(text) if text else None
+    except ValueError:
+        raise ValueError(f"{column}: cannot parse {text!r}") from None
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"{column} is not finite")
+    return v
 
 
 @contextmanager
@@ -678,7 +685,7 @@ def write_trace_csv(trace: SolverTrace, path: str) -> None:
 
 def read_trace_csv(path: str) -> list[dict]:
     """Parsed rows of the trace CSV (None for empty cells); ValueError if malformed
-    or empty, or if a number cell is not finite (no run writes one)."""
+    or empty, or if a cell is not a number or not finite (no run writes one)."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(TRACE_HEADER):
@@ -688,11 +695,10 @@ def read_trace_csv(path: str) -> list[dict]:
             # DictReader files a long row's extra cells under None and fills a short one with None
             if None in raw or None in raw.values():
                 raise ValueError(f"line {reader.line_num} of {path}: expected {len(TRACE_HEADER)} cells")
-            row = {c: _parse(c, raw[c]) for c in TRACE_HEADER}
-            bad = [c for c, v in row.items() if isinstance(v, float) and not math.isfinite(v)]
-            if bad:
-                raise ValueError(f"line {reader.line_num} of {path}: {bad[0]} is not finite")
-            rows.append(row)
+            try:
+                rows.append({c: _parse(c, raw[c]) for c in TRACE_HEADER})
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num} of {path}: {exc}") from None
     if not rows:
         raise ValueError(f"no data rows in {path}")
     return rows

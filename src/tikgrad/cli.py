@@ -141,11 +141,6 @@ def _summarize(cfg: ExperimentConfig, trace) -> str:
     return ", ".join(parts)
 
 
-def _write_failure(cfg: ExperimentConfig, exc: OSError) -> str:
-    # the only I/O after validation is writing the trace and its sidecar
-    return f"cannot write {cfg.output_path}: {exc.strerror or exc}"
-
-
 def _load_run(args) -> list[ExperimentConfig]:
     """run is a sweep of one config, with --output applied."""
     cfg = load_config(args.config)
@@ -172,8 +167,8 @@ def _cmd_run(args) -> int:
             print(f"solver failure: {exc}", file=sys.stderr)
             status = EXIT_SOLVER
             continue
-        except OSError as exc:
-            print(_write_failure(cfg, exc), file=sys.stderr)
+        except OSError as exc:  # after validation, only writing the outputs does I/O
+            print(f"cannot write {cfg.output_path}: {exc.strerror or exc}", file=sys.stderr)
             status = max(status, EXIT_CONFIG)
             continue
         print(_summarize(cfg, trace))

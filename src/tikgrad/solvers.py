@@ -89,11 +89,6 @@ class MethodConstants:
             raise ValueError("Lprime: must be positive")
 
 
-def _check_epsilon0(epsilon0: float) -> None:
-    if not (math.isfinite(epsilon0) and epsilon0 > 0.0):
-        raise ValueError("epsilon0: must be positive")
-
-
 def gprm_constants(
     lipschitz_L: float,
     epsilon0: float,
@@ -102,14 +97,14 @@ def gprm_constants(
 ) -> MethodConstants:
     """Constants for the gradient-projection variant: L' = L + eps0.
 
-    ValueError, with the texts of Objective and GeometricSchedule, unless
-    lipschitz_L is finite and non-negative and epsilon0 finite and positive,
-    checked in that order: gprm_constants(-1.0, 0.5) raises
-    "lipschitz_L must be finite and non-negative".
+    ValueError, with the texts of Objective and GeometricSchedule, the owners
+    of the checks, unless lipschitz_L is finite and non-negative and epsilon0
+    finite and positive, checked in that order: gprm_constants(-1.0, 0.5)
+    raises "lipschitz_L must be finite and non-negative".
     """
     if not (math.isfinite(lipschitz_L) and lipschitz_L >= 0.0):
         raise ValueError("lipschitz_L must be finite and non-negative")
-    _check_epsilon0(epsilon0)
+    GeometricSchedule(epsilon0)  # the owner's epsilon0 check
     Lprime = lipschitz_L + epsilon0
     gamma = min(1.0, theta * 2.0 * (1.0 - beta) / Lprime)
     return MethodConstants(beta=beta, theta=theta, gamma=gamma, Lprime=Lprime)
@@ -131,9 +126,9 @@ def cgrm_constants(
     * powers with theta^m mu > 1 are skipped: the first tried is 1 or in (theta/mu, 1/mu];
     * mu <= ||phi'(x)|| B <= L'' B, where L'' = ||f'(w0)|| + eps0 ||w0|| + L' B.
     Any feasible reference serves for L''; w0 keeps the constants deterministic.
-    A non-finite or non-positive epsilon0 raises GeometricSchedule's ValueError.
+    A non-finite or non-positive epsilon0 raises the ValueError of its owner, GeometricSchedule.
     """
-    _check_epsilon0(epsilon0)
+    GeometricSchedule(epsilon0)  # the owner's epsilon0 check
     B = problem.feasible_set.diameter_B
     if B is None:
         raise ValueError("conditional-gradient constants need diameter_B")

@@ -17,6 +17,7 @@ from tikgrad.bench import (
     ExperimentConfig,
     bound_constants,
     bundled_problem,
+    run_experiment,
     solver_constants,
     write_trace_csv,
 )
@@ -83,6 +84,24 @@ def test_criterion_5_and_the_cgrm_bound_read_the_same_gamma(ctx):
         assert C1 / (consts.beta * C2 * e0 ** (2.0 * (1.0 + sigma))) == pytest.approx(
             consts.gamma, rel=1e-14)
         assert trace.min_observed_lambda >= consts.gamma
+
+
+def test_verify_runs_are_the_runs_tikgrad_run_makes(ctx, tmp_path):
+    """run_experiment on the config of each sigma = 0.5 canonical run (the
+    suite's sigma and epsilon_min, x0 = e_1) gives the suite's trace CSV
+    bytes, counters, final point bytes and min lambda."""
+    for method, label in acceptance.TWO_LEVEL_CASES:
+        gp, _, _, trace, _ = ctx.two_level_run(method, label, 0.5)
+        dim = gp.problem.feasible_set.dimension
+        cfg = ExperimentConfig(label, method, sigma=0.5, epsilon_min=acceptance.ACCEPT_EPS_MIN,
+                               x0=(1.0,) + (0.0,) * (dim - 1))
+        ran = run_experiment(cfg)
+        write_trace_csv(trace, str(tmp_path / "verify.csv"))
+        write_trace_csv(ran, str(tmp_path / "run.csv"))
+        assert (tmp_path / "verify.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+        assert ran.counters == trace.counters
+        assert ran.final_point.tobytes() == trace.final_point.tobytes()
+        assert ran.min_observed_lambda == trace.min_observed_lambda
 
 
 def test_criterion_6_every_level_finishes_finitely(ctx):

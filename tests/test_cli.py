@@ -262,6 +262,26 @@ def test_output_path_that_is_its_own_sidecar_is_a_config_error(
     assert list(tmp_path.iterdir()) == [tmp_path / "config.ini"]
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("where", ["", "newdir/"])
+def test_output_path_that_names_no_file_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, where
+):
+    """An empty path or one ending in a separator names no file to write, so
+    it is refused before solving, and nothing is written anywhere."""
+    cfg = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm",
+                   epsilon_min="1e-2", output_path=where)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    _no_solver(monkeypatch)
+    assert main([command, cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: output_path: {where!r} names no file\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "config.ini", work]
+    assert list(work.iterdir()) == []
+
+
 def test_run_output_flag_under_a_file_solves_nothing(tmp_path, capsys, monkeypatch):
     (tmp_path / "F").write_text("")
     cfg = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm")
@@ -425,6 +445,23 @@ def test_report_row_with_wrong_cell_count_exits_1(tmp_path, capsys, rows, line):
         read_trace_csv(str(path))
     assert main(["report", str(path)]) == 1
     assert f"cannot read {path}: line {line} of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cells, column, text", [
+    ("1,0.5,0.35,,1,1,1", "N_l", ""),
+    ("1,0.5,0.35,1,abc,1,1", "delta_wl", "abc"),
+], ids=["int_column", "float_column"])
+def test_report_names_the_line_and_column_of_an_unparsable_cell(tmp_path, capsys, cells,
+                                                                column, text):
+    path = tmp_path / "bad.csv"
+    path.write_text("l,epsilon_l,delta_l,N_l,delta_wl,dist_xstar,cum_inner\n0,,,0,1,1,0\n"
+                    + cells + "\n")
+    message = f"line 3 of {path}: {column}: cannot parse {text!r}"
+    with pytest.raises(ValueError) as raised:
+        read_trace_csv(str(path))
+    assert str(raised.value) == message
+    assert main(["report", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"cannot read {path}: {message}\n")
 
 
 def test_report_refuses_a_nan_delta_cell(tmp_path, capsys):

@@ -133,6 +133,8 @@ def _quadratic_search(draw):
 
 
 @given(_quadratic_search())
+# m = 0 ties the Armijo bound exactly (0 <= 0.5 - 0.5), so a strict test would give m = 1
+@example((_half_tsq(), np.array([1.0]), np.array([-1.0]), 0.5, 0.5, 1.0, 3))
 def test_armijo_matches_brute_force_on_random_quadratics(case):
     """From any start power the bracket returns what the scan from m = 0
     returns, bit for bit, in at most |m - m0| + 2 trials (m - m0 + 1 above
@@ -165,6 +167,8 @@ def _trial_case(draw):
 
 @settings(max_examples=60)
 @given(_trial_case())
+# t = 0.25 * 3 at m = 2: t * d is finite, but a trial formed as 0.25 * (3 * d) is inf
+@example((np.array([0.0]), np.array([1e308]), 3.0))
 def test_armijo_trial_point_bits(case):
     """A unit step (theta^0 * cap = 1) accepted at m = 0 returns the bytes of
     x + d, which are those of 1.0 * d + x; any other step t returns the bytes
