@@ -21,6 +21,7 @@ import numpy as np
 
 from .bench import (ExperimentConfig, bound_constants, bundled_problem, measure_complexity,
                     solver_constants, validate_experiment, with_bounds)
+from .core import LineSearchFailure, OracleFailure, RunawayInnerLoop
 from .oracles import BallSet, BoxSet, SimplexSet
 from .regularization import GeometricSchedule, PerturbedObjective, path_check, tikhonov_solve
 from .solvers import StopPolicy, run_cgm, run_cgrm, run_gpm, run_gprm
@@ -388,8 +389,15 @@ CRITERIA = (
 
 
 def run_all(ctx: Optional[SuiteContext] = None) -> list[CriterionResult]:
+    """Each criterion's result in order; a solver error it raises is its FAIL."""
     ctx = ctx if ctx is not None else SuiteContext()
-    return [fn(ctx) for fn in CRITERIA]
+    results = []
+    for number, fn in enumerate(CRITERIA, 1):
+        try:
+            results.append(fn(ctx))
+        except (RunawayInnerLoop, LineSearchFailure, OracleFailure) as exc:
+            results.append(CriterionResult(number, "solver failure", False, f"{type(exc).__name__}: {exc}"))
+    return results
 
 
 def format_line(result: CriterionResult) -> str:

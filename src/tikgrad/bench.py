@@ -35,7 +35,7 @@ from .core import (
     estimate_lipschitz_quadratic,
 )
 from .oracles import BoxSet, SimplexSet
-from .regularization import GeometricSchedule, IterRegSchedule
+from .regularization import GeometricSchedule
 from .solvers import (
     DEFAULT_BETA,
     DEFAULT_THETA,
@@ -50,7 +50,6 @@ from .solvers import (
     run_cgrm,
     run_gpm,
     run_gprm,
-    run_iterreg,
 )
 
 __all__ = [
@@ -77,7 +76,7 @@ __all__ = [
     "sidecar_path",
 ]
 
-METHODS = ("gpm", "cgm", "iterreg", "gprm", "cgrm")
+METHODS = ("gpm", "cgm", "gprm", "cgrm")
 
 # spans two decades of accuracy while keeping bundled runs under a second
 DEFAULT_ALPHA_GRID = (0.1, 0.03, 0.01, 0.003, 0.001)
@@ -491,11 +490,11 @@ class ExperimentConfig:
     """One solver run, fully determined.
 
     Field names are exactly the keys accepted in config files.  Schedule
-    fields are method-specific: (epsilon0, nu, sigma) for gprm/cgrm, tau
-    for iterreg, lam for gpm, theta_k for cgm; the rest are ignored by
-    methods that do not use them.  A field named like a field of
-    GeometricSchedule, IterRegSchedule, MethodConstants or StopPolicy takes
-    its default and its range check from that type.
+    fields are method-specific: (epsilon0, nu, sigma) for gprm/cgrm, lam
+    for gpm, theta_k for cgm; the rest are ignored by methods that do not
+    use them.  A field named like a field of GeometricSchedule,
+    MethodConstants or StopPolicy takes its default and its range check
+    from that type.
     """
 
     problem_label: str
@@ -503,7 +502,6 @@ class ExperimentConfig:
     epsilon0: float = GeometricSchedule.epsilon0
     nu: float = GeometricSchedule.nu
     sigma: float = GeometricSchedule.sigma
-    tau: float = IterRegSchedule.tau
     lam: Optional[float] = None
     theta_k: Optional[float] = None
     beta: float = DEFAULT_BETA
@@ -520,7 +518,7 @@ class ExperimentConfig:
 # one valid instance of each library type that owns config fields; each owned
 # field is range-checked by its owner's __post_init__, one field at a time, so
 # the errors come in this order of owners and each owner's field order
-_OWNERS = (GeometricSchedule(), IterRegSchedule(), gprm_constants(1.0, 1.0), StopPolicy())
+_OWNERS = (GeometricSchedule(), gprm_constants(1.0, 1.0), StopPolicy())
 
 
 def _validate_config(cfg: ExperimentConfig) -> list[str]:
@@ -624,8 +622,6 @@ def run_experiment(cfg: ExperimentConfig) -> SolverTrace:
         trace = run_gpm(gp.problem, lam, x0, cfg.max_iter)
     elif cfg.method == "cgm":
         trace = run_cgm(gp.problem, theta_k, x0, cfg.max_iter)
-    elif cfg.method == "iterreg":
-        trace = run_iterreg(gp.problem, IterRegSchedule(cfg.tau), x0, cfg.max_iter)
     elif cfg.method == "gprm":
         trace = run_gprm(gp.problem, sched, consts, x0, stop)
     else:

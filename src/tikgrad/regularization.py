@@ -22,7 +22,6 @@ from .core import Array, OracleFailure, Problem, Objective, as_vector
 __all__ = [
     "PerturbedObjective",
     "GeometricSchedule",
-    "IterRegSchedule",
     "TikhonovRecord",
     "PathCheckReport",
     "tikhonov_solve",
@@ -71,26 +70,6 @@ class GeometricSchedule:
             raise ValueError("level index must be non-negative")
         eps = self.epsilon0 * self.nu**l
         return eps, eps ** (1.0 + self.sigma)
-
-
-@dataclass(frozen=True)
-class IterRegSchedule:
-    """Single-loop rule lambda_k = (k+1)^(-1/2), eps_k = (k+1)^(-tau).
-
-    tau in (0, 1/2) keeps lambda_k / eps_k -> 0 while sum(lambda_k * eps_k)
-    diverges, the combination required for iterative regularization.
-    """
-
-    tau: float = 0.25
-
-    def __post_init__(self):
-        if not (0.0 < self.tau < 0.5):
-            raise ValueError("tau: must lie in (0, 0.5)")
-
-    def params(self, k: int) -> tuple[float, float]:
-        if k < 0:
-            raise ValueError("iteration index must be non-negative")
-        return (k + 1.0) ** -0.5, (k + 1.0) ** -self.tau
 
 
 @dataclass(frozen=True, eq=False)

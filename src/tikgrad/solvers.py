@@ -1,22 +1,21 @@
 """First-order methods under test, instrumented with per-run traces.
 
-Five methods share the container types here:
+Four methods share the container types here:
 
-* run_gpm       fixed-step projected gradient (baseline, weak convergence)
-* run_iterreg   single-loop iteratively regularized projected gradient
-* run_gprm      two-level regularized gradient projection
-* run_cgm       conditional gradient with the analytic step rule (baseline)
-* run_cgrm      two-level regularized conditional gradient
+* run_gpm    fixed-step projected gradient (baseline, weak convergence)
+* run_gprm   two-level regularized gradient projection
+* run_cgm    conditional gradient with the analytic step rule (baseline)
+* run_cgrm   two-level regularized conditional gradient
 
 Each method validates its parameters and hands a step to one of two private
 drivers, which own the start check, the stop rule, the counters, the records
 and what a run holds in memory; their docstrings state each.  _single_loop
-takes one step per iteration for gpm, iterreg and cgm.  _two_level runs the
-outer Tikhonov loop of gprm and cgrm: an inner Armijo loop on the perturbed
-objective phi_eps_l runs until a displacement (gprm) or duality-gap (cgrm)
-test signals that the level is solved to accuracy delta_l, then eps shrinks.
-A trace holds scalar records (one per level, or per step of a single-loop
-method), the smallest accepted multiplier and the final point, its only
+takes one step per iteration for the baselines gpm and cgm.  _two_level runs
+the outer Tikhonov loop of gprm and cgrm: an inner Armijo loop on the
+perturbed objective phi_eps_l runs until a displacement (gprm) or duality-gap
+(cgrm) test signals that the level is solved to accuracy delta_l, then eps
+shrinks.  A trace holds scalar records (one per level, or per step of a
+baseline), the smallest accepted multiplier and the final point, its only
 n-vector; run_gprm/run_cgrm show each inner iterate to an optional observe
 callable, for certificate checks, and keep none.
 """
@@ -38,7 +37,7 @@ from .core import (
     RunawayInnerLoop,
     as_vector,
 )
-from .regularization import GeometricSchedule, IterRegSchedule, PerturbedObjective
+from .regularization import GeometricSchedule, PerturbedObjective
 
 __all__ = [
     "DEFAULT_BETA",
@@ -50,7 +49,6 @@ __all__ = [
     "gprm_constants",
     "cgrm_constants",
     "run_gpm",
-    "run_iterreg",
     "run_gprm",
     "run_cgm",
     "run_cgrm",
@@ -165,7 +163,7 @@ class StopPolicy:
 
 @dataclass
 class OuterRecord:
-    """One completed outer level (or one iteration of a single-loop method): the
+    """One completed outer level (or one iteration of a baseline): the
     trace CSV's seven columns; delta_wl and dist_xstar describe its point w_l."""
 
     l: int
@@ -309,39 +307,34 @@ def _oracle(problem: Problem, method: str, lmo: bool = False) -> Callable[[Array
 
 def _single_loop(
     problem: Problem, x0: Array, max_iter: int, oracle_counter: str,
-    step: Callable[[int, Array], Optional[tuple]], x_alone: bool,
+    step: Callable[[Array], Optional[tuple[Array, float]]],
 ) -> SolverTrace:
-    """Loop shared by run_gpm, run_iterreg and run_cgm: x <- step(k, x) for k < max_iter.
+    """Loop shared by run_gpm and run_cgm: x <- step(x), at most max_iter times.
 
-    step(k, x) calls the gradient and the method's oracle once each and
-    returns (x_new, lam_k, eps_k), or None when x needs no step; the loop
-    then stops.  Each new point gets a record with eps_k in its epsilon_l
-    column.  x_alone says that x_new depends on x alone (gpm, cgm): a step
-    that maps x to x bit for bit (_same_bits) would then repeat those bytes
-    forever, so the loop stops there, records no repeat and leaves its lam_k
-    out of min_observed_lambda.  iterreg's (lam_k, eps_k) changes at every
-    step, so it takes no such stop and runs all max_iter steps.
-    gradient_evals and the oracle_counter field count the calls made:
-    steps + 1 when a run stops early, max_iter when it runs out.  Only x
-    outlives a step: the gradient and the LMO vertex die inside it, so above
-    the caller's x0 a run holds x and, while a step runs, its temporaries.
+    step(x) calls the gradient and the method's oracle once each and returns
+    (x_new, lam_k), or None when x needs no step.  x_new depends on x alone,
+    so a step that maps x to x bit for bit (_same_bits) would repeat those
+    bytes forever.  The loop stops at None or at such a repeat, records no
+    repeat and leaves its lam_k out of min_observed_lambda; each new point
+    gets a record with no epsilon_l.  gradient_evals and the oracle_counter
+    field count the calls made: steps + 1 when a run stops early, max_iter
+    when it runs out.  Only x outlives a step: the gradient and the LMO
+    vertex die inside it, so above the caller's x0 a run holds x and, while
+    a step runs, its temporaries.
     """
     x = _require_feasible(problem, x0)
     records = [_record(problem, 0, None, None, 0, x, 0)]
     min_lam = math.inf
     evals = steps = 0
     while steps < max_iter:
-        taken = step(steps, x)
+        taken = step(x)
         evals += 1
-        if taken is None:
+        if taken is None or _same_bits(taken[0], x):
             break
-        x_new, lam, eps = taken
-        if x_alone and _same_bits(x_new, x):
-            break
-        x = x_new
+        x, lam = taken
         steps += 1
         min_lam = min(min_lam, lam)
-        records.append(_record(problem, steps, eps, None, 1, x, steps))
+        records.append(_record(problem, steps, None, None, 1, x, steps))
     counters = OracleCounters(
         gradient_evals=evals, inner_iterations=steps, **{oracle_counter: evals}
     )
@@ -353,31 +346,15 @@ def run_gpm(problem: Problem, lam: float, x0: Array, max_iter: int) -> SolverTra
 
     Requires 0 < lam < 2/L.  Converges in objective value but the iterates
     may stall at any minimizer, not the minimal-norm one; that failure mode
-    is exactly what the regularized methods exist to fix.  The step depends
-    on x alone, so the run stops at an exact fixed point (see _single_loop).
+    is exactly what the regularized methods exist to fix.  The run stops at
+    an exact fixed point (see _single_loop).
     """
     L = problem.objective.lipschitz_L
     if not (lam > 0.0 and lam * L < 2.0):
         raise ValueError("need 0 < lam < 2/L")
     project, grad = _oracle(problem, "gpm"), problem.objective.gradient_fn
     return _single_loop(problem, x0, max_iter, "projections",
-                        lambda k, x: (project(x - lam * grad(x)), lam, None), x_alone=True)
-
-
-def run_iterreg(problem: Problem, sched: IterRegSchedule, x0: Array, max_iter: int) -> SolverTrace:
-    """Iteratively regularized projected gradient, single loop.
-
-    x <- P(x - lambda_k (f'(x) + eps_k x)) with the schedule's decaying
-    lambda_k and eps_k.  Converges to the minimal-norm solution without an
-    outer loop, at the cost of having no complexity guarantee.
-    """
-    project, grad = _oracle(problem, "iterreg"), problem.objective.gradient_fn
-
-    def step(k: int, x: Array) -> tuple:
-        lam, eps = sched.params(k)
-        return project(x - lam * (grad(x) + eps * x)), lam, eps
-
-    return _single_loop(problem, x0, max_iter, "projections", step, x_alone=False)
+                        lambda x: (project(x - lam * grad(x)), lam))
 
 
 _Observer = Callable[[int, int, float, Array, Array, float], None]
@@ -542,16 +519,16 @@ def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> Solve
 
     beta_k = -<f'(x), d>/||d||^2 measures how far the unconstrained minimum
     along the vertex direction lies; theta_k must stay below 2/L for the C/k
-    value rate.  The step depends on x alone, so the run stops at an exact
-    fixed point (see _single_loop), and also when the LMO returns x itself:
-    x + lam * 0 would not repeat the bytes of a -0.0 entry of x.
+    value rate.  The run stops at an exact fixed point (see _single_loop)
+    and when the LMO returns x itself: x + lam * 0 would not repeat the
+    bytes of a -0.0 entry of x.
     """
     L = problem.objective.lipschitz_L
     if not (theta_k > 0.0 and theta_k * L < 2.0):
         raise ValueError("need 0 < theta_k < 2/L")
     lmo, grad = _oracle(problem, "cgm", lmo=True), problem.objective.gradient_fn
 
-    def step(k: int, x: Array) -> Optional[tuple]:
+    def step(x: Array) -> Optional[tuple]:
         g = grad(x)
         d = lmo(g) - x
         if not d.any():
@@ -561,9 +538,9 @@ def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> Solve
         beta_k = -float(g.dot(d)) / dn2 if dn2 > 0.0 else math.inf
         del g  # so the new point's temporaries take its place
         lam = min(1.0, theta_k * beta_k)
-        return x + lam * d, lam, None
+        return x + lam * d, lam
 
-    return _single_loop(problem, x0, max_iter, "lmo_calls", step, x_alone=True)
+    return _single_loop(problem, x0, max_iter, "lmo_calls", step)
 
 
 def run_cgrm(

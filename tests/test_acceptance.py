@@ -22,8 +22,7 @@ from tikgrad.bench import (
     write_trace_csv,
 )
 from tikgrad.core import OracleCounters
-from tikgrad.regularization import IterRegSchedule
-from tikgrad.solvers import OuterRecord, SolverTrace, run_cgm, run_gpm, run_iterreg
+from tikgrad.solvers import OuterRecord, SolverTrace, run_cgm, run_gpm
 
 
 @pytest.fixture(scope="module")
@@ -265,11 +264,6 @@ GOLDEN = {
         "77f167be29d8ea73023c5674a8dfac9f4008c692e931c61dcd778babfc4963c1",
         (57, 0, 57, 0, 56), 2.2657612747452175e-17,
     ),
-    "iterreg": (
-        "0b6a070cb211dc33081bb77aedcd499f4af2cc6a3b0513d75c8db089c1fc8a9f",
-        "f4eab351545f09f400e71a684db02de59ebd7adfff938cd5eb02668470960f2e",
-        (200, 200, 0, 0, 200), 0.07071067811865475,
-    ),
 }
 
 
@@ -281,8 +275,6 @@ def _canonical_runs(ctx):
     yield "gpm", run_gpm(box.problem, 1.0 / box.analytic_L, np.zeros(2), 200)
     simplex = bundled_problem("wellposed_simplex(3)")
     yield "cgm", run_cgm(simplex.problem, 1.0 / simplex.analytic_L, np.array([1.0, 0.0, 0.0]), 200)
-    ill = bundled_problem("illposed_box(2)")
-    yield "iterreg", run_iterreg(ill.problem, IterRegSchedule(0.25), np.array([1.0, 0.0]), 200)
 
 
 def test_canonical_traces_are_bit_identical(ctx, tmp_path):

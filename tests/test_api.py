@@ -51,14 +51,14 @@ def test_config_keys_are_the_experiment_config_fields(tmp_path):
     the equal ExperimentConfig."""
     text = {
         "problem_label": "illposed_simplex(3)", "method": "cgrm", "epsilon0": "2.0",
-        "nu": "0.25", "sigma": "1.0", "tau": "0.125", "lam": "0.1", "theta_k": "0.2",
+        "nu": "0.25", "sigma": "1.0", "lam": "0.1", "theta_k": "0.2",
         "beta": "0.25", "theta": "0.75", "epsilon_min": "1e-3", "max_outer": "7",
         "max_inner_per_l": "500", "max_linesearch_m": "30", "max_iter": "42",
         "x0": "1, 0, 0", "output_path": "out/t.csv",
     }
     want = ExperimentConfig(
         problem_label="illposed_simplex(3)", method="cgrm", epsilon0=2.0, nu=0.25,
-        sigma=1.0, tau=0.125, lam=0.1, theta_k=0.2, beta=0.25, theta=0.75,
+        sigma=1.0, lam=0.1, theta_k=0.2, beta=0.25, theta=0.75,
         epsilon_min=1e-3, max_outer=7, max_inner_per_l=500, max_linesearch_m=30,
         max_iter=42, x0=(1.0, 0.0, 0.0), output_path="out/t.csv",
     )

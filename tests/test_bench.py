@@ -31,7 +31,7 @@ from tikgrad.bench import (
 )
 from tikgrad.core import OracleCounters, OracleFailure
 from tikgrad.oracles import BoxSet
-from tikgrad.regularization import GeometricSchedule, IterRegSchedule
+from tikgrad.regularization import GeometricSchedule
 from tikgrad.solvers import (
     MethodConstants,
     OuterRecord,
@@ -203,8 +203,7 @@ def test_default_start_is_the_start_of_a_dense_argument(label):
     fs = bundled_problem(label).problem.feasible_set
     vertex = fs.lmo_fn(np.ones(fs.dimension))
     origin = fs.project_fn(np.zeros(fs.dimension))
-    for method, dense in [("cgm", vertex), ("cgrm", vertex), ("gpm", origin),
-                          ("iterreg", origin), ("gprm", origin)]:
+    for method, dense in [("cgm", vertex), ("cgrm", vertex), ("gpm", origin), ("gprm", origin)]:
         start = default_start(bundled_problem(label), method)
         assert start.dtype == dense.dtype and start.tobytes() == dense.tobytes()
         assert start.flags.writeable and start.flags.c_contiguous
@@ -445,11 +444,11 @@ def test_run_experiment_config_validation():
         run_experiment(ExperimentConfig("illposed_simplex(3)", "cgm", theta_k=1.5))
     try:
         run_experiment(ExperimentConfig(
-            "illposed_box(2)", "gprm", nu=1.2, sigma=0.0, tau=0.7, max_iter=10
+            "illposed_box(2)", "gprm", nu=1.2, sigma=0.0, max_iter=10
         ))
     except ConfigError as e:
         msg = str(e)
-        assert "nu" in msg and "sigma" in msg and "tau" in msg
+        assert "nu" in msg and "sigma" in msg
     else:
         raise AssertionError("invalid config was accepted")
 
@@ -460,7 +459,6 @@ OWNED_FIELDS = {
     "epsilon0": (lambda v: GeometricSchedule(epsilon0=v), (0.0, -1.0, math.nan, math.inf)),
     "nu": (lambda v: GeometricSchedule(nu=v), (0.0, -1.0, math.nan, 1.0)),
     "sigma": (lambda v: GeometricSchedule(sigma=v), (0.0, -1.0, math.nan, 1.5)),
-    "tau": (IterRegSchedule, (0.0, -1.0, math.nan, 0.5)),
     "beta": (lambda v: gprm_constants(2.0, 1.0, beta=v), (0.0, -1.0, math.nan, 1.0)),
     "theta": (lambda v: gprm_constants(2.0, 1.0, theta=v), (0.0, -1.0, math.nan, 1.0)),
     "epsilon_min": (lambda v: StopPolicy(epsilon_min=v), (0.0, -1.0, math.nan, -math.inf)),

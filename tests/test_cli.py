@@ -14,6 +14,7 @@ from tikgrad.bench import (
     write_trace_csv,
 )
 from tikgrad.cli import main
+from tikgrad.core import LineSearchFailure
 
 
 def _write_ini(tmp_path, body, name="config.ini"):
@@ -97,6 +98,8 @@ def test_run_parses_x0_into_config(tmp_path):
          "problem_label: 'illposed_box(1)': dim must be >= 2"),
         (dict(problem_label="illposed_simplex(2)", method="cgrm"),
          "problem_label: 'illposed_simplex(2)': dim must be >= 3"),
+        (dict(problem_label="illposed_box(2)", method="iterreg"), "method: must be one of"),
+        (dict(problem_label="illposed_box(2)", method="gprm", tau="0.25"), "tau: unknown field"),
     ],
 )
 def test_run_config_errors_exit_1(tmp_path, capsys, fields, fragment):
@@ -217,7 +220,7 @@ def test_sweep_validates_every_config_before_running(tmp_path, capsys):
 def _no_solver(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the solver ran")
-    for name in ("run_gprm", "run_cgrm", "run_gpm", "run_cgm", "run_iterreg"):
+    for name in ("run_gprm", "run_cgrm", "run_gpm", "run_cgm"):
         monkeypatch.setattr(bench, name, fail)
 
 
@@ -334,6 +337,21 @@ def test_verify_exit_3_on_any_failure(monkeypatch, capsys):
     monkeypatch.setattr(acceptance, "run_all", lambda: _fake_results(fail_at=7))
     assert main(["verify"]) == 3
     assert "criterion 07 FAIL" in capsys.readouterr().out
+
+
+def test_verify_turns_a_solver_error_into_the_criterions_fail(monkeypatch, capsys):
+    """A gprm run that raises fails each criterion that runs gprm, with the
+    error's name and message; the other criteria still run and pass."""
+    def fail(*args, **kwargs):
+        raise LineSearchFailure("no sufficient decrease")
+    monkeypatch.setattr(acceptance, "run_gprm", fail)
+    assert main(["verify"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11
+    failed = {int(line.split()[1]) for line in lines if " FAIL " in line}
+    assert failed == {1, 3, 4, 5, 6, 7, 11}
+    for number in failed:
+        assert "LineSearchFailure: no sufficient decrease" in lines[number - 1]
 
 
 def test_report_prints_complexity_table(tmp_path, capsys):

@@ -11,7 +11,6 @@ from tikgrad.core import FeasibleSet, Objective, OracleFailure, Problem
 from tikgrad.oracles import SimplexSet, lmo_simplex
 from tikgrad.regularization import (
     GeometricSchedule,
-    IterRegSchedule,
     PathCheckReport,
     PerturbedObjective,
     TikhonovRecord,
@@ -91,24 +90,6 @@ def test_geometric_schedule_validation():
         GeometricSchedule().params(-1)
 
 
-def test_iterreg_params_frozen_values():
-    lam, eps = IterRegSchedule(0.25).params(3)
-    assert lam == 0.5
-    assert_allclose(eps, 4.0 ** -0.25, rtol=1e-15)
-    assert IterRegSchedule(0.25).params(0) == (1.0, 1.0)
-    lam, eps = IterRegSchedule(0.4).params(99)
-    assert_allclose(lam, 0.1, rtol=1e-15)
-    assert_allclose(eps, 100.0 ** -0.4, rtol=1e-15)
-
-
-def test_iterreg_schedule_validation():
-    for tau in (0.6, 0.5, 0.0, -1.0):
-        with pytest.raises(ValueError):
-            IterRegSchedule(tau)
-    with pytest.raises(ValueError):
-        IterRegSchedule(0.25).params(-1)
-
-
 def test_schedule_ratio_decreases_monotonically():
     """delta_l / eps_l equals eps_l^sigma and falls monotonically toward 0."""
     for nu in (0.3, 0.5, 0.9):
@@ -125,45 +106,6 @@ def test_schedule_ratio_decreases_monotonically():
     canonical = GeometricSchedule(1.0, 0.5, 0.5)
     eps, delta = canonical.params(50)
     assert delta / eps < 1e-7
-
-
-def test_iterreg_rule_limit_behaviour():
-    """The (lambda_k, eps_k) rule drives all four coupling limits correctly.
-
-    Checked on a geometric prefix of iteration counts: eps_k -> 0,
-    lambda_k/eps_k -> 0, (eps_k - eps_{k+1})/(lambda_k eps_k^2) -> 0, and the
-    partial sums of eps_k*lambda_k keep growing without levelling off.
-    """
-    ks = [2 ** j for j in range(1, 21)]
-    log_k1 = np.log([k + 1.0 for k in ks])
-    for tau in (0.1, 0.25, 0.4):
-        sched = IterRegSchedule(tau)
-        eps_vals, ratio_vals, drift_vals = [], [], []
-        for k in ks:
-            lam_k, eps_k = sched.params(k)
-            _, eps_next = sched.params(k + 1)
-            eps_vals.append(eps_k)
-            ratio_vals.append(lam_k / eps_k)
-            drift_vals.append((eps_k - eps_next) / (lam_k * eps_k ** 2))
-        for seq in (eps_vals, ratio_vals):
-            assert all(b < a for a, b in zip(seq, seq[1:]))
-        # the discrete eps difference has a small-k transient; only the tail
-        # of the drift sequence needs to decrease
-        assert all(b < a for a, b in zip(drift_vals[2:], drift_vals[3:]))
-        # power-law decay exponents certify the -> 0 limits
-        eps_slope = np.polyfit(log_k1, np.log(eps_vals), 1)[0]
-        ratio_slope = np.polyfit(log_k1, np.log(ratio_vals), 1)[0]
-        drift_slope = np.polyfit(log_k1[-10:], np.log(drift_vals[-10:]), 1)[0]
-        assert_allclose(eps_slope, -tau, atol=1e-10)
-        assert_allclose(ratio_slope, tau - 0.5, atol=1e-10)
-        assert_allclose(drift_slope, tau - 0.5, atol=0.02)
-
-        idx = np.arange(1, 2 ** 20 + 1, dtype=float)
-        terms = idx ** -0.5 * idx ** -tau
-        partial = np.cumsum(terms)
-        # divergence heuristic: each decade of iterations still adds >= 10%
-        checkpoints = [partial[10 ** j - 1] for j in range(2, 7)]
-        assert all(b > 1.1 * a for a, b in zip(checkpoints, checkpoints[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the five methods: baselines, two-level solvers, line search."""
+"""Tests for the four methods: baselines, two-level solvers, line search."""
 
 import collections
 import dataclasses
@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose
 
 from tikgrad import solvers
 from tikgrad.bench import (
+    METHODS,
     ExperimentConfig,
     bundled_problem,
     default_start,
@@ -34,11 +35,7 @@ from tikgrad.core import (
     RunawayInnerLoop,
 )
 from tikgrad.oracles import BoxSet, SimplexSet, project_box, project_simplex
-from tikgrad.regularization import (
-    GeometricSchedule,
-    IterRegSchedule,
-    PerturbedObjective,
-)
+from tikgrad.regularization import GeometricSchedule, PerturbedObjective
 from tikgrad.solvers import (
     MethodConstants,
     StopPolicy,
@@ -49,7 +46,6 @@ from tikgrad.solvers import (
     run_cgrm,
     run_gpm,
     run_gprm,
-    run_iterreg,
 )
 
 from path_helpers import tikhonov_path
@@ -365,43 +361,12 @@ def test_baselines_stop_at_the_first_bitwise_repeat(run, steps, label, x0, stop_
     assert full.counters.gradient_evals == full.counters.inner_iterations == stop_at
 
 
-def test_iterreg_never_stops_early(box12_zero):
-    """From its first step on, iterreg maps (1, 1) to itself bit for bit on
-    the zero objective, but its (lambda, eps) changes at every step, so its
-    step takes no repeat stop and it runs all max_iter steps."""
-    trace = run_iterreg(box12_zero, IterRegSchedule(0.25), np.array([2.0, 2.0]), 50)
-    assert trace.final_point.tolist() == [1.0, 1.0]
-    assert len(trace.outer_records) == 51
-    assert trace.counters == OracleCounters(
-        gradient_evals=50, projections=50, inner_iterations=50)
-    assert trace.min_observed_lambda == 50.0 ** -0.5
-
-
 def test_gpm_validation(halfnorm_box):
     for lam in (2.0, 0.0, -0.5):
         with pytest.raises(ValueError):
             run_gpm(halfnorm_box, lam, np.array([1.5, 1.5]), 5)
     with pytest.raises(ValueError):
         run_gpm(halfnorm_box, 0.5, np.array([5.0, 5.0]), 5)
-
-
-def test_iterreg_first_step_hits_minimal_norm_corner(box12_zero):
-    trace = run_iterreg(box12_zero, IterRegSchedule(0.25), np.array([2.0, 2.0]), 1)
-    assert_allclose(trace.final_point, [1.0, 1.0], rtol=0, atol=0)
-    assert trace.min_observed_lambda == 1.0
-
-
-def test_iterreg_converges_to_minimal_norm_solution():
-    gp = bundled_problem("illposed_box(2)")
-    trace = run_iterreg(gp.problem, IterRegSchedule(0.25), np.array([1.0, 0.0]), 10**4)
-    assert trace.outer_records[-1].dist_xstar < 0.1
-
-
-def test_iterreg_validation(box12_zero):
-    with pytest.raises(ValueError):
-        IterRegSchedule(0.6)
-    with pytest.raises(ValueError):
-        run_iterreg(box12_zero, IterRegSchedule(0.25), np.array([0.0, 0.0]), 5)
 
 
 @pytest.fixture(scope="module")
@@ -562,8 +527,6 @@ def _run_on_simplex(method, x0, observe=None):
     p, stop = gp.problem, StopPolicy(epsilon_min=1e-2)
     if method == "gpm":
         return run_gpm(p, 0.5, x0, 20)
-    if method == "iterreg":
-        return run_iterreg(p, IterRegSchedule(0.25), x0, 20)
     if method == "cgm":
         return run_cgm(p, 0.5, x0, 20)
     if method == "gprm":
@@ -573,17 +536,14 @@ def _run_on_simplex(method, x0, observe=None):
     return run_cgrm(p, SCHED, consts, x0, stop, observe)
 
 
-FIVE_METHODS = ["gpm", "iterreg", "cgm", "gprm", "cgrm"]
-
-
-@pytest.mark.parametrize("method", FIVE_METHODS)
+@pytest.mark.parametrize("method", METHODS)
 def test_wrong_length_start_raises(method):
     # sums to 1 with no negative entry, so only the dimension check can reject it
     with pytest.raises(ValueError, match="wrong dimension"):
         _run_on_simplex(method, np.full(4, 0.25))
 
 
-@pytest.mark.parametrize("method", FIVE_METHODS)
+@pytest.mark.parametrize("method", METHODS)
 def test_trace_does_not_alias_the_callers_start(method):
     x0 = np.array([1.0, 0.0, 0.0])
     observe, seen = _observer()
@@ -698,7 +658,7 @@ def test_observing_changes_no_arithmetic(method, label, w0, n_samples):
     assert len(got) == n_samples
 
 
-@pytest.mark.parametrize("method", FIVE_METHODS)
+@pytest.mark.parametrize("method", METHODS)
 def test_default_trace_holds_one_n_vector(method):
     """At n = 2**17 a default trace holds its final point and bytes per record,
     so its memory follows neither the run length nor the number of levels."""
@@ -708,7 +668,6 @@ def test_default_trace_holds_one_n_vector(method):
     # steps 0.5/L (gpm) and 0.9 (cgm) reach no exact fixed point within 50 steps
     runs = {
         "gpm": lambda: run_gpm(p, 0.5 / n, w0, 50),
-        "iterreg": lambda: run_iterreg(p, IterRegSchedule(0.25), w0, 50),
         "cgm": lambda: run_cgm(p, 0.9, w0, 50),
         "gprm": lambda: _two_level_run("gprm", p, w0, StopPolicy()),
         "cgrm": lambda: _two_level_run("cgrm", p, w0, StopPolicy(epsilon_min=1e-2)),
@@ -754,7 +713,7 @@ def test_two_level_run_peaks_at_four_n_vectors(method, make, stop):
     assert peak - start <= 4.5 * 8 * n
 
 
-@pytest.mark.parametrize("method", FIVE_METHODS)
+@pytest.mark.parametrize("method", METHODS)
 def test_a_missing_oracle_is_named_with_the_method(box12_zero, method):
     """The projection methods refuse a set with only an LMO, and the
     conditional-gradient methods a set with an LMO but no diameter_B."""
@@ -767,7 +726,6 @@ def test_a_missing_oracle_is_named_with_the_method(box12_zero, method):
     consts = MethodConstants(0.5, 0.5, 0.5, 2.0)
     runs = {
         "gpm": lambda: run_gpm(problem, 0.5, x0, 5),
-        "iterreg": lambda: run_iterreg(problem, IterRegSchedule(0.25), x0, 5),
         "cgm": lambda: run_cgm(problem, 0.5, x0, 5),
         "gprm": lambda: run_gprm(problem, SCHED, consts, x0),
         "cgrm": lambda: run_cgrm(problem, SCHED, consts, x0),
@@ -776,19 +734,18 @@ def test_a_missing_oracle_is_named_with_the_method(box12_zero, method):
         runs[method]()
 
 
-@pytest.mark.parametrize("method", ["gpm", "iterreg", "cgm"])
+@pytest.mark.parametrize("method", ["gpm", "cgm"])
 def test_single_loop_run_peaks_below_three_and_a_half_n_vectors(method):
     """Above its start, a baseline run on an n = 10**5 problem holds x and one
     step's arrays: the gradient and the LMO vertex die inside the step, before
     the new point is formed, so the peak is x, the step point and its
-    projection (gpm, iterreg) or x, d and the new point (cgm).  Half a
+    projection (gpm) or x, d and the new point (cgm).  Half a
     vector of slack covers the scalar bookkeeping."""
     n = 10**5
     gp = (make_illposed_simplex if method == "cgm" else make_illposed_box)(n)
     p, w0 = gp.problem, default_start(gp, method)
     runs = {
         "gpm": lambda: run_gpm(p, 0.5 / n, w0, 20),
-        "iterreg": lambda: run_iterreg(p, IterRegSchedule(0.25), w0, 20),
         "cgm": lambda: run_cgm(p, 0.9, w0, 20),
     }
     gc.collect()
@@ -1181,7 +1138,7 @@ def test_trace_final_point():
     """final_point is the point the last record describes, or the start where
     no level ran."""
     gp = bundled_problem("illposed_simplex(3)")
-    for method in FIVE_METHODS:
+    for method in METHODS:
         trace = _run_on_simplex(method, np.array([0.0, 0.0, 1.0]))
         r = trace.final_point - gp.problem.known_xstar_n
         assert math.sqrt(r.dot(r)) == trace.outer_records[-1].dist_xstar, method
@@ -1215,7 +1172,7 @@ def _counting(problem):
 
 @pytest.mark.parametrize("max_iter", [20, 300])
 @pytest.mark.parametrize("label", ["wellposed_box(2)", "illposed_simplex(3)"])
-@pytest.mark.parametrize("method", FIVE_METHODS)
+@pytest.mark.parametrize("method", METHODS)
 def test_counters_equal_the_oracle_calls_made(method, label, max_iter):
     """OracleCounters of every method count the gradient, projection and LMO
     calls the run made, its steps and (baselines) no line-search trial.  On
@@ -1232,8 +1189,6 @@ def test_counters_equal_the_oracle_calls_made(method, label, max_iter):
         trace = run_gpm(problem, step, x0, max_iter)
     elif method == "cgm":
         trace = run_cgm(problem, step, x0, max_iter)
-    elif method == "iterreg":
-        trace = run_iterreg(problem, IterRegSchedule(0.25), x0, max_iter)
     else:
         run = run_gprm if method == "gprm" else run_cgrm
         trace = run(problem, SCHED, consts, x0, StopPolicy(epsilon_min=1e-2))
