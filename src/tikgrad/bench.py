@@ -155,10 +155,15 @@ def make_illposed_box(dim: int) -> GeneratedProblem:
         g.fill(float(np.add.reduce(x)) - 1.0)
         return g
 
+    ones = _constant(dim, 1.0)
+
+    def curvature(d: Array) -> float:  # (sum d)^2; d.dot takes half np.add.reduce's time at n = 2
+        return float(d.dot(ones)) ** 2
+
     box = BoxSet(_constant(dim, -1.0), _constant(dim, 1.0))
     xstar = _constant(dim, 1.0 / dim)
     problem = Problem(
-        objective=Objective(value, gradient, float(dim)),
+        objective=Objective(value, gradient, float(dim), curvature),
         feasible_set=box.to_feasible_set(),
         known_fstar=0.0,
         known_xstar_n=xstar,
@@ -196,10 +201,13 @@ def make_illposed_simplex(dim: int) -> GeneratedProblem:
         g[1] = t * -1.0
         return g
 
+    def curvature(d: Array) -> float:  # (d_1 - d_2)^2
+        return (d.item(0) - d.item(1)) ** 2
+
     simplex = SimplexSet(dim)
     xstar = _constant(dim, 1.0 / dim)
     problem = Problem(
-        objective=Objective(value, gradient, 2.0),
+        objective=Objective(value, gradient, 2.0, curvature),
         feasible_set=simplex.to_feasible_set(),
         known_fstar=0.0,
         known_xstar_n=xstar,
@@ -299,6 +307,10 @@ def make_rankdef_lsq(A: Array, b: Array, fs: FeasibleSet, label: Optional[str] =
     def gradient(x: Array) -> Array:
         return At @ (A @ x - b)
 
+    def curvature(d: Array) -> float:  # ||A d||^2
+        r = A @ d
+        return float(r.dot(r))
+
     L = estimate_lipschitz_quadratic(A)
     if L <= 0.0:
         raise ValueError("A must be nonzero")
@@ -308,7 +320,7 @@ def make_rankdef_lsq(A: Array, b: Array, fs: FeasibleSet, label: Optional[str] =
     if label is None:
         label = f"rankdef_lsq({A.shape[0]}x{A.shape[1]})"
     problem = Problem(
-        objective=Objective(value, gradient, L),
+        objective=Objective(value, gradient, L, curvature),
         feasible_set=fs,
         known_fstar=fstar,
         known_xstar_n=xstar,

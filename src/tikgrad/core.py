@@ -35,7 +35,8 @@ class OracleFailure(RuntimeError):
 
 
 class LineSearchFailure(RuntimeError):
-    """Backtracking exceeded the trial budget; the Lipschitz constant is suspect."""
+    """Backtracking exceeded the trial budget, or the curvature seen along a
+    direction exceeds L'; the Lipschitz constant is suspect."""
 
 
 class RunawayInnerLoop(RuntimeError):
@@ -74,11 +75,16 @@ class Objective:
     value_fn and gradient_fn must accept a float64 vector; lipschitz_L is a
     Lipschitz constant of the gradient on the feasible set of interest
     (an overestimate is safe, an underestimate breaks step-size guarantees).
+    curvature_fn(d), if given, must be <d, f'' d> for a quadratic f, whose
+    Hessian f'' is constant: the two-level solvers then decide each Armijo
+    power from scalars, and for any other f the traces move.  Leave it None
+    unless f is quadratic.
     """
 
     value_fn: Callable[[Array], float]
     gradient_fn: Callable[[Array], Array]
     lipschitz_L: float
+    curvature_fn: Optional[Callable[[Array], float]] = None
 
     def __post_init__(self):
         if not (np.isfinite(self.lipschitz_L) and self.lipschitz_L >= 0.0):
@@ -155,7 +161,8 @@ class OracleCounters:
 
     gradient_evals, projections and lmo_calls count the oracle calls the run
     made, as the solvers' drivers state.  inner_iterations counts the steps
-    taken, linesearch_trials the Armijo trial points evaluated.
+    taken, linesearch_trials the Armijo powers tested, by evaluating phi_eps
+    at a trial point or, with a curvature_fn, by the closed form.
     """
 
     gradient_evals: int = 0

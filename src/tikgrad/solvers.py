@@ -186,6 +186,16 @@ class SolverTrace:
     min_observed_lambda: float = math.inf
 
 
+def _trial_point(x: Array, d: Array, t: float) -> Array:
+    """x + t * d, new: x + d (1.0 * d + x bit for bit) at t = 1, else t * d
+    plus x in place (x + t * d bit for bit, with one temporary fewer)."""
+    if t == 1.0:
+        return x + d
+    x_new = t * d
+    x_new += x
+    return x_new
+
+
 def _armijo(
     phi_value: Callable[[Array], float],
     x: Array,
@@ -196,30 +206,38 @@ def _armijo(
     cap: float,
     m0: int = 0,
     phi_at_x: Optional[float] = None,
-) -> tuple[int, float, Array, float, int]:
+    slope: Optional[float] = None,
+    kappa: Optional[float] = None,
+) -> tuple[int, float, Array, Optional[float], int]:
     """Smallest m with phi(trial_m) <= phi(x) - beta * theta^m * quad_coeff.
 
     powers[m] is theta^m for m = 0 .. max_m.  quad_coeff is ||d||^2 for
-    gradient-projection steps and mu^2 for conditional-gradient steps.  Trial
-    point is x + theta^m * cap * d; powers with theta^m * cap > 1 are skipped
-    unevaluated, and cap = 1.0 gives the plain trial x + theta^m * d.  A unit
-    step t = theta^m * cap = 1 forms x + d, which is 1.0 * d + x bit for bit;
-    any other t forms t * d and adds x in place.  phi_eps is convex along the
+    gradient-projection steps and mu^2 for conditional-gradient steps.  The
+    trial point is _trial_point(x, d, theta^m * cap); powers with
+    theta^m * cap > 1 are skipped untested.  phi_eps is convex along the
     ray and the demanded decrease is linear in the step, so the multipliers
-    that pass form an interval [0, t_max]: the search tries
-    the first power >= m0 with step <= 1, then larger m while the test fails
-    or smaller m while it passes (m0 = 0 is the scan from the unit step).
+    that pass form an interval [0, t_max]: the search tests the first power
+    >= m0 with step <= 1, then larger m while the test fails or smaller m
+    while it passes (m0 = 0 is the scan from the unit step).
     Whatever m0 is, the accepted power is that of the scan, so a caller that
     passes the last accepted power changes only the trial count: on
     illposed_box(10**6), where L' = 10**6 + 1 puts m near 20, gprm takes 39
     trials for 10 steps instead of 210.
-    Returns (m, theta^m, accepted point, its phi value, number of trials).
-    An accepted point equal to x raises LineSearchFailure naming the
-    multiplier, since the caller would step from the same x again and again;
-    it happens when phi is NaN wherever the search steps, or when d vanishes
-    against x.
+    Given kappa = <d, phi'' d> of a quadratic phi and slope = <phi'(x), d>,
+    phi(x + t d) - phi(x) = t slope + t^2 kappa / 2 decides each power, with
+    no phi call and no trial point but the accepted one.  Both tests round
+    the exact one, so they differ only where its margin is below the
+    evaluated test's rounding (ulps of phi(x), and phi's change over the trial
+    point's rounding): a constant 2^53 in phi rounds away every decrease
+    below 1.  verify's twelve two-level runs never come that close.
+    Returns (m, theta^m, accepted point, its phi value (None in the closed
+    form), number of powers tested).  An accepted point equal to x raises
+    LineSearchFailure naming the multiplier, since the caller would step
+    from the same x again and again; it happens when phi is NaN wherever the
+    search steps, or when d vanishes against x.
     """
-    if phi_at_x is None:
+    closed = kappa is not None
+    if phi_at_x is None and not closed:
         phi_at_x = phi_value(x)
         if not math.isfinite(phi_at_x):
             raise OracleFailure("objective value is not finite at the line-search start")
@@ -227,17 +245,18 @@ def _armijo(
     while m0 <= max_m and powers[m0] * cap > 1.0:
         m0 += 1
     m, accepted, trials = m0, None, 0
+    x_new = val = None
     while 0 <= m <= max_m and powers[m] * cap <= 1.0:
         step = powers[m]
         t = step * cap
-        if t == 1.0:  # 1.0 * d is d exactly, so x + d is the same trial
-            x_new = x + d
-        else:  # t * d + x is x + t * d bit for bit, with one temporary fewer
-            x_new = t * d
-            x_new += x
-        val = phi_value(x_new)
+        if closed:
+            passed = t * slope + 0.5 * t * t * kappa <= -beta * step * quad_coeff
+        else:
+            x_new = _trial_point(x, d, t)
+            val = phi_value(x_new)
+            passed = val <= phi_at_x - beta * step * quad_coeff
         trials += 1
-        if val <= phi_at_x - beta * step * quad_coeff:
+        if passed:
             accepted = m, step, x_new, val
             if m > m0:  # m - 1 failed
                 break
@@ -252,7 +271,10 @@ def _armijo(
             "gradient or Lipschitz data is suspect"
         )
     m, step, x_new, val = accepted
-    if val == phi_at_x and np.array_equal(x_new, x):
+    if closed:
+        x_new = _trial_point(x, d, step * cap)
+    # a point equal to x has phi(x) and x's first entry: cheap tests first
+    if (x_new.item(0) == x.item(0) if closed else val == phi_at_x) and np.array_equal(x_new, x):
         raise LineSearchFailure(
             f"the accepted step at multiplier {step!r} leaves x unchanged, "
             "so the search would repeat it; objective values are suspect")
@@ -374,19 +396,24 @@ def _two_level(
     """Outer Tikhonov loop shared by run_gprm and run_cgrm.
 
     step(x, phi'(x)) calls the method's oracle once and returns
-    (y, d, test, quad_coeff, cap): the candidate y, the direction d, the
-    value the handoff test compares with delta_l, and the Armijo quad_coeff
-    and unit-step cap.  phi'(x) = f'(x) + eps_l x is written into the last
+    (y, d, test, quad_coeff, cap, slope, dn2): the candidate y, the direction
+    d, the value the handoff test compares with delta_l, the Armijo
+    quad_coeff and unit-step cap, and <phi'(x), d> and ||d||^2 for a
+    curvature_fn: kappa = <d, f'' d> + eps_l dn2 then decides the search
+    (_armijo), and raises OracleFailure if NaN or negative, LineSearchFailure
+    if above L' dn2, both naming the level.  A true L keeps kappa (eps0 -
+    eps_l) dn2 >= (1 - nu) eps0 dn2 below L' dn2, far above its rounding.
+    phi'(x) = f'(x) + eps_l x is written into the last
     d, which is dead once a search has returned or a level has handed off
     (eps_l x first, then f'(x) + that, the operands of the plain expression
     in its order, so the bits are the same); only a run's first step gets a
     new array.  Nothing else reads phi'(x), so step may overwrite it (gprm's
-    step turns it into d).  The driver never writes f'(x)'s own array, an x,
-    a y, the start or a trial point.  observe(l, k, eps_l,
-    x, y, test), if given, sees the k-th iterate of level l before its test.
-    Level l takes Armijo steps along d until test <= delta_l, then passes
-    handoff(phi_eps_l, x, y, phi_x) to level l + 1 as its warm start, where
-    phi_x is phi_eps_l(x) from the last step, or None if the level took none.
+    step turns it into d without a curvature_fn).  The driver never writes
+    f'(x)'s own array, an x, a y, the start or a trial point.  observe(l, k,
+    eps_l, x, y, test), if given, sees the k-th iterate of level l before its
+    test.  Level l takes Armijo steps along d until test <= delta_l, then
+    passes handoff(phi_eps_l, x, y, phi_x) to level l + 1 as its warm start,
+    where phi_x is phi_eps_l(x) from the last evaluated search, or None.
     Each search starts from the last accepted power, across levels too, since
     L' does not depend on the level.  A NaN test raises OracleFailure, and
     consts.Lprime < L + sched.epsilon0 raises ValueError.  gradient_evals and
@@ -395,14 +422,16 @@ def _two_level(
     done) nor the level's start (once x moves) stays alive through the
     Armijo search or the level's record.  So above the caller's w0 a run
     holds x and d between steps, and at its peak four n-vectors: x, d and
-    two trial points in a search, or in a cgrm step x, phi'(x), y and the new d.
+    two trial points in an evaluated search (the closed form builds no trial
+    point, only the accepted one), or in a step x, phi'(x), y and the new d
+    (gprm keeps phi'(x) beside them only with a curvature_fn).
     """
     stop = stop if stop is not None else StopPolicy()
     if consts.Lprime < problem.objective.lipschitz_L + sched.epsilon0:
         raise ValueError("consts.Lprime is below L + epsilon0 of the objective and schedule")
     x = _require_feasible(problem, w0)
-    grad = problem.objective.gradient_fn
-    beta, powers = consts.beta, [1.0]
+    grad, curvature = problem.objective.gradient_fn, problem.objective.curvature_fn
+    beta, Lprime, powers = consts.beta, consts.Lprime, [1.0]
     for _ in range(stop.max_linesearch_m):
         powers.append(powers[-1] * consts.theta)
     max_inner = stop.max_inner_per_l
@@ -425,7 +454,8 @@ def _two_level(
         N_l = 0
         while True:
             # f'(x) + eps * x bit for bit: eps * x first, then f'(x) + that
-            y, d, test, quad_coeff, cap = step(x, np.add(grad(x), np.multiply(x, eps_0d, d), d))
+            y, d, test, quad_coeff, cap, slope, dn2 = step(
+                x, np.add(grad(x), np.multiply(x, eps_0d, d), d))
             if observe is not None:
                 observe(l, N_l, eps, x, y, test)
             if test <= delta:
@@ -438,8 +468,14 @@ def _two_level(
             del y
             if N_l >= max_inner:
                 raise RunawayInnerLoop(f"level {l} exceeded {max_inner} inner iterations")
+            kappa = None if curvature is None else curvature(d) + eps * dn2
+            if kappa is not None and not 0.0 <= kappa <= Lprime * dn2:
+                if not kappa >= 0.0:
+                    raise OracleFailure(f"level {l}: curvature along d is {kappa!r}, not >= 0")
+                raise LineSearchFailure(f"level {l}: curvature along d is {kappa / dn2!r} ||d||^2, "
+                                        f"above L' = {Lprime!r}; lipschitz_L is understated")
             m, lam, x, phi_x, trials = _armijo(
-                phi, x, d, beta, powers, quad_coeff, cap, m, phi_x
+                phi, x, d, beta, powers, quad_coeff, cap, m, phi_x, slope, kappa
             )
             trials_total += trials
             if lam < min_lambda:
@@ -497,16 +533,20 @@ def run_gprm(
         final point.
 
     Each step writes x - phi'(x) and then d = y - x into the phi'(x) array
-    the driver hands it, so the projection oracle must never return its
-    argument.  _two_level states what a run holds.
+    the driver hands it, or, when the objective has a curvature_fn, into a
+    new array, so the projection oracle must never return its argument.
+    _two_level states what a run holds.
     """
     project = _oracle(problem, "gprm")
+    curved = problem.objective.curvature_fn is not None
 
     def step(x: Array, g: Array) -> tuple:
-        y = project(np.subtract(x, g, g))
-        d = np.subtract(y, x, g)
+        # with a curvature_fn, g outlives the step's x - g for <phi'(x), d>
+        z = x - g if curved else np.subtract(x, g, g)
+        y = project(z)
+        d = np.subtract(y, x, z)
         dn2 = float(d.dot(d))
-        return y, d, math.sqrt(dn2), dn2, 1.0
+        return y, d, math.sqrt(dn2), dn2, 1.0, float(g.dot(d)) if curved else None, dn2
 
     def better(phi, x: Array, y: Array, phi_x: Optional[float]) -> Array:
         return y if phi(y) <= (phi(x) if phi_x is None else phi_x) else x
@@ -562,12 +602,13 @@ def run_cgrm(
     Parameters are those of run_gprm; observe's test value is the gap mu.
     """
     lmo = _oracle(problem, "cgrm", lmo=True)
+    curved = problem.objective.curvature_fn is not None
 
     def step(x: Array, g: Array) -> tuple:
         y = lmo(g)
         d = y - x
         mu = -float(g.dot(d))
-        return y, d, mu, mu * mu, mu
+        return y, d, mu, mu * mu, mu, -mu, float(d.dot(d)) if curved else None
 
     return _two_level(problem, sched, consts, w0, stop, observe, "lmo_calls", step,
                       lambda phi, x, y, phi_x: x)

@@ -4,6 +4,7 @@ Each test prints its one-line verdict so a -s run reads as the full
 acceptance report; shared solver runs live in a module-scoped context.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import re
@@ -12,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tikgrad import acceptance
+from tikgrad import acceptance, bench
 from tikgrad.bench import (
     ExperimentConfig,
     bound_constants,
@@ -289,3 +290,46 @@ def test_canonical_traces_are_bit_identical(ctx, tmp_path):
             trace.min_observed_lambda,
         )
     assert seen == GOLDEN
+
+
+def _swap_objectives(monkeypatch, swap):
+    """Make bundled_problem hand out the two-level runs' problems with each
+    objective o replaced by swap(o), a dataclasses.replace of it."""
+    for label in {label for _, label in acceptance.TWO_LEVEL_CASES}:
+        gp = bundled_problem(label)
+        problem = dataclasses.replace(gp.problem, objective=swap(gp.problem.objective))
+        monkeypatch.setitem(bench._PROBLEM_CACHE, label, dataclasses.replace(gp, problem=problem))
+
+
+def test_canonical_traces_are_bit_identical_without_the_curvature_oracle(monkeypatch, tmp_path):
+    """The Armijo search that evaluates phi_eps at every trial point gives
+    the same GOLDEN tuples as the closed form, trial counts included."""
+    _swap_objectives(monkeypatch, lambda o: dataclasses.replace(o, curvature_fn=None))
+    test_canonical_traces_are_bit_identical(acceptance.SuiteContext(), tmp_path)
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "evaluated"])
+def test_the_closed_form_search_calls_phi_only_at_handoffs(monkeypatch, closed):
+    """With the curvature oracle, each sigma = 0.5 run calls value_fn at most
+    three times per level: gprm's handoff compares phi at x and y, and the
+    level's record reads f.  Without it, the same counter reads at least one
+    call per Armijo trial, which shows the wrapper is live."""
+    calls = []
+
+    def counted(objective):
+        def value(x):
+            calls.append(None)
+            return objective.value_fn(x)
+        strip = {} if closed else {"curvature_fn": None}
+        return dataclasses.replace(objective, value_fn=value, **strip)
+
+    _swap_objectives(monkeypatch, counted)
+    ctx = acceptance.SuiteContext()
+    for method, label in acceptance.TWO_LEVEL_CASES:
+        before = len(calls)
+        trace = ctx.two_level_run(method, label, 0.5)[3]
+        n_calls = len(calls) - before
+        if closed:
+            assert 0 < n_calls <= 3 * len(trace.outer_records)
+        else:
+            assert n_calls >= trace.counters.linesearch_trials

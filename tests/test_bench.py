@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, reject, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from tikgrad import acceptance, bench
@@ -119,6 +121,52 @@ def test_rankdef_validation():
         make_rankdef_lsq(np.zeros((2, 2)), np.zeros(2), fs)
     with pytest.raises(ValueError):
         make_rankdef_lsq(np.ones((2, 3)), np.zeros(2), fs)
+
+
+# the six bundled labels and a second size of the two scalable problems
+_QUADRATIC_LABELS = ("illposed_box(2)", "illposed_simplex(3)", "rankdef_box(2)",
+                     "rankdef_simplex(3)", "wellposed_box(2)", "wellposed_simplex(3)",
+                     "illposed_box(7)", "illposed_simplex(7)")
+
+
+@st.composite
+def _random_rankdef(draw):
+    """0.5 ||A x - b||^2 on [-1, 1]^n, A with a zero row and b = A x0, x0 in the box."""
+    n = draw(st.integers(2, 4))
+    rows = draw(arrays(np.float64, (draw(st.integers(1, 3)), n), elements=st.floats(-2.0, 2.0)))
+    assume(np.abs(rows).max() > 1e-3)  # a smaller A may have ||A||^2 = 0
+    A = np.vstack([rows, np.zeros(n)])
+    x0 = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    try:
+        return make_rankdef_lsq(A, A @ x0, BoxSet(-np.ones(n), np.ones(n)).to_feasible_set())
+    except OracleFailure:  # no trusted ground truth for this A
+        reject()
+
+
+@st.composite
+def _curvature_case(draw):
+    gp = draw(st.sampled_from(_QUADRATIC_LABELS).map(bundled_problem) | _random_rankdef())
+    vector = arrays(np.float64, gp.problem.feasible_set.dimension, elements=st.floats(-4.0, 4.0))
+    return gp.problem.objective, draw(vector), draw(vector)
+
+
+@settings(max_examples=60)
+@given(_curvature_case())
+@example((bundled_problem("illposed_box(2)").problem.objective, np.array([0.3, -2.0]), np.zeros(2)))
+# Cauchy-Schwarz holds with equality: (sum d)^2 = 7 ||d||^2 = L ||d||^2
+@example((bundled_problem("illposed_box(7)").problem.objective, np.linspace(-1.0, 1.0, 7),
+          np.full(7, 0.5)))
+def test_curvature_oracle_is_twice_the_quadratic_remainder(case):
+    """curvature_fn(d) = 2 (f(x + d) - f(x) - <f'(x), d>) for every quadratic
+    objective the library builds, to a relative 1e-12 of |f(x + d)| + |f(x)|
+    + |<f'(x), d>|, the terms whose rounding the difference carries; and it
+    lies in [0, L ||d||^2], the range the solvers check it against.  A wrong
+    curvature could otherwise pass GOLDEN by deciding the same powers there."""
+    obj, x, d = case
+    kappa = obj.curvature_fn(d)
+    fx, fxd, slope = obj.value_fn(x), obj.value_fn(x + d), float(obj.gradient_fn(x) @ d)
+    assert abs(kappa - 2.0 * (fxd - fx - slope)) <= 1e-12 * (abs(fxd) + abs(fx) + abs(slope))
+    assert 0.0 <= kappa <= obj.lipschitz_L * float(d @ d) * (1.0 + 1e-12)
 
 
 def test_minimal_norm_oracle_cross_checks_both_orders(monkeypatch):

@@ -71,10 +71,15 @@ def _powers(theta, max_m=60):
     return powers
 
 
-def _half_tsq():
-    """phi(t) = 0.5 t^2 with no perturbation folded in."""
-    obj = Objective(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), 1.0)
+def _half_tsq(offset=0.0):
+    """phi(t) = offset + 0.5 t^2 with no perturbation folded in."""
+    obj = Objective(lambda x: offset + 0.5 * float(x @ x), lambda x: x.copy(), 1.0,
+                    lambda d: float(d @ d))
     return PerturbedObjective(obj, 0.0)
+
+
+def _no_phi(x):
+    raise AssertionError("the closed-form search evaluated phi")
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +123,7 @@ def _quadratic_search(draw):
     m_ = draw(entries)
     a = m_.T @ m_ + 0.1 * np.eye(n)
     obj = Objective(lambda x: 0.5 * float(x @ a @ x), lambda x: a @ x,
-                    float(np.linalg.eigvalsh(a)[-1]))
+                    float(np.linalg.eigvalsh(a)[-1]), lambda d: float(d @ a @ d))
     eps = draw(st.floats(0.0, 1.0))
     phi = PerturbedObjective(obj, eps)
     x = draw(arrays(np.float64, n, elements=st.floats(-3.0, 3.0)))
@@ -131,10 +136,16 @@ def _quadratic_search(draw):
 @given(_quadratic_search())
 # m = 0 ties the Armijo bound exactly (0 <= 0.5 - 0.5), so a strict test would give m = 1
 @example((_half_tsq(), np.array([1.0]), np.array([-1.0]), 0.5, 0.5, 1.0, 3))
+# a near-tie: phi's constant 2^53 rounds away every decrease below 1, so the
+# evaluated search accepts m = 1, whose margin is 0.075; the closed form gives m = 3
+@example((_half_tsq(2.0**53), np.array([1.0]), np.array([-1.0]), 0.9, 0.5, 1.0, 0))
 def test_armijo_matches_brute_force_on_random_quadratics(case):
     """From any start power the bracket returns what the scan from m = 0
     returns, bit for bit, in at most |m - m0| + 2 trials (m - m0 + 1 above
-    m0); the scan is the smallest admissible m of the literal reference."""
+    m0); the scan is the smallest admissible m of the literal reference.
+    Decided from slope and kappa, the search calls no phi and returns the
+    evaluated search's (m, lambda, point bytes, trials), unless rounding in
+    phi exceeds the test's margin at the smaller of the two powers."""
     phi, x, d, beta, theta, cap, m0 = case
     q = cap * float(d @ d)
     assume(q > 0.0)
@@ -146,6 +157,22 @@ def test_armijo_matches_brute_force_on_random_quadratics(case):
     assert (bm, blam, bpoint.tobytes(), bvalue) == (m, lam, point.tobytes(), value)
     # upward the search stops at the first pass; downward it needs one failure
     assert trials <= (m - m0 + 1 if m > m0 else m0 - m + 2)
+    eps = phi.epsilon
+    slope = float((phi.base.gradient_fn(x) + eps * x) @ d)
+    kappa = phi.base.curvature_fn(d) + eps * float(d @ d)
+    cm, clam, cpoint, cvalue, ctrials = _armijo(
+        _no_phi, x, d, beta, powers, q, cap, m0, None, slope, kappa)
+    assert cvalue is None
+    if cm == m:
+        assert (clam, cpoint.tobytes(), ctrials) == (lam, point.tobytes(), trials)
+    else:
+        k = min(cm, m)
+        t = powers[k] * cap
+        trial = x + t * d
+        g = phi.base.gradient_fn(trial) + eps * trial
+        margin = abs(t * slope + 0.5 * t * t * kappa + beta * powers[k] * q)
+        rounding = 8 * (math.ulp(phi.value(x)) + math.ulp(phi.value(trial)))
+        assert margin <= rounding + 2.0**-50 * math.sqrt(g @ g) * math.sqrt(trial @ trial)
 
 
 _TRIAL_ENTRIES = st.one_of(
@@ -684,23 +711,34 @@ def test_default_trace_holds_one_n_vector(method):
     assert 8 * n <= kept <= 1.1 * 8 * n
 
 
+def _evaluated(problem):
+    """problem with no curvature_fn, so the Armijo search evaluates phi."""
+    return dataclasses.replace(
+        problem, objective=dataclasses.replace(problem.objective, curvature_fn=None))
+
+
 @pytest.mark.parametrize(
-    "method, make, stop",
+    "method, make, stop, closed",
     [
-        ("gprm", make_illposed_box, StopPolicy()),
-        ("cgrm", make_illposed_simplex, StopPolicy(epsilon_min=1e-2)),
+        ("gprm", make_illposed_box, StopPolicy(), True),
+        ("cgrm", make_illposed_simplex, StopPolicy(epsilon_min=1e-2), True),
+        ("gprm", make_illposed_box, StopPolicy(), False),
+        ("cgrm", make_illposed_simplex, StopPolicy(epsilon_min=1e-2), False),
     ],
-    ids=["gprm", "cgrm"],
+    ids=["gprm", "cgrm", "gprm-evaluated", "cgrm-evaluated"],
 )
-def test_two_level_run_peaks_at_four_n_vectors(method, make, stop):
+def test_two_level_run_peaks_at_four_n_vectors(method, make, stop, closed):
     """Above its start, a two-level run on an n = 10**5 problem holds at most
-    four n-vectors at once.  The direction d is the next phi'(x)'s buffer, so
-    the run keeps x and d, and at its peak two more: the accepted and the next
-    trial point of a search, or (cgrm) y and the new d while phi'(x) is live.
-    Half a vector of slack covers the scalar bookkeeping."""
+    four n-vectors at once, with or without the curvature oracle.  The
+    direction d is the next phi'(x)'s buffer, so the run keeps x and d, and
+    at its peak two more: the accepted and the next trial point of an
+    evaluated search (the closed form builds only the accepted point), or y
+    and the new d while phi'(x) is live, which gprm keeps through its step
+    only in the closed form.  Half a vector of slack covers the scalar
+    bookkeeping."""
     n = 10**5
     gp = make(n)
-    p, w0 = gp.problem, default_start(gp, method)
+    p, w0 = gp.problem if closed else _evaluated(gp.problem), default_start(gp, method)
     gc.collect()
     tracemalloc.start()
     try:
@@ -1076,12 +1114,43 @@ def test_null_armijo_step_raises():
         _two_level_run("gprm", problem, np.array([1.0, 0.0]), stop)
 
 
+@pytest.mark.parametrize("label", ["illposed_box(2)", "illposed_simplex(3)"])
+@pytest.mark.parametrize("method", ["gprm", "cgrm"])
+def test_an_understated_lipschitz_constant_fails_at_level_1(method, label):
+    """With lipschitz_L understated 100x, L' = L/100 + eps0 = 1.02, and the
+    curvature along a level-1 direction exceeds L' ||d||^2; a true L keeps
+    it (eps0 - eps_1) ||d||^2 = 0.5 ||d||^2 below."""
+    gp = bundled_problem(label)
+    obj = gp.problem.objective
+    problem = dataclasses.replace(
+        gp.problem, objective=dataclasses.replace(obj, lipschitz_L=obj.lipschitz_L / 100))
+    w0 = np.eye(problem.feasible_set.dimension)[0]
+    with pytest.raises(LineSearchFailure, match=r"^level 1: curvature along d is \d\.\d+ "
+                       r"\|\|d\|\|\^2, above L' = 1\.02; lipschitz_L is understated$"):
+        _two_level_run(method, problem, w0, STOP)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e3])
+@pytest.mark.parametrize("method", ["gprm", "cgrm"])
+def test_a_nan_or_negative_curvature_fails_fast(method, bad):
+    """A curvature oracle that returns NaN or a negative number raises at the first step."""
+    gp = bundled_problem("illposed_box(2)")
+    problem = dataclasses.replace(gp.problem, objective=dataclasses.replace(
+        gp.problem.objective, curvature_fn=lambda d: bad))
+    with pytest.raises(OracleFailure, match=r"^level 1: curvature along d is \S+, not >= 0$"):
+        _two_level_run(method, problem, np.array([1.0, 0.0]), STOP)
+
+
 def test_armijo_null_unit_step_raises():
     """A direction that vanishes against x rounds even the unit step back to
-    x; no floor on the multiplier would catch that step."""
+    x; no floor on the multiplier would catch that step, evaluated or in
+    closed form (slope -||d||^2, kappa ||d||^2)."""
     phi = _half_tsq()
     with pytest.raises(LineSearchFailure, match="multiplier 1.0 leaves x unchanged"):
         _armijo(phi.value, np.array([1.0]), np.array([-1e-20]), 0.5, _powers(0.5), 1e-40, 1.0)
+    with pytest.raises(LineSearchFailure, match="multiplier 1.0 leaves x unchanged"):
+        _armijo(_no_phi, np.array([1.0]), np.array([-1e-20]), 0.5, _powers(0.5), 1e-40, 1.0,
+                0, None, -1e-40, 1e-40)
 
 
 def test_cgrm_multiplier_stays_above_the_proven_floor_with_a_correct_L():
