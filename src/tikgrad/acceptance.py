@@ -5,8 +5,8 @@ Tikhonov oracle solutions so criteria can share them) and returns a
 CriterionResult.  run_all executes all eleven in order; format_line renders
 the one-line verdict.  The CLI `verify` subcommand and the test suite both
 drive this module, so a failure shows up identically in both places.
-Each solver run is an ExperimentConfig, set up as `tikgrad run` sets it up
-by validate_experiment and solver_constants.
+Each solver run is an ExperimentConfig whose problem, start, schedule, stop
+policy, constants and step come from validate_experiment, as in `tikgrad run`.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from typing import Optional
 import numpy as np
 
 from .bench import (ExperimentConfig, bound_constants, bundled_problem, measure_complexity,
-                    solver_constants, validate_experiment, with_bounds)
+                    validate_experiment, with_bounds)
 from .core import LineSearchFailure, OracleFailure, RunawayInnerLoop
 from .oracles import BallSet, BoxSet, SimplexSet
-from .regularization import GeometricSchedule, PerturbedObjective, path_check, tikhonov_solve
-from .solvers import StopPolicy, run_cgm, run_cgrm, run_gpm, run_gprm
+from .regularization import PerturbedObjective, path_check, tikhonov_solve
+from .solvers import run_cgm, run_cgrm, run_gpm, run_gprm
 
 __all__ = ["CriterionResult", "SuiteContext", "CRITERIA", "run_all", "format_line"]
 
@@ -70,10 +70,7 @@ class SuiteContext:
             dim = bundled_problem(label).problem.feasible_set.dimension
             cfg = ExperimentConfig(label, method, sigma=sigma, epsilon_min=ACCEPT_EPS_MIN,
                                    x0=(1.0,) + (0.0,) * (dim - 1))
-            gp, w0, _, _ = validate_experiment(cfg)
-            sched = GeometricSchedule(cfg.epsilon0, cfg.nu, cfg.sigma)
-            consts = solver_constants(cfg, gp, w0)
-            stop = StopPolicy(cfg.epsilon_min)
+            gp, w0, sched, stop, consts, _ = validate_experiment(cfg)
             run = run_gprm if method == "gprm" else run_cgrm
             observe = None
             if (method, label) in CERTIFIED_RUNS and sigma == 0.5:
@@ -103,8 +100,8 @@ class SuiteContext:
 def _baseline_run(label: str, method: str, x0: tuple, max_iter: int):
     """The gpm or cgm run of that config: its validated start, its default step 1/L."""
     cfg = ExperimentConfig(label, method, max_iter=max_iter, x0=x0)
-    gp, x0, lam, theta_k = validate_experiment(cfg)
-    step, run = (lam, run_gpm) if method == "gpm" else (theta_k, run_cgm)
+    gp, x0, _, _, _, step = validate_experiment(cfg)
+    run = run_gpm if method == "gpm" else run_cgm
     return run(gp.problem, step, x0, max_iter)
 
 

@@ -585,15 +585,18 @@ def _check_output_dir(path: str) -> None:
         raise ConfigError(f"output_path: cannot write in {parent!r}")
 
 
-def validate_experiment(cfg: ExperimentConfig) -> tuple[GeneratedProblem, Array, float, float]:
-    """Everything run_experiment checks before solving; returns (gp, x0, lam, theta_k).
+def validate_experiment(cfg: ExperimentConfig) -> tuple[
+        GeneratedProblem, Array, GeometricSchedule, StopPolicy, Optional[MethodConstants], Optional[float]]:
+    """Everything run_experiment checks and builds before solving: the solver's
+    arguments (gp, x0, sched, stop, consts, step).
 
+    consts is solver_constants(cfg, gp, x0), None for gpm and cgm; step is the
+    baseline's lam (gpm) or theta_k (cgm), default 1/L, None for gprm and cgrm.
     Raises ConfigError for a field outside its mandated interval, an
     output_path ending in .json (the sidecar would replace the trace), naming
     no file, or whose directory cannot be created or written, an unknown
     problem label, a baseline step at or above 2/L, or an x0 that has the
     wrong dimension, a non-finite entry, or lies outside the feasible set.
-    lam and theta_k default to 1/L.
     """
     errors = _validate_config(cfg)
     if errors:
@@ -601,14 +604,14 @@ def validate_experiment(cfg: ExperimentConfig) -> tuple[GeneratedProblem, Array,
     if cfg.output_path is not None:
         _check_output_dir(cfg.output_path)
     gp = bundled_problem(cfg.problem_label)
-    L = gp.problem.objective.lipschitz_L
-    # baseline steps default to 1/L once the problem fixes L
-    lam = cfg.lam if cfg.lam is not None else 1.0 / L
-    theta_k = cfg.theta_k if cfg.theta_k is not None else 1.0 / L
-    if cfg.method == "gpm" and lam * L >= 2.0:
-        raise ConfigError("lam: must satisfy lam < 2/L")
-    if cfg.method == "cgm" and theta_k * L >= 2.0:
-        raise ConfigError("theta_k: must satisfy theta_k < 2/L")
+    step = None
+    if cfg.method in ("gpm", "cgm"):
+        name, given = ("lam", cfg.lam) if cfg.method == "gpm" else ("theta_k", cfg.theta_k)
+        L = gp.problem.objective.lipschitz_L
+        # the baseline step defaults to 1/L once the problem fixes L
+        step = given if given is not None else 1.0 / L
+        if step * L >= 2.0:
+            raise ConfigError(f"{name}: must satisfy {name} < 2/L")
     if cfg.x0 is None:
         x0 = default_start(gp, cfg.method)
     else:
@@ -616,7 +619,9 @@ def validate_experiment(cfg: ExperimentConfig) -> tuple[GeneratedProblem, Array,
             x0 = _require_feasible(gp.problem, cfg.x0)
         except ValueError as exc:
             raise ConfigError(f"x0: {exc}") from None
-    return gp, x0, lam, theta_k
+    sched = GeometricSchedule(cfg.epsilon0, cfg.nu, cfg.sigma)
+    stop = StopPolicy(cfg.epsilon_min, cfg.max_outer, cfg.max_inner_per_l, cfg.max_linesearch_m)
+    return gp, x0, sched, stop, solver_constants(cfg, gp, x0), step
 
 
 def run_experiment(cfg: ExperimentConfig) -> SolverTrace:
@@ -626,18 +631,10 @@ def run_experiment(cfg: ExperimentConfig) -> SolverTrace:
     writes the CSV trace and its JSON sidecar next to each other at
     output_path.
     """
-    gp, x0, lam, theta_k = validate_experiment(cfg)
-    stop = StopPolicy(cfg.epsilon_min, cfg.max_outer, cfg.max_inner_per_l, cfg.max_linesearch_m)
-    sched = GeometricSchedule(cfg.epsilon0, cfg.nu, cfg.sigma)
-    consts = solver_constants(cfg, gp, x0)
-    if cfg.method == "gpm":
-        trace = run_gpm(gp.problem, lam, x0, cfg.max_iter)
-    elif cfg.method == "cgm":
-        trace = run_cgm(gp.problem, theta_k, x0, cfg.max_iter)
-    elif cfg.method == "gprm":
-        trace = run_gprm(gp.problem, sched, consts, x0, stop)
-    else:
-        trace = run_cgrm(gp.problem, sched, consts, x0, stop)
+    gp, x0, sched, stop, consts, step = validate_experiment(cfg)
+    run = {"gpm": run_gpm, "cgm": run_cgm, "gprm": run_gprm, "cgrm": run_cgrm}[cfg.method]
+    args = (step, x0, cfg.max_iter) if consts is None else (sched, consts, x0, stop)
+    trace = run(gp.problem, *args)
 
     if cfg.output_path is not None:
         write_trace_csv(trace, cfg.output_path)

@@ -69,8 +69,9 @@ _PARSERS = {
 
 
 def _flatten_ini(path: str) -> dict[str, str]:
-    # no field needs %-interpolation; the parser's errors span lines, the CLI prints one
-    parser = configparser.ConfigParser(interpolation=None)
+    # no field needs %-interpolation; the parser's errors span lines, the CLI prints one;
+    # no header spells a newline, so [DEFAULT] is an ordinary section, not inherited
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         if not parser.read(path):
             raise ConfigError(f"config: cannot read {path!r}")

@@ -87,6 +87,10 @@ class BallSet:
         return self.center.size
 
     def contains(self, x: Array, tol: float = 1e-10) -> bool:
+        """ValueError unless x has the center's shape."""
+        x = np.asarray(x)
+        if x.shape != self.center.shape:
+            raise ValueError(f"expected shape {self.center.shape}, got {x.shape}")
         d = x - self.center
         return math.sqrt(d.dot(d)) <= self.radius + tol
 

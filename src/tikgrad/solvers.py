@@ -578,7 +578,7 @@ def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> Solve
         beta_k = -float(g.dot(d)) / dn2 if dn2 > 0.0 else math.inf
         del g  # so the new point's temporaries take its place
         lam = min(1.0, theta_k * beta_k)
-        return x + lam * d, lam
+        return _trial_point(x, d, lam), lam
 
     return _single_loop(problem, x0, max_iter, "lmo_calls", step)
 

@@ -71,6 +71,35 @@ def test_config_keys_are_the_experiment_config_fields(tmp_path):
     bench.validate_experiment(want)
 
 
+def _called_globals(tree: ast.Module) -> set:
+    """Names some function of tree calls, directly or through a local it
+    binds to them (`run = run_gpm if ... else run_cgm; run(...)`)."""
+    called = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        calls = {n.func.id for n in ast.walk(fn)
+                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        called |= calls
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id in calls
+                    for target in node.targets for t in ast.walk(target)):
+                called |= {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)}
+    return called
+
+
 def test_acceptance_keeps_the_globals_the_benchmark_rebinds():
+    """benchmarks/tracing.py times a verify run by rebinding these module
+    globals of acceptance, so each must exist and be called through its
+    global name: a run made some other way (say through run_experiment)
+    would escape the probes and read as time spent nowhere."""
     names = ("run_gprm", "run_cgrm") + tracing.ACCEPTANCE_CALLS
     assert [n for n in names if not callable(getattr(acceptance, n, None))] == []
+    tree = ast.parse(Path(acceptance.__file__).read_text())
+    stored = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+              and isinstance(n.ctx, ast.Store)}
+    stored |= {a.arg for n in ast.walk(tree) if isinstance(n, ast.arguments)
+               for a in n.posonlyargs + n.args + n.kwonlyargs}
+    called = _called_globals(tree)
+    assert [n for n in names if n not in called or n in stored] == []

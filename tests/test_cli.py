@@ -8,12 +8,13 @@ from tikgrad import acceptance, bench
 from tikgrad.acceptance import CriterionResult
 from tikgrad.bench import (
     DEFAULT_ALPHA_GRID,
+    ConfigError,
     ExperimentConfig,
     read_trace_csv,
     run_experiment,
     write_trace_csv,
 )
-from tikgrad.cli import main
+from tikgrad.cli import load_config, main
 from tikgrad.core import LineSearchFailure
 
 
@@ -122,6 +123,30 @@ def test_run_duplicate_key_across_sections_exits_1(tmp_path, capsys):
     )
     assert main(["run", str(path)]) == 1
     assert "duplicated across sections" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("[DEFAULT]\nsigma = 0.25\n[a]\nproblem_label = illposed_box(2)\n[b]\nmethod = gprm\n",
+         ExperimentConfig("illposed_box(2)", "gprm", sigma=0.25)),
+        ("[DEFAULT]\nproblem_label = illposed_box(2)\nmethod = gprm\n",
+         ExperimentConfig("illposed_box(2)", "gprm")),
+        ("[DEFAULT]\nsigma = 0.25\n[a]\nproblem_label = illposed_box(2)\nmethod = gprm\n"
+         "sigma = 1.0\n", "sigma: duplicated across sections"),
+    ],
+    ids=["default_and_two_sections", "only_default", "key_in_default_and_a"],
+)
+def test_a_default_section_is_an_ordinary_section(tmp_path, text, want):
+    """Section names are organizational only, DEFAULT included: its keys are
+    counted once, not inherited by every other section."""
+    path = tmp_path / "default.ini"
+    path.write_text(text)
+    if isinstance(want, str):
+        with pytest.raises(ConfigError, match=want):
+            load_config(str(path))
+    else:
+        assert load_config(str(path)) == want
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

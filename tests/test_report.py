@@ -6,7 +6,6 @@ import pytest
 from tikgrad import bench
 from tikgrad.bench import DEFAULT_ALPHA_GRID, ExperimentConfig, run_experiment, write_trace_csv
 from tikgrad.cli import main
-from tikgrad.regularization import GeometricSchedule
 
 
 @pytest.mark.parametrize("label, method, sigma, epsilon_min, unattained", [
@@ -20,12 +19,10 @@ def test_report_table_is_the_acceptance_suites_count_and_bound(
     cfg = ExperimentConfig(label, method, sigma=sigma, epsilon_min=epsilon_min,
                            output_path=str(tmp_path / "run.csv"))
     trace = run_experiment(cfg)
-    gp, x0, _, _ = bench.validate_experiment(cfg)
-    sched = GeometricSchedule(cfg.epsilon0, cfg.nu, cfg.sigma)
+    gp, _, sched, _, consts, _ = bench.validate_experiment(cfg)
     report = bench.with_bounds(
         bench.measure_complexity(trace.outer_records),
-        *bench.bound_constants(method, sched, bench.solver_constants(cfg, gp, x0),
-                               float(np.linalg.norm(gp.analytic_xstar_n))),
+        *bench.bound_constants(method, sched, consts, float(np.linalg.norm(gp.analytic_xstar_n))),
         sched.nu, sched.sigma,
     )
     assert report.attained.count(False) == unattained
