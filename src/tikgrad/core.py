@@ -161,8 +161,8 @@ class OracleCounters:
 
     gradient_evals, projections and lmo_calls count the oracle calls the run
     made, as the solvers' drivers state.  inner_iterations counts the steps
-    taken, linesearch_trials the Armijo powers tested, by evaluating phi_eps
-    at a trial point or, with a curvature_fn, by the closed form.
+    taken, linesearch_trials the Armijo powers tested, at a trial point or,
+    with a curvature_fn, in closed form inside the two-level driver.
     """
 
     gradient_evals: int = 0

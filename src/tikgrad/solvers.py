@@ -186,6 +186,12 @@ class SolverTrace:
     min_observed_lambda: float = math.inf
 
 
+_NO_DECREASE = ("no sufficient decrease within {} backtracking steps; "
+                "gradient or Lipschitz data is suspect")
+_UNCHANGED = ("the accepted step at multiplier {!r} leaves x unchanged, "
+              "so the search would repeat it; objective values are suspect")
+
+
 def _trial_point(x: Array, d: Array, t: float) -> Array:
     """x + t * d, new: x + d (1.0 * d + x bit for bit) at t = 1, else t * d
     plus x in place (x + t * d bit for bit, with one temporary fewer)."""
@@ -206,9 +212,7 @@ def _armijo(
     cap: float,
     m0: int = 0,
     phi_at_x: Optional[float] = None,
-    slope: Optional[float] = None,
-    kappa: Optional[float] = None,
-) -> tuple[int, float, Array, Optional[float], int]:
+) -> tuple[int, float, Array, float, int]:
     """Smallest m with phi(trial_m) <= phi(x) - beta * theta^m * quad_coeff.
 
     powers[m] is theta^m for m = 0 .. max_m.  quad_coeff is ||d||^2 for
@@ -220,24 +224,15 @@ def _armijo(
     >= m0 with step <= 1, then larger m while the test fails or smaller m
     while it passes (m0 = 0 is the scan from the unit step).
     Whatever m0 is, the accepted power is that of the scan, so a caller that
-    passes the last accepted power changes only the trial count: on
-    illposed_box(10**6), where L' = 10**6 + 1 puts m near 20, gprm takes 39
-    trials for 10 steps instead of 210.
-    Given kappa = <d, phi'' d> of a quadratic phi and slope = <phi'(x), d>,
-    phi(x + t d) - phi(x) = t slope + t^2 kappa / 2 decides each power, with
-    no phi call and no trial point but the accepted one.  Both tests round
-    the exact one, so they differ only where its margin is below the
-    evaluated test's rounding (ulps of phi(x), and phi's change over the trial
-    point's rounding): a constant 2^53 in phi rounds away every decrease
-    below 1.  verify's twelve two-level runs never come that close.
-    Returns (m, theta^m, accepted point, its phi value (None in the closed
-    form), number of powers tested).  An accepted point equal to x raises
-    LineSearchFailure naming the multiplier, since the caller would step
-    from the same x again and again; it happens when phi is NaN wherever the
-    search steps, or when d vanishes against x.
+    passes the last accepted power changes only the trial count, except where
+    rounding breaks the interval: a bracket accepting phi(x) itself rescans.
+    Returns (m, theta^m, accepted point, its phi value, number of powers
+    tested).  An accepted point equal to x raises LineSearchFailure naming
+    the multiplier, since the caller would step from the same x again and
+    again; it happens when phi is NaN wherever the search steps, or when d
+    vanishes against x.
     """
-    closed = kappa is not None
-    if phi_at_x is None and not closed:
+    if phi_at_x is None:
         phi_at_x = phi_value(x)
         if not math.isfinite(phi_at_x):
             raise OracleFailure("objective value is not finite at the line-search start")
@@ -245,18 +240,12 @@ def _armijo(
     while m0 <= max_m and powers[m0] * cap > 1.0:
         m0 += 1
     m, accepted, trials = m0, None, 0
-    x_new = val = None
     while 0 <= m <= max_m and powers[m] * cap <= 1.0:
         step = powers[m]
-        t = step * cap
-        if closed:
-            passed = t * slope + 0.5 * t * t * kappa <= -beta * step * quad_coeff
-        else:
-            x_new = _trial_point(x, d, t)
-            val = phi_value(x_new)
-            passed = val <= phi_at_x - beta * step * quad_coeff
+        x_new = _trial_point(x, d, step * cap)
+        val = phi_value(x_new)
         trials += 1
-        if passed:
+        if val <= phi_at_x - beta * step * quad_coeff:
             accepted = m, step, x_new, val
             if m > m0:  # m - 1 failed
                 break
@@ -266,18 +255,14 @@ def _armijo(
         else:
             break
     if accepted is None:
-        raise LineSearchFailure(
-            f"no sufficient decrease within {max_m} backtracking steps; "
-            "gradient or Lipschitz data is suspect"
-        )
+        raise LineSearchFailure(_NO_DECREASE.format(max_m))
     m, step, x_new, val = accepted
-    if closed:
-        x_new = _trial_point(x, d, step * cap)
-    # a point equal to x has phi(x) and x's first entry: cheap tests first
-    if (x_new.item(0) == x.item(0) if closed else val == phi_at_x) and np.array_equal(x_new, x):
-        raise LineSearchFailure(
-            f"the accepted step at multiplier {step!r} leaves x unchanged, "
-            "so the search would repeat it; objective values are suspect")
+    if val == phi_at_x and m0 > 0 and powers[m0 - 1] * cap <= 1.0:
+        *scanned, rescan = _armijo(phi_value, x, d, beta, powers, quad_coeff, cap, 0, phi_at_x)
+        return *scanned, trials + rescan
+    # a point equal to x has phi(x): the cheap test first
+    if val == phi_at_x and np.array_equal(x_new, x):
+        raise LineSearchFailure(_UNCHANGED.format(step))
     return m, step, x_new, val, trials
 
 
@@ -399,23 +384,27 @@ def _two_level(
     (y, d, test, quad_coeff, cap, slope, dn2): the candidate y, the direction
     d, the value the handoff test compares with delta_l, the Armijo
     quad_coeff and unit-step cap, and <phi'(x), d> and ||d||^2 for a
-    curvature_fn: kappa = <d, f'' d> + eps_l dn2 then decides the search
-    (_armijo), and raises OracleFailure if NaN or negative, LineSearchFailure
-    if above L' dn2, both naming the level.  A true L keeps kappa (eps0 -
-    eps_l) dn2 >= (1 - nu) eps0 dn2 below L' dn2, far above its rounding.
-    phi'(x) = f'(x) + eps_l x is written into the last
-    d, which is dead once a search has returned or a level has handed off
-    (eps_l x first, then f'(x) + that, the operands of the plain expression
-    in its order, so the bits are the same); only a run's first step gets a
-    new array.  Nothing else reads phi'(x), so step may overwrite it (gprm's
-    step turns it into d without a curvature_fn).  The driver never writes
-    f'(x)'s own array, an x, a y, the start or a trial point.  observe(l, k,
-    eps_l, x, y, test), if given, sees the k-th iterate of level l before its
-    test.  Level l takes Armijo steps along d until test <= delta_l, then
-    passes handoff(phi_eps_l, x, y, phi_x) to level l + 1 as its warm start,
-    where phi_x is phi_eps_l(x) from the last evaluated search, or None.
-    Each search starts from the last accepted power, across levels too, since
-    L' does not depend on the level.  A NaN test raises OracleFailure, and
+    curvature_fn.  Without one, _armijo searches.  With one, kappa = <d, f'' d>
+    + eps_l dn2 raises OracleFailure if NaN or negative, LineSearchFailure if
+    above L' dn2, naming the level (a true L keeps it (eps0 - eps_l) dn2 >=
+    (1 - nu) eps0 dn2 below), and decides _armijo's bracket here, with no
+    call: t slope + t^2 kappa / 2 is phi(x + t d) - phi(x), and only the
+    accepted point is built, with _trial_point's bytes.  A null step raises at
+    the next step, whose test repeats bit for bit, on comparing points
+    (RunawayInnerLoop if that step passes max_inner_per_l).  phi'(x) = f'(x) +
+    eps_l x is written into the last d, dead once a search returns or a level
+    hands off (eps_l x first, then f'(x) + that: the plain expression's
+    operands in its order, so its bits); only a run's first step gets a new
+    array.  Nothing else reads phi'(x), so step may overwrite it (gprm's step
+    turns it into d without a curvature_fn).  The driver never writes f'(x)'s
+    own array, an x, a y, the start or a trial point.  observe(l, k, eps_l, x,
+    y, test), if given, sees the k-th iterate of level l before its test.
+    Level l takes Armijo steps along d until test <= delta_l, then passes
+    handoff(phi_eps_l, x, y, phi_x) to level l + 1 as its warm start, where
+    phi_x is phi_eps_l(x) from the last evaluated search, or None.  Each
+    search starts from the last accepted power, across levels too, since L'
+    does not depend on the level (gprm on illposed_box(10**6), m near 20: 39
+    trials in 10 steps, the scan's 210).  A NaN test raises OracleFailure, and
     consts.Lprime < L + sched.epsilon0 raises ValueError.  gradient_evals and
     the OracleCounters field named by oracle_counter count one call per step
     and one more per level, for its last test.  Neither y (once the test is
@@ -434,7 +423,7 @@ def _two_level(
     beta, Lprime, powers = consts.beta, consts.Lprime, [1.0]
     for _ in range(stop.max_linesearch_m):
         powers.append(powers[-1] * consts.theta)
-    max_inner = stop.max_inner_per_l
+    max_m, max_inner = stop.max_linesearch_m, stop.max_inner_per_l
 
     # phi'(x)'s buffer for the first step; each later step reuses the last, dead d
     d = np.empty_like(x)
@@ -451,7 +440,7 @@ def _two_level(
         phi = PerturbedObjective(problem.objective, eps).value
         eps_0d = np.array(eps)  # a 0-d operand skips converting the float at every step
         phi_x: Optional[float] = None
-        N_l = 0
+        last_test, N_l = math.nan, 0
         while True:
             # f'(x) + eps * x bit for bit: eps * x first, then f'(x) + that
             y, d, test, quad_coeff, cap, slope, dn2 = step(
@@ -468,16 +457,42 @@ def _two_level(
             del y
             if N_l >= max_inner:
                 raise RunawayInnerLoop(f"level {l} exceeded {max_inner} inner iterations")
-            kappa = None if curvature is None else curvature(d) + eps * dn2
-            if kappa is not None and not 0.0 <= kappa <= Lprime * dn2:
-                if not kappa >= 0.0:
-                    raise OracleFailure(f"level {l}: curvature along d is {kappa!r}, not >= 0")
-                raise LineSearchFailure(f"level {l}: curvature along d is {kappa / dn2!r} ||d||^2, "
-                                        f"above L' = {Lprime!r}; lipschitz_L is understated")
-            m, lam, x, phi_x, trials = _armijo(
-                phi, x, d, beta, powers, quad_coeff, cap, m, phi_x, slope, kappa
-            )
-            trials_total += trials
+            if curvature is None:
+                m, lam, x, phi_x, trials = _armijo(phi, x, d, beta, powers, quad_coeff, cap, m, phi_x)
+                trials_total += trials
+            else:
+                kappa = curvature(d) + eps * dn2
+                if not 0.0 <= kappa <= Lprime * dn2:
+                    if not kappa >= 0.0:
+                        raise OracleFailure(f"level {l}: curvature along d is {kappa!r}, not >= 0")
+                    raise LineSearchFailure(f"level {l}: curvature along d is {kappa / dn2!r} ||d||^2, "
+                                            f"above L' = {Lprime!r}; lipschitz_L is understated")
+                while m <= max_m and powers[m] * cap > 1.0:
+                    m += 1
+                m0, accepted = m, -1
+                while 0 <= m <= max_m and (t := powers[m] * cap) <= 1.0:
+                    trials_total += 1
+                    if t * slope + 0.5 * t * t * kappa <= -beta * powers[m] * quad_coeff:
+                        accepted = m
+                        if m > m0:
+                            break
+                        m -= 1
+                    elif accepted < 0:
+                        m += 1
+                    else:
+                        break
+                if accepted < 0:
+                    raise LineSearchFailure(_NO_DECREASE.format(max_m))
+                m, lam = accepted, powers[accepted]
+                t = lam * cap
+                if t == 1.0:  # _trial_point's bytes
+                    x_new = x + d
+                else:
+                    x_new = t * d
+                    x_new += x
+                if test == last_test and np.array_equal(x_new, x):
+                    raise LineSearchFailure(_UNCHANGED.format(lam))
+                x, last_test = x_new, test
             if lam < min_lambda:
                 min_lambda = lam
             N_l += 1

@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import assume, example, given, reject, settings, strategies as s
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from tikgrad import solvers
+from tikgrad import bench, solvers
 from tikgrad.bench import (
     METHODS,
     ExperimentConfig,
@@ -24,6 +25,7 @@ from tikgrad.bench import (
     make_illposed_simplex,
     make_rankdef_lsq,
     run_experiment,
+    validate_experiment,
 )
 from tikgrad.core import (
     FeasibleSet,
@@ -34,7 +36,7 @@ from tikgrad.core import (
     Problem,
     RunawayInnerLoop,
 )
-from tikgrad.oracles import BoxSet, SimplexSet, project_box, project_simplex
+from tikgrad.oracles import BallSet, BoxSet, SimplexSet, project_box, project_simplex
 from tikgrad.regularization import GeometricSchedule, PerturbedObjective
 from tikgrad.solvers import (
     MethodConstants,
@@ -82,6 +84,49 @@ def _no_phi(x):
     raise AssertionError("the closed-form search evaluated phi")
 
 
+def _scripted_level(w0, steps, beta=0.5, theta=0.5):
+    """One level of _two_level from w0 on scripted steps (d, test, quad_coeff,
+    cap, slope, kappa), then a handoff of x: the closed-form search as the
+    driver runs it, with no oracle behind it.  The objective has no value to
+    call, and its curvature oracle returns the step's kappa; dn2 = 2^-80
+    makes eps_1 dn2 = 2^-1080 round to 0, so kappa reaches the search
+    unchanged, and L' = 2^81 (kappa + 1) passes the driver's L' check."""
+    script = iter(steps + [(np.zeros_like(w0), 0.0, 0.0, 1.0, 0.0, 0.0)])
+    kappas = []
+
+    def step(x, g):
+        d, test, q, cap, slope, kappa = next(script)
+        kappas.append(kappa)
+        return x, d.copy(), test, q, cap, slope, 2.0**-80
+
+    problem = Problem(Objective(_no_phi, np.zeros_like, 0.0, lambda d: kappas[-1]),
+                      FeasibleSet(project_fn=np.copy))
+    consts = MethodConstants(beta, theta, 1.0, 2.0**81 * (max(s[5] for s in steps) + 1.0))
+    stop = StopPolicy(epsilon_min=2.0**-1000, max_outer=1)
+    return solvers._two_level(problem, GeometricSchedule(2.0**-999), consts, w0, stop, None,
+                              "projections", step, lambda phi, x, y, phi_x: x)
+
+
+def _closed_search(x, d, beta, theta, q, cap, m0, slope, kappa):
+    """(m, theta^m, accepted point, trials) of the search _two_level decides
+    from slope and kappa, started at power m0.  A first step along -0.0,
+    which keeps x's bytes and passes at every power, carries m0: its cap
+    puts m0 first in range.  The accepted theta^m is read from a level that
+    takes the case's step alone, a scan from m = 0, which must end at the
+    same point."""
+    powers = _powers(theta)
+    cap0 = 1.0 / powers[m0]
+    while powers[m0] * cap0 > 1.0:
+        cap0 = math.nextafter(cap0, 0.0)
+    case = (d, 1.0, q, cap, slope, kappa)
+    scan = _scripted_level(x, [case], beta, theta)
+    bracket = _scripted_level(x, [(np.full_like(x, -0.0), 2.0, 0.0, cap0, -1.0, 0.0), case],
+                              beta, theta)
+    assert bracket.final_point.tobytes() == scan.final_point.tobytes()
+    lam = scan.min_observed_lambda
+    return powers.index(lam), lam, bracket.final_point, bracket.counters.linesearch_trials - 1
+
+
 # ---------------------------------------------------------------------------
 # line search
 
@@ -114,6 +159,14 @@ def test_armijo_cap_skips_overlong_steps_unevaluated():
     assert _brute_smallest_m(phi, x, d, 0.5, 0.5, mu * mu, cap=mu) == 2
 
 
+def _quadratic(a, eps, x):
+    """phi = 0.5 x.a.x + 0.5 eps ||x||^2 for a symmetric positive definite a,
+    and d = -phi'(x)."""
+    obj = Objective(lambda x: 0.5 * float(x @ a @ x), lambda x: a @ x,
+                    float(np.linalg.eigvalsh(a)[-1]), lambda d: float(d @ a @ d))
+    return PerturbedObjective(obj, eps), x, -(obj.gradient_fn(x) + eps * x)
+
+
 @st.composite
 def _quadratic_search(draw):
     """A strictly convex quadratic phi, a start x, d = -phi'(x), Armijo
@@ -122,14 +175,10 @@ def _quadratic_search(draw):
     entries = arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0))
     m_ = draw(entries)
     a = m_.T @ m_ + 0.1 * np.eye(n)
-    obj = Objective(lambda x: 0.5 * float(x @ a @ x), lambda x: a @ x,
-                    float(np.linalg.eigvalsh(a)[-1]), lambda d: float(d @ a @ d))
     eps = draw(st.floats(0.0, 1.0))
-    phi = PerturbedObjective(obj, eps)
     x = draw(arrays(np.float64, n, elements=st.floats(-3.0, 3.0)))
-    d = -(obj.gradient_fn(x) + eps * x)
     cap = draw(st.sampled_from([1.0, 0.25, 4.0]) | st.floats(0.05, 20.0))
-    return (phi, x, d, draw(st.floats(0.1, 0.9)), draw(st.floats(0.2, 0.8)), cap,
+    return (*_quadratic(a, eps, x), draw(st.floats(0.1, 0.9)), draw(st.floats(0.2, 0.8)), cap,
             draw(st.integers(0, 30)))
 
 
@@ -139,13 +188,22 @@ def _quadratic_search(draw):
 # a near-tie: phi's constant 2^53 rounds away every decrease below 1, so the
 # evaluated search accepts m = 1, whose margin is 0.075; the closed form gives m = 3
 @example((_half_tsq(2.0**53), np.array([1.0]), np.array([-1.0]), 0.9, 0.5, 1.0, 0))
+# starts in rounding noise, where m = 0 passes: the bracket's trial at m0 rounds
+# back to x and fails, and m0 + 1 passes on phi(x) alone, with x unchanged ...
+@example((*_quadratic(np.array([[0.1]]), 0.0, np.array([0.265625])), 0.5, 0.25, 1.0, 25))
+# ... or moved (phi(x) again): each time the scan decides
+@example((*_quadratic(np.array([[1.1, 1.0], [1.0, 1.1]]), 0.0, np.array([3.0, 0.0])),
+          0.5, 0.25, 1.0, 27))
 def test_armijo_matches_brute_force_on_random_quadratics(case):
     """From any start power the bracket returns what the scan from m = 0
     returns, bit for bit, in at most |m - m0| + 2 trials (m - m0 + 1 above
     m0); the scan is the smallest admissible m of the literal reference.
-    Decided from slope and kappa, the search calls no phi and returns the
-    evaluated search's (m, lambda, point bytes, trials), unless rounding in
-    phi exceeds the test's margin at the smaller of the two powers."""
+    Decided from slope and kappa inside _two_level, the search calls no phi.
+    Where it accepts the evaluated search's m, it returns that search's
+    (lambda, point bytes) and trials, unless the evaluated bracket rescanned;
+    at the smaller of two different m, and at each power the searches may
+    test where the two tests disagree, the margin is below the evaluated
+    test's rounding."""
     phi, x, d, beta, theta, cap, m0 = case
     q = cap * float(d @ d)
     assume(q > 0.0)
@@ -153,25 +211,34 @@ def test_armijo_matches_brute_force_on_random_quadratics(case):
     m, lam, point, value, _ = _armijo(phi.value, x, d, beta, powers, q, cap)
     assert m == _brute_smallest_m(phi, x, d, beta, theta, q, cap=cap, max_m=60)
     assert lam == pytest.approx(theta ** m, rel=1e-12)
-    bm, blam, bpoint, bvalue, trials = _armijo(phi.value, x, d, beta, powers, q, cap, m0)
+    with mock.patch.object(solvers, "_armijo", wraps=_armijo) as searches:
+        bm, blam, bpoint, bvalue, trials = solvers._armijo(
+            phi.value, x, d, beta, powers, q, cap, m0)
+    rescanned = searches.call_count > 1
     assert (bm, blam, bpoint.tobytes(), bvalue) == (m, lam, point.tobytes(), value)
     # upward the search stops at the first pass; downward it needs one failure
     assert trials <= (m - m0 + 1 if m > m0 else m0 - m + 2)
     eps = phi.epsilon
     slope = float((phi.base.gradient_fn(x) + eps * x) @ d)
     kappa = phi.base.curvature_fn(d) + eps * float(d @ d)
-    cm, clam, cpoint, cvalue, ctrials = _armijo(
-        _no_phi, x, d, beta, powers, q, cap, m0, None, slope, kappa)
-    assert cvalue is None
+    cm, clam, cpoint, ctrials = _closed_search(x, d, beta, theta, q, cap, m0, slope, kappa)
+    start = next(k for k in range(m0, 61) if powers[k] * cap <= 1.0)
     if cm == m:
-        assert (clam, cpoint.tobytes(), ctrials) == (lam, point.tobytes(), trials)
-    else:
-        k = min(cm, m)
+        assert (clam, cpoint.tobytes()) == (lam, point.tobytes())
+        assert ctrials == trials or rescanned
+    phi_x = phi.value(x)
+    for k in range(max(min(start, m, cm) - 1, 0), min(max(start, m, cm) + 2, 61)):
         t = powers[k] * cap
-        trial = x + t * d
+        if t > 1.0:
+            continue
+        trial = solvers._trial_point(x, d, t)
+        closed = t * slope + 0.5 * t * t * kappa <= -beta * powers[k] * q
+        agree = closed == (phi.value(trial) <= phi_x - beta * powers[k] * q)
+        if agree and not k == min(cm, m) < max(cm, m):
+            continue
         g = phi.base.gradient_fn(trial) + eps * trial
         margin = abs(t * slope + 0.5 * t * t * kappa + beta * powers[k] * q)
-        rounding = 8 * (math.ulp(phi.value(x)) + math.ulp(phi.value(trial)))
+        rounding = 8 * (math.ulp(phi_x) + math.ulp(phi.value(trial)))
         assert margin <= rounding + 2.0**-50 * math.sqrt(g @ g) * math.sqrt(trial @ trial)
 
 
@@ -494,6 +561,11 @@ def cgrm_run():
     return gp, consts, trace, seen
 
 
+# Python calls per inner iteration: the gradient, the step, the oracle (with
+# what each calls on that set) and the curvature oracle
+_CALL_BUDGET = {"illposed_box(2)": 6, "illposed_simplex(3)": 5}
+
+
 @pytest.mark.parametrize(
     "label, method, w0",
     [
@@ -512,7 +584,11 @@ def test_two_level_inner_loop_avoids_numpy_dispatch_wrappers(monkeypatch, label,
     Python calls into that file: monkeypatching cannot see them, because C code
     holds its own reference to _sum.  _clip, which ndarray.clip runs the same
     way, stays allowed: the box projection needs it, and np.minimum(np.maximum(...))
-    was measured no faster."""
+    was measured no faster.  Each Python frame costs about as much again, so the
+    hook also counts every Python call: at most _CALL_BUDGET per inner
+    iteration, plus 25 per level for its last test, handoff and record.  The
+    search is decided inside _two_level, which calls neither _armijo nor
+    _trial_point."""
     gp = bundled_problem(label)
     w0 = np.array(w0)
     if method == "gprm":
@@ -532,9 +608,13 @@ def test_two_level_inner_loop_avoids_numpy_dispatch_wrappers(monkeypatch, label,
     monkeypatch.setattr(np.linalg, "norm", counting("linalg.norm", np.linalg.norm))
     methods_file = os.path.join("numpy", "_core", "_methods.py")
 
+    frames = collections.Counter()
+
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.endswith(methods_file):
-            calls["_methods." + frame.f_code.co_name] += 1
+        if event == "call":
+            frames[frame.f_code.co_name] += 1
+            if frame.f_code.co_filename.endswith(methods_file):
+                calls["_methods." + frame.f_code.co_name] += 1
 
     sys.setprofile(profile)
     try:
@@ -545,6 +625,10 @@ def test_two_level_inner_loop_avoids_numpy_dispatch_wrappers(monkeypatch, label,
     assert trace.counters.inner_iterations > 5000
     calls.pop("_methods._clip", None)
     assert dict(calls) == {}
+    assert frames["_armijo"] == frames["_trial_point"] == 0
+    levels = len(trace.outer_records)
+    budget = _CALL_BUDGET[label] * trace.counters.inner_iterations + 25 * (levels + 1)
+    assert frames.total() <= budget
 
 
 def _run_on_simplex(method, x0, observe=None):
@@ -826,26 +910,34 @@ def _accepted_steps(seen):
 
 @st.composite
 def _rankdef_case(draw):
-    """A make_rankdef_lsq problem in dimension 2-4 on a random box or the
-    simplex, whose A has a zero row and whose b = A x_feas for an x_feas
-    inside the set, and a vertex of the set to start from.  Draws whose
-    ground truth the generator refuses to hand out are rejected: the
-    invariants checked here do not need it."""
+    """A make_rankdef_lsq problem in dimension 2-4 on a random box, the
+    simplex or a random ball, whose A has a zero row and whose b = A x_feas
+    for an x_feas inside the set, and a vertex of the set (for the ball, the
+    boundary point center + radius e_i) to start from.  Draws whose ground
+    truth the generator refuses to hand out are rejected: the invariants
+    checked here do not need it."""
     n, m = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     A = draw(arrays(np.float64, (m, n), elements=st.floats(-2.0, 2.0)))
     A[draw(st.integers(0, m - 1))] = 0.0
     assume(np.linalg.norm(A, 2) > 0.1)
     unit = draw(arrays(np.float64, n, elements=st.floats(0.1, 0.9)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["box", "simplex", "ball"]))
+    if kind == "box":
         lower = draw(arrays(np.float64, n, elements=st.floats(-2.0, 0.5)))
         upper = lower + draw(arrays(np.float64, n, elements=st.floats(0.25, 2.0)))
         fs = BoxSet(lower, upper).to_feasible_set()
         x_feas = lower + unit * (upper - lower)
         w0 = np.where(draw(arrays(np.bool_, n)), upper, lower)
-    else:
+    elif kind == "simplex":
         fs = SimplexSet(n).to_feasible_set()
         x_feas = unit / unit.sum()
         w0 = np.eye(n)[draw(st.integers(0, n - 1))]
+    else:
+        center = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+        radius = draw(st.floats(0.25, 2.0))
+        fs = BallSet(center, radius).to_feasible_set()
+        x_feas = center + radius * (2.0 * unit - 1.0) / math.sqrt(n)
+        w0 = center + radius * np.eye(n)[draw(st.integers(0, n - 1))]
     try:
         return make_rankdef_lsq(A, A @ x_feas, fs).problem, w0
     except OracleFailure:
@@ -860,9 +952,18 @@ def _far_target():
     return Problem(obj, SimplexSet(2).to_feasible_set()), np.array([0.0, 1.0])
 
 
+def _ball_target():
+    """f = 0.5 (x1 + x2 - 1)^2 (A with a zero row) on the unit ball at
+    (0.5, -0.5), which the line x1 + x2 = 1 cuts, started at center + e1."""
+    fs = BallSet(np.array([0.5, -0.5]), 1.0).to_feasible_set()
+    A = np.array([[1.0, 1.0], [0.0, 0.0]])
+    return make_rankdef_lsq(A, np.array([1.0, 0.0]), fs).problem, np.array([1.5, -0.5])
+
+
 @settings(max_examples=20)
 @given(_rankdef_case())
 @example(_far_target())
+@example(_ball_target())
 def test_two_level_invariants_on_random_rankdef_problems(case):
     """At every observed iterate of gprm and cgrm: x and y feasible at 1e-9,
     phi_eps not increasing within a level, and cgrm's gap test >= -1e-12; at
@@ -1114,6 +1215,55 @@ def test_null_armijo_step_raises():
         _two_level_run("gprm", problem, np.array([1.0, 0.0]), stop)
 
 
+@pytest.mark.parametrize("max_inner", [StopPolicy.max_inner_per_l, 1])
+@pytest.mark.parametrize("method, lam", [("gprm", 0.125), ("cgrm", 2.0**-35)])
+def test_a_closed_form_null_step_raises_at_the_repeat(method, lam, max_inner):
+    """f = 4 (x - c)^2 with c = 1e20 on the box [c - 4 ulp(c), c], from c:
+    at eps_1 = 5e-16 a level-1 direction is a few ulps of c long, and the
+    closed-form search accepts a multiplier under which x + t d rounds back
+    to x.  The next step repeats x, its direction and its test, and raises
+    there: at the second iterate of level 1, where the search before the
+    test moved into _two_level raised at the first.  With max_inner_per_l
+    = 1 that second iterate is past the cap, so RunawayInnerLoop comes
+    first."""
+    c = 1e20
+    obj = Objective(lambda x: 4.0 * float((x - c) @ (x - c)), lambda x: 8.0 * (x - c), 8.0,
+                    lambda d: 8.0 * float(d @ d))
+    problem = Problem(obj, BoxSet(np.array([c - 4 * math.ulp(c)]), np.array([c])).to_feasible_set())
+    w0, sched = np.array([c]), GeometricSchedule(1e-15)
+    consts = (gprm_constants(8.0, 1e-15) if method == "gprm"
+              else cgrm_constants(problem, 1e-15, w0))
+    run = run_gprm if method == "gprm" else run_cgrm
+    observe, seen = _observer()
+    error = ((LineSearchFailure, f"^the accepted step at multiplier {lam!r} leaves x unchanged")
+             if max_inner > 1 else (RunawayInnerLoop, "^level 1 exceeded 1 inner iterations$"))
+    with pytest.raises(error[0], match=error[1]):
+        run(problem, sched, consts, w0, StopPolicy(epsilon_min=1e-16, max_inner_per_l=max_inner),
+            observe)
+    assert [(s.level, s.k, s.x.tobytes()) for s in seen] == [(1, 0, w0.tobytes()),
+                                                              (1, 1, w0.tobytes())]
+    assert seen[0].test == seen[1].test > 0.0
+
+
+@pytest.mark.parametrize("method, label, max_m, iterate", [("gprm", "wellposed_box(2)", 1, 1),
+                                                           ("cgrm", "illposed_simplex(3)", 2, 0)])
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "evaluated"])
+def test_no_sufficient_decrease_within_max_linesearch_m(method, label, max_m, iterate, closed):
+    """A search that finds no passing power among theta^0 .. theta^max_m
+    raises the same LineSearchFailure, decided inside _two_level or by
+    _armijo, at the same iterate of level 1."""
+    problem = bundled_problem(label).problem
+    if not closed:
+        problem = dataclasses.replace(problem, objective=dataclasses.replace(
+            problem.objective, curvature_fn=None))
+    observe, seen = _observer()
+    w0 = np.eye(problem.feasible_set.dimension)[0]
+    with pytest.raises(LineSearchFailure, match=f"^no sufficient decrease within {max_m} "
+                       "backtracking steps; gradient or Lipschitz data is suspect$"):
+        _two_level_run(method, problem, w0, StopPolicy(max_linesearch_m=max_m), observe=observe)
+    assert (seen[-1].level, seen[-1].k) == (1, iterate)
+
+
 @pytest.mark.parametrize("label", ["illposed_box(2)", "illposed_simplex(3)"])
 @pytest.mark.parametrize("method", ["gprm", "cgrm"])
 def test_an_understated_lipschitz_constant_fails_at_level_1(method, label):
@@ -1144,13 +1294,18 @@ def test_a_nan_or_negative_curvature_fails_fast(method, bad):
 def test_armijo_null_unit_step_raises():
     """A direction that vanishes against x rounds even the unit step back to
     x; no floor on the multiplier would catch that step, evaluated or in
-    closed form (slope -||d||^2, kappa ||d||^2)."""
+    closed form (slope -||d||^2, kappa ||d||^2).  The closed form raises one
+    step later, when the next step repeats the test: a level that takes the
+    null step once hands off x unchanged."""
     phi = _half_tsq()
     with pytest.raises(LineSearchFailure, match="multiplier 1.0 leaves x unchanged"):
         _armijo(phi.value, np.array([1.0]), np.array([-1e-20]), 0.5, _powers(0.5), 1e-40, 1.0)
+    null = (np.array([-1e-20]), 1.0, 1e-40, 1.0, -1e-40, 1e-40)
+    once = _scripted_level(np.array([1.0]), [null])
+    assert once.final_point.tobytes() == np.array([1.0]).tobytes()
+    assert once.counters.inner_iterations == 1
     with pytest.raises(LineSearchFailure, match="multiplier 1.0 leaves x unchanged"):
-        _armijo(_no_phi, np.array([1.0]), np.array([-1e-20]), 0.5, _powers(0.5), 1e-40, 1.0,
-                0, None, -1e-40, 1e-40)
+        _scripted_level(np.array([1.0]), [null, null])
 
 
 def test_cgrm_multiplier_stays_above_the_proven_floor_with_a_correct_L():
@@ -1170,8 +1325,14 @@ def test_cgrm_multiplier_stays_above_the_proven_floor_with_a_correct_L():
 def test_bracketed_search_cuts_trials_and_keeps_the_run(monkeypatch):
     """gprm on illposed_box(4096), L' = 4097: each search starts from the last
     accepted power instead of scanning down from the unit step, ends at the
-    same point and needs under a quarter of the scan's trials."""
+    same point and needs under a quarter of the scan's trials.  _armijo runs
+    the evaluated search, with the curvature oracle stripped."""
     cfg = ExperimentConfig("illposed_box(4096)", "gprm")
+    gp = bundled_problem(cfg.problem_label)
+    problem = dataclasses.replace(gp.problem, objective=dataclasses.replace(
+        gp.problem.objective, curvature_fn=None))
+    monkeypatch.setitem(bench._PROBLEM_CACHE, cfg.problem_label,
+                        dataclasses.replace(gp, problem=problem))
     bracketed = run_experiment(cfg)
     armijo = solvers._armijo
 
@@ -1183,6 +1344,31 @@ def test_bracketed_search_cuts_trials_and_keeps_the_run(monkeypatch):
     assert bracketed.final_point.tobytes() == scanned.final_point.tobytes()
     assert bracketed.counters.inner_iterations == scanned.counters.inner_iterations
     assert 4 * bracketed.counters.linesearch_trials <= scanned.counters.linesearch_trials
+
+
+def test_the_closed_search_accepts_the_scans_power_in_fewer_trials():
+    """The same run decided from the curvature oracle inside _two_level:
+    every step accepts the power, and so the point, that the scan from the
+    unit step of the closed-form test accepts, so a run of scans would end
+    at the same point with the same counters; the scan tests m + 1 powers
+    at a step that accepts theta^m, over four times the bracket's trials."""
+    gp, x0, sched, stop, consts, _ = validate_experiment(
+        ExperimentConfig("illposed_box(4096)", "gprm"))
+    observe, seen = _observer()
+    trace = run_gprm(gp.problem, sched, consts, x0, stop, observe)
+    obj, powers = gp.problem.objective, _powers(consts.theta, stop.max_linesearch_m)
+    steps, scan_trials = _accepted_steps(seen), 0
+    for s, t in steps:
+        d = s.y - s.x
+        slope = float(np.add(obj.gradient_fn(s.x), np.multiply(s.x, s.epsilon)).dot(d))
+        dn2 = float(d.dot(d))
+        kappa = obj.curvature_fn(d) + s.epsilon * dn2
+        m = next(m for m, p in enumerate(powers)
+                 if p * slope + 0.5 * p * p * kappa <= -consts.beta * p * dn2)
+        assert t.x.tobytes() == solvers._trial_point(s.x, d, powers[m]).tobytes()
+        scan_trials += m + 1
+    assert len(steps) == trace.counters.inner_iterations > 40
+    assert 4 * trace.counters.linesearch_trials <= scan_trials
 
 
 def test_gprm_handoff_reuses_the_last_accepted_value(box12_zero):
