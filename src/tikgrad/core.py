@@ -162,7 +162,9 @@ class OracleCounters:
     gradient_evals, projections and lmo_calls count the oracle calls the run
     made, as the solvers' drivers state.  inner_iterations counts the steps
     taken, linesearch_trials the Armijo powers tested, at a trial point or,
-    with a curvature_fn, in closed form inside the two-level driver.
+    with a curvature_fn, in closed form inside the two-level driver.  Each
+    search scans from the unit step, so a step that accepts theta^m tests
+    m + 1 powers, less those skipped for a step above 1.
     """
 
     gradient_evals: int = 0

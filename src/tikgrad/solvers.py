@@ -210,60 +210,33 @@ def _armijo(
     powers: list[float],
     quad_coeff: float,
     cap: float,
-    m0: int = 0,
     phi_at_x: Optional[float] = None,
-) -> tuple[int, float, Array, float, int]:
+) -> tuple[float, Array, float, int]:
     """Smallest m with phi(trial_m) <= phi(x) - beta * theta^m * quad_coeff.
 
     powers[m] is theta^m for m = 0 .. max_m.  quad_coeff is ||d||^2 for
     gradient-projection steps and mu^2 for conditional-gradient steps.  The
-    trial point is _trial_point(x, d, theta^m * cap); powers with
-    theta^m * cap > 1 are skipped untested.  phi_eps is convex along the
-    ray and the demanded decrease is linear in the step, so the multipliers
-    that pass form an interval [0, t_max]: the search tests the first power
-    >= m0 with step <= 1, then larger m while the test fails or smaller m
-    while it passes (m0 = 0 is the scan from the unit step).
-    Whatever m0 is, the accepted power is that of the scan, so a caller that
-    passes the last accepted power changes only the trial count, except where
-    rounding breaks the interval: a bracket accepting phi(x) itself rescans.
-    Returns (m, theta^m, accepted point, its phi value, number of powers
-    tested).  An accepted point equal to x raises LineSearchFailure naming
-    the multiplier, since the caller would step from the same x again and
-    again; it happens when phi is NaN wherever the search steps, or when d
-    vanishes against x.
+    trial point is _trial_point(x, d, theta^m * cap).  The search is the
+    paper's scan: m = 0, 1, ..., skipping the powers with theta^m * cap > 1
+    untested and stopping at the first pass.  Returns (theta^m, accepted
+    point, its phi value, number of powers tested: m - f + 1, f the first
+    power not skipped).  It does not compare the accepted point with x;
+    _two_level catches a null step when the next step repeats it.
     """
     if phi_at_x is None:
         phi_at_x = phi_value(x)
         if not math.isfinite(phi_at_x):
             raise OracleFailure("objective value is not finite at the line-search start")
-    max_m = len(powers) - 1
-    while m0 <= max_m and powers[m0] * cap > 1.0:
-        m0 += 1
-    m, accepted, trials = m0, None, 0
-    while 0 <= m <= max_m and powers[m] * cap <= 1.0:
-        step = powers[m]
+    trials = 0
+    for step in powers:
+        if step * cap > 1.0:
+            continue
         x_new = _trial_point(x, d, step * cap)
         val = phi_value(x_new)
         trials += 1
         if val <= phi_at_x - beta * step * quad_coeff:
-            accepted = m, step, x_new, val
-            if m > m0:  # m - 1 failed
-                break
-            m -= 1
-        elif accepted is None:
-            m += 1
-        else:
-            break
-    if accepted is None:
-        raise LineSearchFailure(_NO_DECREASE.format(max_m))
-    m, step, x_new, val = accepted
-    if val == phi_at_x and m0 > 0 and powers[m0 - 1] * cap <= 1.0:
-        *scanned, rescan = _armijo(phi_value, x, d, beta, powers, quad_coeff, cap, 0, phi_at_x)
-        return *scanned, trials + rescan
-    # a point equal to x has phi(x): the cheap test first
-    if val == phi_at_x and np.array_equal(x_new, x):
-        raise LineSearchFailure(_UNCHANGED.format(step))
-    return m, step, x_new, val, trials
+            return step, x_new, val, trials
+    raise LineSearchFailure(_NO_DECREASE.format(len(powers) - 1))
 
 
 def _require_feasible(problem: Problem, x: Array) -> Array:
@@ -387,33 +360,34 @@ def _two_level(
     curvature_fn.  Without one, _armijo searches.  With one, kappa = <d, f'' d>
     + eps_l dn2 raises OracleFailure if NaN or negative, LineSearchFailure if
     above L' dn2, naming the level (a true L keeps it (eps0 - eps_l) dn2 >=
-    (1 - nu) eps0 dn2 below), and decides _armijo's bracket here, with no
-    call: t slope + t^2 kappa / 2 is phi(x + t d) - phi(x), and only the
-    accepted point is built, with _trial_point's bytes.  A null step raises at
-    the next step, whose test repeats bit for bit, on comparing points
-    (RunawayInnerLoop if that step passes max_inner_per_l).  phi'(x) = f'(x) +
-    eps_l x is written into the last d, dead once a search returns or a level
-    hands off (eps_l x first, then f'(x) + that: the plain expression's
-    operands in its order, so its bits); only a run's first step gets a new
-    array.  Nothing else reads phi'(x), so step may overwrite it (gprm's step
-    turns it into d without a curvature_fn).  The driver never writes f'(x)'s
-    own array, an x, a y, the start or a trial point.  observe(l, k, eps_l, x,
-    y, test), if given, sees the k-th iterate of level l before its test.
+    (1 - nu) eps0 dn2 below), and _armijo's scan runs here, with no call:
+    t slope + t^2 kappa / 2 is phi(x + t d) - phi(x), so a power costs a few
+    float operations (gprm on illposed_box(10**6), m near 20: 210 powers in
+    10 steps), and only the accepted point is built, with _trial_point's
+    bytes.  Either way a step depends on x and the level alone, so after a
+    null step the next one repeats its test and its point bit for bit and
+    raises LineSearchFailure (RunawayInnerLoop if it passes max_inner_per_l).
+    phi'(x) = f'(x) + eps_l x is written into the last d, dead once a search
+    returns or a level hands off (eps_l x first, then f'(x) + that: the plain
+    expression's operands in its order, so its bits); only a run's first step
+    gets a new array.  Nothing else reads phi'(x), so step may overwrite it
+    (gprm's step turns it into d without a curvature_fn).  The driver never
+    writes f'(x)'s own array, an x, a y, the start or a trial point.
+    observe(l, k, eps_l, x, y, test), if given, sees the k-th iterate of
+    level l before its test.
     Level l takes Armijo steps along d until test <= delta_l, then passes
     handoff(phi_eps_l, x, y, phi_x) to level l + 1 as its warm start, where
-    phi_x is phi_eps_l(x) from the last evaluated search, or None.  Each
-    search starts from the last accepted power, across levels too, since L'
-    does not depend on the level (gprm on illposed_box(10**6), m near 20: 39
-    trials in 10 steps, the scan's 210).  A NaN test raises OracleFailure, and
-    consts.Lprime < L + sched.epsilon0 raises ValueError.  gradient_evals and
-    the OracleCounters field named by oracle_counter count one call per step
-    and one more per level, for its last test.  Neither y (once the test is
-    done) nor the level's start (once x moves) stays alive through the
-    Armijo search or the level's record.  So above the caller's w0 a run
-    holds x and d between steps, and at its peak four n-vectors: x, d and
-    two trial points in an evaluated search (the closed form builds no trial
-    point, only the accepted one), or in a step x, phi'(x), y and the new d
-    (gprm keeps phi'(x) beside them only with a curvature_fn).
+    phi_x is phi_eps_l(x) from the last evaluated search, or None.  A NaN
+    test raises OracleFailure, and consts.Lprime < L + sched.epsilon0 raises
+    ValueError.  gradient_evals and the OracleCounters field named by
+    oracle_counter count one call per step and one more per level, for its
+    last test.  Neither y (once the test is done) nor the level's start
+    (once x moves) stays alive through the Armijo search or the level's
+    record, nor the level's last x past a handoff.  So above the caller's
+    w0 a run holds x and d between steps, and at its peak four n-vectors:
+    x, d and two trial points in an evaluated search (the closed form builds
+    no trial point, only the accepted one), or in a step x, phi'(x), y and
+    the new d (gprm keeps phi'(x) beside them only with a curvature_fn).
     """
     stop = stop if stop is not None else StopPolicy()
     if consts.Lprime < problem.objective.lipschitz_L + sched.epsilon0:
@@ -431,7 +405,6 @@ def _two_level(
     min_lambda = math.inf
     trials_total = 0
     cum_inner = 0
-    m = 0
     l = 1
     while True:
         eps, delta = sched.params(l)
@@ -448,7 +421,8 @@ def _two_level(
             if observe is not None:
                 observe(l, N_l, eps, x, y, test)
             if test <= delta:
-                x = handoff(phi, x, y, phi_x)
+                # x_new too, so the level's last x dies with the handoff
+                x = x_new = handoff(phi, x, y, phi_x)
                 del y
                 break
             if not test > delta:
@@ -458,7 +432,7 @@ def _two_level(
             if N_l >= max_inner:
                 raise RunawayInnerLoop(f"level {l} exceeded {max_inner} inner iterations")
             if curvature is None:
-                m, lam, x, phi_x, trials = _armijo(phi, x, d, beta, powers, quad_coeff, cap, m, phi_x)
+                lam, x_new, phi_x, trials = _armijo(phi, x, d, beta, powers, quad_coeff, cap, phi_x)
                 trials_total += trials
             else:
                 kappa = curvature(d) + eps * dn2
@@ -467,32 +441,23 @@ def _two_level(
                         raise OracleFailure(f"level {l}: curvature along d is {kappa!r}, not >= 0")
                     raise LineSearchFailure(f"level {l}: curvature along d is {kappa / dn2!r} ||d||^2, "
                                             f"above L' = {Lprime!r}; lipschitz_L is understated")
-                while m <= max_m and powers[m] * cap > 1.0:
-                    m += 1
-                m0, accepted = m, -1
-                while 0 <= m <= max_m and (t := powers[m] * cap) <= 1.0:
+                for lam in powers:
+                    t = lam * cap
+                    if t > 1.0:
+                        continue
                     trials_total += 1
-                    if t * slope + 0.5 * t * t * kappa <= -beta * powers[m] * quad_coeff:
-                        accepted = m
-                        if m > m0:
-                            break
-                        m -= 1
-                    elif accepted < 0:
-                        m += 1
-                    else:
+                    if t * slope + 0.5 * t * t * kappa <= -beta * lam * quad_coeff:
                         break
-                if accepted < 0:
+                else:
                     raise LineSearchFailure(_NO_DECREASE.format(max_m))
-                m, lam = accepted, powers[accepted]
-                t = lam * cap
                 if t == 1.0:  # _trial_point's bytes
                     x_new = x + d
                 else:
                     x_new = t * d
                     x_new += x
-                if test == last_test and np.array_equal(x_new, x):
-                    raise LineSearchFailure(_UNCHANGED.format(lam))
-                x, last_test = x_new, test
+            if test == last_test and np.array_equal(x_new, x):
+                raise LineSearchFailure(_UNCHANGED.format(lam))
+            x, last_test = x_new, test
             if lam < min_lambda:
                 min_lambda = lam
             N_l += 1

@@ -43,7 +43,7 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
     with open(out) as fh:
         assert fh.readline().strip() == "l,epsilon_l,delta_l,N_l,delta_wl,dist_xstar,cum_inner"
     assert capsys.readouterr().out == (
-        "gprm on illposed_box(2): 9 outer records, 28 inner iterations, 57 line-search trials, "
+        "gprm on illposed_box(2): 9 outer records, 28 inner iterations, 84 line-search trials, "
         f"final value gap 5.103e-07, final dist to x*_n 7.143e-04, wrote {out}\n"
     )
 
@@ -393,7 +393,7 @@ def test_report_prints_complexity_table(tmp_path, capsys):
     assert main(["report", str(out)]) == 0
     text = capsys.readouterr().out
     assert "method gprm on illposed_box(2)" in text
-    assert "cumulative inner iterations 28," in text and text.count("line-search trials 57\n") == 1
+    assert "cumulative inner iterations 28," in text and text.count("line-search trials 84\n") == 1
     assert "alpha" in text and "N(alpha)" in text and "bound" in text
     assert "0.001" in text
 

@@ -7,7 +7,6 @@ import math
 import os
 import sys
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -84,13 +83,14 @@ def _no_phi(x):
     raise AssertionError("the closed-form search evaluated phi")
 
 
-def _scripted_level(w0, steps, beta=0.5, theta=0.5):
+def _scripted_level(w0, steps, beta=0.5, theta=0.5, value=None):
     """One level of _two_level from w0 on scripted steps (d, test, quad_coeff,
-    cap, slope, kappa), then a handoff of x: the closed-form search as the
-    driver runs it, with no oracle behind it.  The objective has no value to
-    call, and its curvature oracle returns the step's kappa; dn2 = 2^-80
-    makes eps_1 dn2 = 2^-1080 round to 0, so kappa reaches the search
-    unchanged, and L' = 2^81 (kappa + 1) passes the driver's L' check."""
+    cap, slope, kappa), then a handoff of x: the search as the driver runs
+    it, with no oracle behind it.  With no value, the objective has no value
+    to call, and its curvature oracle returns the step's kappa, so the search
+    is the closed form: dn2 = 2^-80 makes eps_1 dn2 = 2^-1080 round to 0, so
+    kappa reaches the search unchanged, and L' = 2^81 (kappa + 1) passes the
+    driver's L' check.  With a value, _armijo searches on it."""
     script = iter(steps + [(np.zeros_like(w0), 0.0, 0.0, 1.0, 0.0, 0.0)])
     kappas = []
 
@@ -99,32 +99,21 @@ def _scripted_level(w0, steps, beta=0.5, theta=0.5):
         kappas.append(kappa)
         return x, d.copy(), test, q, cap, slope, 2.0**-80
 
-    problem = Problem(Objective(_no_phi, np.zeros_like, 0.0, lambda d: kappas[-1]),
-                      FeasibleSet(project_fn=np.copy))
+    objective = (Objective(_no_phi, np.zeros_like, 0.0, lambda d: kappas[-1]) if value is None
+                 else Objective(value, np.zeros_like, 0.0))
+    problem = Problem(objective, FeasibleSet(project_fn=np.copy))
     consts = MethodConstants(beta, theta, 1.0, 2.0**81 * (max(s[5] for s in steps) + 1.0))
     stop = StopPolicy(epsilon_min=2.0**-1000, max_outer=1)
     return solvers._two_level(problem, GeometricSchedule(2.0**-999), consts, w0, stop, None,
                               "projections", step, lambda phi, x, y, phi_x: x)
 
 
-def _closed_search(x, d, beta, theta, q, cap, m0, slope, kappa):
+def _closed_search(x, d, beta, theta, q, cap, slope, kappa):
     """(m, theta^m, accepted point, trials) of the search _two_level decides
-    from slope and kappa, started at power m0.  A first step along -0.0,
-    which keeps x's bytes and passes at every power, carries m0: its cap
-    puts m0 first in range.  The accepted theta^m is read from a level that
-    takes the case's step alone, a scan from m = 0, which must end at the
-    same point."""
-    powers = _powers(theta)
-    cap0 = 1.0 / powers[m0]
-    while powers[m0] * cap0 > 1.0:
-        cap0 = math.nextafter(cap0, 0.0)
-    case = (d, 1.0, q, cap, slope, kappa)
-    scan = _scripted_level(x, [case], beta, theta)
-    bracket = _scripted_level(x, [(np.full_like(x, -0.0), 2.0, 0.0, cap0, -1.0, 0.0), case],
-                              beta, theta)
-    assert bracket.final_point.tobytes() == scan.final_point.tobytes()
+    from slope and kappa, read from a level that takes the case's step alone."""
+    scan = _scripted_level(x, [(d, 1.0, q, cap, slope, kappa)], beta, theta)
     lam = scan.min_observed_lambda
-    return powers.index(lam), lam, bracket.final_point, bracket.counters.linesearch_trials - 1
+    return _powers(theta).index(lam), lam, scan.final_point, scan.counters.linesearch_trials
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +123,17 @@ def _closed_search(x, d, beta, theta, q, cap, m0, slope, kappa):
 def test_armijo_accepts_unit_step():
     phi = _half_tsq()
     x, d = np.array([1.0]), np.array([-1.0])
-    m, lam, _, _, _ = _armijo(phi.value, x, d, 0.5, _powers(0.5), 1.0, 1.0)
-    assert (m, lam) == (0, 1.0)
+    lam, _, _, trials = _armijo(phi.value, x, d, 0.5, _powers(0.5), 1.0, 1.0)
+    assert (lam, trials) == (1.0, 1)
     assert _brute_smallest_m(phi, x, d, 0.5, 0.5, 1.0) == 0
 
 
 def test_armijo_backtracks_under_strict_decrease_demand():
     phi = _half_tsq()
     x, d = np.array([1.0]), np.array([-1.0])
-    m, lam, _, _, _ = _armijo(phi.value, x, d, 0.9, _powers(0.5), 1.0, 1.0)
-    assert m == _brute_smallest_m(phi, x, d, 0.9, 0.5, 1.0) == 3
-    assert lam == 0.125
+    lam, _, _, trials = _armijo(phi.value, x, d, 0.9, _powers(0.5), 1.0, 1.0)
+    assert _powers(0.5).index(lam) == _brute_smallest_m(phi, x, d, 0.9, 0.5, 1.0) == 3
+    assert (lam, trials) == (0.125, 4)
 
 
 def test_armijo_cap_skips_overlong_steps_unevaluated():
@@ -154,8 +143,8 @@ def test_armijo_cap_skips_overlong_steps_unevaluated():
     phi = PerturbedObjective(obj, 0.0)
     x, d, mu = np.array([3.0, 0.0]), np.array([-1.0, 0.0]), 3.0
     assert phi.value(x + 1.0 * mu * d) <= phi.value(x) - 0.5 * 1.0 * mu * mu
-    m, lam, _, _, _ = _armijo(phi.value, x, d, 0.5, _powers(0.5), mu * mu, mu)
-    assert (m, lam) == (2, 0.25)
+    lam, _, _, trials = _armijo(phi.value, x, d, 0.5, _powers(0.5), mu * mu, mu)
+    assert (lam, trials) == (0.25, 1)
     assert _brute_smallest_m(phi, x, d, 0.5, 0.5, mu * mu, cap=mu) == 2
 
 
@@ -170,7 +159,7 @@ def _quadratic(a, eps, x):
 @st.composite
 def _quadratic_search(draw):
     """A strictly convex quadratic phi, a start x, d = -phi'(x), Armijo
-    parameters, a unit-step cap on either side of 1 and a start power m0."""
+    parameters and a unit-step cap on either side of 1."""
     n = draw(st.integers(1, 4))
     entries = arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0))
     m_ = draw(entries)
@@ -178,59 +167,51 @@ def _quadratic_search(draw):
     eps = draw(st.floats(0.0, 1.0))
     x = draw(arrays(np.float64, n, elements=st.floats(-3.0, 3.0)))
     cap = draw(st.sampled_from([1.0, 0.25, 4.0]) | st.floats(0.05, 20.0))
-    return (*_quadratic(a, eps, x), draw(st.floats(0.1, 0.9)), draw(st.floats(0.2, 0.8)), cap,
-            draw(st.integers(0, 30)))
+    return (*_quadratic(a, eps, x), draw(st.floats(0.1, 0.9)), draw(st.floats(0.2, 0.8)), cap)
 
 
 @given(_quadratic_search())
 # m = 0 ties the Armijo bound exactly (0 <= 0.5 - 0.5), so a strict test would give m = 1
-@example((_half_tsq(), np.array([1.0]), np.array([-1.0]), 0.5, 0.5, 1.0, 3))
+@example((_half_tsq(), np.array([1.0]), np.array([-1.0]), 0.5, 0.5, 1.0))
 # a near-tie: phi's constant 2^53 rounds away every decrease below 1, so the
 # evaluated search accepts m = 1, whose margin is 0.075; the closed form gives m = 3
-@example((_half_tsq(2.0**53), np.array([1.0]), np.array([-1.0]), 0.9, 0.5, 1.0, 0))
-# starts in rounding noise, where m = 0 passes: the bracket's trial at m0 rounds
-# back to x and fails, and m0 + 1 passes on phi(x) alone, with x unchanged ...
-@example((*_quadratic(np.array([[0.1]]), 0.0, np.array([0.265625])), 0.5, 0.25, 1.0, 25))
-# ... or moved (phi(x) again): each time the scan decides
+@example((_half_tsq(2.0**53), np.array([1.0]), np.array([-1.0]), 0.9, 0.5, 1.0))
+# rounding noise from power 25 on: the trial rounds back to x, which fails the
+# test at 25 and passes it on phi(x) alone after; the scan accepts m = 0 ...
+@example((*_quadratic(np.array([[0.1]]), 0.0, np.array([0.265625])), 0.5, 0.25, 1.0))
+# ... and here, where from power 27 on the trial moves but keeps phi(x), m = 1
 @example((*_quadratic(np.array([[1.1, 1.0], [1.0, 1.1]]), 0.0, np.array([3.0, 0.0])),
-          0.5, 0.25, 1.0, 27))
+          0.5, 0.25, 1.0))
 def test_armijo_matches_brute_force_on_random_quadratics(case):
-    """From any start power the bracket returns what the scan from m = 0
-    returns, bit for bit, in at most |m - m0| + 2 trials (m - m0 + 1 above
-    m0); the scan is the smallest admissible m of the literal reference.
-    Decided from slope and kappa inside _two_level, the search calls no phi.
-    Where it accepts the evaluated search's m, it returns that search's
-    (lambda, point bytes) and trials, unless the evaluated bracket rescanned;
-    at the smaller of two different m, and at each power the searches may
-    test where the two tests disagree, the margin is below the evaluated
-    test's rounding."""
-    phi, x, d, beta, theta, cap, m0 = case
+    """The evaluated search accepts the smallest admissible m of the literal
+    reference, and each search tests m - f + 1 powers, where f is the first
+    power with theta^f * cap <= 1.  Decided from slope and kappa inside
+    _two_level, the search calls no phi.  Where it accepts the evaluated
+    search's m, it returns that search's (lambda, point bytes, trials); at
+    the smaller of two different m, and at each power the searches test
+    where the two tests disagree, the margin is below the evaluated test's
+    rounding."""
+    phi, x, d, beta, theta, cap = case
     q = cap * float(d @ d)
     assume(q > 0.0)
     powers = _powers(theta)
-    m, lam, point, value, _ = _armijo(phi.value, x, d, beta, powers, q, cap)
+    lam, point, value, trials = _armijo(phi.value, x, d, beta, powers, q, cap)
+    m = powers.index(lam)
     assert m == _brute_smallest_m(phi, x, d, beta, theta, q, cap=cap, max_m=60)
     assert lam == pytest.approx(theta ** m, rel=1e-12)
-    with mock.patch.object(solvers, "_armijo", wraps=_armijo) as searches:
-        bm, blam, bpoint, bvalue, trials = solvers._armijo(
-            phi.value, x, d, beta, powers, q, cap, m0)
-    rescanned = searches.call_count > 1
-    assert (bm, blam, bpoint.tobytes(), bvalue) == (m, lam, point.tobytes(), value)
-    # upward the search stops at the first pass; downward it needs one failure
-    assert trials <= (m - m0 + 1 if m > m0 else m0 - m + 2)
+    assert value == phi.value(point)
+    first = next(k for k in range(61) if powers[k] * cap <= 1.0)
+    assert trials == m - first + 1
     eps = phi.epsilon
     slope = float((phi.base.gradient_fn(x) + eps * x) @ d)
     kappa = phi.base.curvature_fn(d) + eps * float(d @ d)
-    cm, clam, cpoint, ctrials = _closed_search(x, d, beta, theta, q, cap, m0, slope, kappa)
-    start = next(k for k in range(m0, 61) if powers[k] * cap <= 1.0)
+    cm, clam, cpoint, ctrials = _closed_search(x, d, beta, theta, q, cap, slope, kappa)
+    assert ctrials == cm - first + 1
     if cm == m:
-        assert (clam, cpoint.tobytes()) == (lam, point.tobytes())
-        assert ctrials == trials or rescanned
+        assert (clam, cpoint.tobytes(), ctrials) == (lam, point.tobytes(), trials)
     phi_x = phi.value(x)
-    for k in range(max(min(start, m, cm) - 1, 0), min(max(start, m, cm) + 2, 61)):
+    for k in range(first, min(max(m, cm) + 2, 61)):
         t = powers[k] * cap
-        if t > 1.0:
-            continue
         trial = solvers._trial_point(x, d, t)
         closed = t * slope + 0.5 * t * t * kappa <= -beta * powers[k] * q
         agree = closed == (phi.value(trial) <= phi_x - beta * powers[k] * q)
@@ -269,11 +250,12 @@ def test_armijo_trial_point_bits(case):
     x, d, cap = case
     powers = _powers(0.5)
     with np.errstate(over="ignore", invalid="ignore"):
-        m, lam, point, _, _ = _armijo(lambda v: 0.0, x, d, 0.5, powers, 1.0, cap, 0, 1.0)
+        lam, point, _, trials = _armijo(lambda v: 0.0, x, d, 0.5, powers, 1.0, cap, 1.0)
         t = lam * cap
         want = t * d
         want += x
-    assert t <= 1.0 and (m == 0 or powers[m - 1] * cap > 1.0)
+    m = powers.index(lam)
+    assert trials == 1 and t <= 1.0 and (m == 0 or powers[m - 1] * cap > 1.0)
     assert point.tobytes() == want.tobytes()
     if t == 1.0:
         with np.errstate(invalid="ignore"):
@@ -835,6 +817,37 @@ def test_two_level_run_peaks_at_four_n_vectors(method, make, stop, closed):
     assert peak - start <= 4.5 * 8 * n
 
 
+def test_a_handoff_to_y_keeps_no_old_iterate():
+    """f = ||x - 1/2||^2 / 4 on [-1, 1]^n, whose value builds one n-vector
+    temporary, from -1: gprm's unit steps pass and handoffs take y, and the
+    evaluated search at the next level holds x, d, a trial point and that
+    temporary, not also the level's last x."""
+    n = 10**5
+
+    def value(x):
+        r = x - 0.5
+        return 0.25 * float(r.dot(r))
+
+    def gradient(x):
+        g = x - 0.5
+        g *= 0.5
+        return g
+
+    problem = Problem(Objective(value, gradient, 0.5),
+                      BoxSet(np.full(n, -1.0), np.full(n, 1.0)).to_feasible_set())
+    w0 = np.full(n, -1.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        trace = _two_level_run("gprm", problem, w0, StopPolicy(epsilon_min=1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.counters.inner_iterations == trace.counters.linesearch_trials == 73
+    assert peak - start <= 4.5 * 8 * n
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_a_missing_oracle_is_named_with_the_method(box12_zero, method):
     """The projection methods refuse a set with only an LMO, and the
@@ -1216,19 +1229,23 @@ def test_null_armijo_step_raises():
 
 
 @pytest.mark.parametrize("max_inner", [StopPolicy.max_inner_per_l, 1])
-@pytest.mark.parametrize("method, lam", [("gprm", 0.125), ("cgrm", 2.0**-35)])
-def test_a_closed_form_null_step_raises_at_the_repeat(method, lam, max_inner):
+@pytest.mark.parametrize("method, lam, closed", [
+    pytest.param("gprm", 0.125, True, id="gprm-0.125"),
+    pytest.param("cgrm", 2.0**-35, True, id=f"cgrm-{2.0**-35}"),
+    pytest.param("gprm", 0.125, False, id="gprm-0.125-evaluated"),
+    pytest.param("cgrm", 2.0**-35, False, id=f"cgrm-{2.0**-35}-evaluated"),
+])
+def test_a_closed_form_null_step_raises_at_the_repeat(method, lam, closed, max_inner):
     """f = 4 (x - c)^2 with c = 1e20 on the box [c - 4 ulp(c), c], from c:
     at eps_1 = 5e-16 a level-1 direction is a few ulps of c long, and the
-    closed-form search accepts a multiplier under which x + t d rounds back
-    to x.  The next step repeats x, its direction and its test, and raises
-    there: at the second iterate of level 1, where the search before the
-    test moved into _two_level raised at the first.  With max_inner_per_l
-    = 1 that second iterate is past the cap, so RunawayInnerLoop comes
-    first."""
+    search, in closed form or evaluated, accepts a multiplier under which
+    x + t d rounds back to x.  The next step repeats x, its direction and
+    its test, and raises there: at the second iterate of level 1 on both
+    paths.  With max_inner_per_l = 1 that second iterate is past the cap,
+    so RunawayInnerLoop comes first."""
     c = 1e20
     obj = Objective(lambda x: 4.0 * float((x - c) @ (x - c)), lambda x: 8.0 * (x - c), 8.0,
-                    lambda d: 8.0 * float(d @ d))
+                    (lambda d: 8.0 * float(d @ d)) if closed else None)
     problem = Problem(obj, BoxSet(np.array([c - 4 * math.ulp(c)]), np.array([c])).to_feasible_set())
     w0, sched = np.array([c]), GeometricSchedule(1e-15)
     consts = (gprm_constants(8.0, 1e-15) if method == "gprm"
@@ -1293,19 +1310,17 @@ def test_a_nan_or_negative_curvature_fails_fast(method, bad):
 
 def test_armijo_null_unit_step_raises():
     """A direction that vanishes against x rounds even the unit step back to
-    x; no floor on the multiplier would catch that step, evaluated or in
-    closed form (slope -||d||^2, kappa ||d||^2).  The closed form raises one
-    step later, when the next step repeats the test: a level that takes the
-    null step once hands off x unchanged."""
-    phi = _half_tsq()
-    with pytest.raises(LineSearchFailure, match="multiplier 1.0 leaves x unchanged"):
-        _armijo(phi.value, np.array([1.0]), np.array([-1e-20]), 0.5, _powers(0.5), 1e-40, 1.0)
+    x; no floor on the multiplier would catch that step, in closed form
+    (slope -||d||^2, kappa ||d||^2) or evaluated on phi = t^2/2.  On both
+    paths the driver raises when the next step repeats the test: a level
+    that takes the null step once hands off x unchanged."""
     null = (np.array([-1e-20]), 1.0, 1e-40, 1.0, -1e-40, 1e-40)
-    once = _scripted_level(np.array([1.0]), [null])
-    assert once.final_point.tobytes() == np.array([1.0]).tobytes()
-    assert once.counters.inner_iterations == 1
-    with pytest.raises(LineSearchFailure, match="multiplier 1.0 leaves x unchanged"):
-        _scripted_level(np.array([1.0]), [null, null])
+    for value in (None, _half_tsq().value):
+        once = _scripted_level(np.array([1.0]), [null], value=value)
+        assert once.final_point.tobytes() == np.array([1.0]).tobytes()
+        assert (once.counters.inner_iterations, once.counters.linesearch_trials) == (1, 1)
+        with pytest.raises(LineSearchFailure, match="multiplier 1.0 leaves x unchanged"):
+            _scripted_level(np.array([1.0]), [null, null], value=value)
 
 
 def test_cgrm_multiplier_stays_above_the_proven_floor_with_a_correct_L():
@@ -1322,36 +1337,36 @@ def test_cgrm_multiplier_stays_above_the_proven_floor_with_a_correct_L():
     assert consts.gamma <= trace.min_observed_lambda == 2.0 ** -8 < consts.gamma / consts.theta
 
 
-def test_bracketed_search_cuts_trials_and_keeps_the_run(monkeypatch):
-    """gprm on illposed_box(4096), L' = 4097: each search starts from the last
-    accepted power instead of scanning down from the unit step, ends at the
-    same point and needs under a quarter of the scan's trials.  _armijo runs
-    the evaluated search, with the curvature oracle stripped."""
+def test_the_default_config_parts_with_and_without_the_curvature_oracle(monkeypatch):
+    """gprm on illposed_box(4096), the default config, decided in closed form
+    and, with the curvature oracle stripped, evaluated: the two tests accept
+    the same powers through level 12 and at level 13's first step.  At its
+    second the evaluated test's rounding accepts another power, so the
+    levels keep their N_l through level 13 and part from level 14 on."""
     cfg = ExperimentConfig("illposed_box(4096)", "gprm")
+    closed = run_experiment(cfg)
     gp = bundled_problem(cfg.problem_label)
     problem = dataclasses.replace(gp.problem, objective=dataclasses.replace(
         gp.problem.objective, curvature_fn=None))
     monkeypatch.setitem(bench._PROBLEM_CACHE, cfg.problem_label,
                         dataclasses.replace(gp, problem=problem))
-    bracketed = run_experiment(cfg)
-    armijo = solvers._armijo
+    evaluated = run_experiment(cfg)
+    head = [8, 2, 1, 2, 1, 2, 1, 2, 2, 2, 2, 2, 2]
+    runs = {"closed": (closed, [3, 3, 3, 3, 4, 4], 49, 686),
+            "evaluated": (evaluated, [1, 3, 1, 1, 1, 4], 40, 556)}
+    for name, (trace, tail, inner, trials) in runs.items():
+        assert [r.N_l for r in trace.outer_records] == head + tail, name
+        c = trace.counters
+        assert (c.inner_iterations, c.linesearch_trials) == (inner, trials), name
+    assert closed.outer_records[:12] == evaluated.outer_records[:12]
+    assert closed.outer_records[12].dist_xstar != evaluated.outer_records[12].dist_xstar
 
-    def scan_from_unit_step(*args):
-        return armijo(*args[:7], 0, *args[8:])
 
-    monkeypatch.setattr(solvers, "_armijo", scan_from_unit_step)
-    scanned = run_experiment(cfg)
-    assert bracketed.final_point.tobytes() == scanned.final_point.tobytes()
-    assert bracketed.counters.inner_iterations == scanned.counters.inner_iterations
-    assert 4 * bracketed.counters.linesearch_trials <= scanned.counters.linesearch_trials
-
-
-def test_the_closed_search_accepts_the_scans_power_in_fewer_trials():
+def test_the_closed_search_is_the_scan_power_for_power():
     """The same run decided from the curvature oracle inside _two_level:
     every step accepts the power, and so the point, that the scan from the
-    unit step of the closed-form test accepts, so a run of scans would end
-    at the same point with the same counters; the scan tests m + 1 powers
-    at a step that accepts theta^m, over four times the bracket's trials."""
+    unit step of the closed-form test accepts, and the run's trials are the
+    scan's m + 1 powers at each step that accepts theta^m."""
     gp, x0, sched, stop, consts, _ = validate_experiment(
         ExperimentConfig("illposed_box(4096)", "gprm"))
     observe, seen = _observer()
@@ -1368,7 +1383,7 @@ def test_the_closed_search_accepts_the_scans_power_in_fewer_trials():
         assert t.x.tobytes() == solvers._trial_point(s.x, d, powers[m]).tobytes()
         scan_trials += m + 1
     assert len(steps) == trace.counters.inner_iterations > 40
-    assert 4 * trace.counters.linesearch_trials <= scan_trials
+    assert trace.counters.linesearch_trials == scan_trials
 
 
 def test_gprm_handoff_reuses_the_last_accepted_value(box12_zero):
