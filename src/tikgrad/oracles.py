@@ -4,6 +4,10 @@ Projections are exact (up to float rounding): coordinate clamping for the
 box, radial scaling for the ball, sort-and-threshold for the simplex.  LMOs
 return extreme points; ties are broken deterministically (lower bound for
 the box, smallest coordinate index for the simplex) so runs are repeatable.
+
+The simplex projection has two paths with the same bytes: up to
+_SMALL_SIMPLEX coordinates it scans Python floats, where numpy's dozen calls
+would cost more in dispatch than the arithmetic does, and above that numpy.
 """
 
 from __future__ import annotations
@@ -152,15 +156,39 @@ def project_ball(x: Array, ball: BallSet) -> Array:
     return ball.center + (ball.radius / n) * d
 
 
+# timed at n = 2..64, the scan took 2.4 us against numpy's 6.4 us at n = 3 and
+# 5.5 us against 7.0 us at 32, and was the slower from n = 48 (2-vCPU Xeon,
+# numpy 2.4)
+_SMALL_SIMPLEX = 32
+
+
 def project_simplex(x: Array, simplex: SimplexSet) -> Array:
     """Euclidean projection onto the unit simplex by sort and threshold.
 
     Sorts the coordinates once (O(n log n)), finds the largest support size
-    rho with u_rho > (cumsum_rho - 1) / rho, and clips at that threshold.
+    rho with u_rho > (cumsum_rho - 1) / rho, and clips at that threshold
+    (Duchi et al. 2008).  Up to _SMALL_SIMPLEX coordinates rho and the
+    threshold are found in Python floats: the float operations of the numpy
+    code below, in its order, so the same bytes, with 2 ufunc calls instead
+    of about 15 numpy calls.  Both paths raise OracleFailure for a NaN or
+    +inf entry; a -inf entry fails only its own support test.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size != simplex.dimension:
         raise ValueError(f"expected dimension {simplex.dimension}, got {x.size}")
+    if x.size <= _SMALL_SIMPLEX:
+        u = x.tolist()
+        u.sort(reverse=True)
+        s, rho = -0.0, 0  # -0.0 + u_0 has u_0's bits, as cumsum's first entry does
+        for k, v in enumerate(u, 1):
+            s += v
+            if v * k > s - 1.0:
+                rho, c = k, s - 1.0
+            elif v != v:  # a NaN entry, which list.sort does not order
+                raise OracleFailure("project_simplex: non-finite input")
+        if rho == 0:  # no support index passes: +inf, or u_0 - 1.0 rounds to u_0
+            raise OracleFailure("project_simplex: non-finite input")
+        return np.maximum(x - c / rho, 0.0)
     u = x.copy()
     u.sort()
     u = u[::-1]

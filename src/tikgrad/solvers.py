@@ -440,7 +440,8 @@ def _two_level(
                     if not kappa >= 0.0:
                         raise OracleFailure(f"level {l}: curvature along d is {kappa!r}, not >= 0")
                     raise LineSearchFailure(f"level {l}: curvature along d is {kappa / dn2!r} ||d||^2, "
-                                            f"above L' = {Lprime!r}; lipschitz_L is understated")
+                                            f"above L' = {Lprime!r}; lipschitz_L is understated "
+                                            "or curvature_fn overstates the curvature")
                 for lam in powers:
                     t = lam * cap
                     if t > 1.0:

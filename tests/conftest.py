@@ -15,6 +15,11 @@ from tikgrad.oracles import BallSet, BoxSet
 # files; that cache goes to a temporary directory removed at exit, not .hypothesis/.
 settings.register_profile("tikgrad", derandomize=True, deadline=None, database=None)
 settings.load_profile("tikgrad")
+# Fresh random draws for checking a property after an edit, which re-draws the
+# fixed examples: pytest --hypothesis-profile=unseeded -k <property>.  A
+# property that sets its own max_examples keeps it.
+settings.register_profile("unseeded", derandomize=False, deadline=None, database=None,
+                          max_examples=4000)
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="tikgrad-hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 

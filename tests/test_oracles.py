@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 from tikgrad.bench import _constant
 from tikgrad.core import OracleFailure, as_vector
 from tikgrad.oracles import (
+    _SMALL_SIMPLEX,
     BallSet,
     BoxSet,
     SimplexSet,
@@ -75,6 +76,8 @@ def test_project_simplex_examples():
     x = np.array([0.9, 0.6, -0.5])
     got = project_simplex(x, SIMPLEX3)
     assert_allclose(got, [0.65, 0.35, 0.0], atol=1e-12)
+    # a -inf entry fails only its own support test
+    assert_allclose(project_simplex(np.array([0.9, 0.6, -np.inf]), SIMPLEX3), got)
     # grid over the simplex cannot beat the threshold solution
     grid = _simplex_grid()
     best = np.min(np.sum((grid - x) ** 2, axis=1))
@@ -285,6 +288,44 @@ def test_project_box_is_np_clip_bit_for_bit(case):
     want = np.clip(x, box.lower, box.upper)
     assert _same_bits(project_box(x, box), want)
     assert np.array_equal(project_box(x.tolist(), box), want, equal_nan=True)
+
+
+def _simplex_reference(x):
+    """project_simplex's numpy sort-and-threshold formula, for every n; None
+    where it finds no support index."""
+    u = x.copy()
+    u.sort()
+    u = u[::-1]
+    css = u.cumsum() - 1.0
+    passing = (u * np.arange(1, x.size + 1) > css).nonzero()[0]
+    if passing.size == 0:
+        return None
+    rho = int(passing[-1])
+    return np.maximum(x - css[rho] / (rho + 1.0), 0.0)
+
+
+@given(st.integers(1, 2 * _SMALL_SIMPLEX).flatmap(_vectors))
+@example(np.full(7, 0.1))
+@example(np.array([-0.0, 0.0, -0.0, 0.0]))
+@example(np.array([0.2, np.nan, 0.5]))
+@example(np.array([np.inf, 0.5, -np.inf]))
+@example(np.array([0.5, 0.2, -np.inf]))  # accepted: -inf only fails its own test
+@example(np.array([1e308, 1e308, 0.5]))  # the sum overflows: no index passes
+@example(np.array([5e-324, -5e-324, 1e-310, 0.0]))
+# indices pass before the sum overflows to inf and meets -inf: the sum ends
+# NaN, yet the formula accepts
+@example(np.array([2.2472539841349246e+307] * 8 + [-np.inf]))
+def test_project_simplex_is_the_numpy_formula_bit_for_bit(x):
+    """Up to _SMALL_SIMPLEX entries project_simplex scans Python floats; on
+    both sides of that cutoff it gives the formula's bytes, or both fail."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _simplex_reference(x)
+        for arg in (x, x.tolist()):
+            if want is None:
+                with pytest.raises(OracleFailure, match="project_simplex: non-finite input"):
+                    project_simplex(arg, SimplexSet(x.size))
+            else:
+                assert _same_bits(project_simplex(arg, SimplexSet(x.size)), want)
 
 
 @_FEW

@@ -1293,8 +1293,22 @@ def test_an_understated_lipschitz_constant_fails_at_level_1(method, label):
         gp.problem, objective=dataclasses.replace(obj, lipschitz_L=obj.lipschitz_L / 100))
     w0 = np.eye(problem.feasible_set.dimension)[0]
     with pytest.raises(LineSearchFailure, match=r"^level 1: curvature along d is \d\.\d+ "
-                       r"\|\|d\|\|\^2, above L' = 1\.02; lipschitz_L is understated$"):
+                       r"\|\|d\|\|\^2, above L' = 1\.02; lipschitz_L is understated "
+                       r"or curvature_fn overstates the curvature$"):
         _two_level_run(method, problem, w0, STOP)
+
+
+@pytest.mark.parametrize("method", ["gprm", "cgrm"])
+def test_a_doubled_curvature_oracle_raises_the_same_error(method):
+    """With a true L and curvature_fn doubled, kappa passes L' ||d||^2 at
+    level 1 (cgrm) or 2 (gprm), and the error names curvature_fn as well."""
+    gp = bundled_problem("illposed_box(2)")
+    obj = gp.problem.objective
+    problem = dataclasses.replace(gp.problem, objective=dataclasses.replace(
+        obj, curvature_fn=lambda d: 2.0 * obj.curvature_fn(d)))
+    with pytest.raises(LineSearchFailure, match=r"^level [12]: curvature along d is .*, above "
+                       r"L' = 3\.0; lipschitz_L is understated or curvature_fn overstates"):
+        _two_level_run(method, problem, np.array([1.0, 0.0]), STOP)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1e3])
