@@ -186,12 +186,6 @@ class SolverTrace:
     min_observed_lambda: float = math.inf
 
 
-_NO_DECREASE = ("no sufficient decrease within {} backtracking steps; "
-                "gradient or Lipschitz data is suspect")
-_UNCHANGED = ("the accepted step at multiplier {!r} leaves x unchanged, "
-              "so the search would repeat it; objective values are suspect")
-
-
 def _trial_point(x: Array, d: Array, t: float) -> Array:
     """x + t * d, new: x + d (1.0 * d + x bit for bit) at t = 1, else t * d
     plus x in place (x + t * d bit for bit, with one temporary fewer)."""
@@ -200,43 +194,6 @@ def _trial_point(x: Array, d: Array, t: float) -> Array:
     x_new = t * d
     x_new += x
     return x_new
-
-
-def _armijo(
-    phi_value: Callable[[Array], float],
-    x: Array,
-    d: Array,
-    beta: float,
-    powers: list[float],
-    quad_coeff: float,
-    cap: float,
-    phi_at_x: Optional[float] = None,
-) -> tuple[float, Array, float, int]:
-    """Smallest m with phi(trial_m) <= phi(x) - beta * theta^m * quad_coeff.
-
-    powers[m] is theta^m for m = 0 .. max_m.  quad_coeff is ||d||^2 for
-    gradient-projection steps and mu^2 for conditional-gradient steps.  The
-    trial point is _trial_point(x, d, theta^m * cap).  The search is the
-    paper's scan: m = 0, 1, ..., skipping the powers with theta^m * cap > 1
-    untested and stopping at the first pass.  Returns (theta^m, accepted
-    point, its phi value, number of powers tested: m - f + 1, f the first
-    power not skipped).  It does not compare the accepted point with x;
-    _two_level catches a null step when the next step repeats it.
-    """
-    if phi_at_x is None:
-        phi_at_x = phi_value(x)
-        if not math.isfinite(phi_at_x):
-            raise OracleFailure("objective value is not finite at the line-search start")
-    trials = 0
-    for step in powers:
-        if step * cap > 1.0:
-            continue
-        x_new = _trial_point(x, d, step * cap)
-        val = phi_value(x_new)
-        trials += 1
-        if val <= phi_at_x - beta * step * quad_coeff:
-            return step, x_new, val, trials
-    raise LineSearchFailure(_NO_DECREASE.format(len(powers) - 1))
 
 
 def _require_feasible(problem: Problem, x: Array) -> Array:
@@ -356,23 +313,28 @@ def _two_level(
     step(x, phi'(x)) calls the method's oracle once and returns
     (y, d, test, quad_coeff, cap, slope, dn2): the candidate y, the direction
     d, the value the handoff test compares with delta_l, the Armijo
-    quad_coeff and unit-step cap, and <phi'(x), d> and ||d||^2 for a
-    curvature_fn.  Without one, _armijo searches.  With one, kappa = <d, f'' d>
-    + eps_l dn2 raises OracleFailure if NaN or negative, LineSearchFailure if
-    above L' dn2, naming the level (a true L keeps it (eps0 - eps_l) dn2 >=
-    (1 - nu) eps0 dn2 below), and _armijo's scan runs here, with no call:
+    quad_coeff and unit-step cap, <phi'(x), d> and ||d||^2.  The Armijo
+    search is the paper's scan: theta^m for m = 0 .. max_linesearch_m,
+    skipping untested each power with t = theta^m cap > 1 and accepting the
+    first with phi(x + t d) <= phi(x) - beta theta^m quad_coeff; a trial is
+    a power tested.  Without a curvature_fn a trial evaluates phi at
+    _trial_point(x, d, t), and a level's first search also takes phi(x),
+    which must be finite.  With one, kappa = <d, f'' d> + eps_l dn2 raises
+    OracleFailure if NaN or negative, LineSearchFailure if above L' dn2 (a
+    true L keeps it (eps0 - eps_l) dn2 >= (1 - nu) eps0 dn2 below), and
     t slope + t^2 kappa / 2 is phi(x + t d) - phi(x), so a power costs a few
     float operations (gprm on illposed_box(10**6), m near 20: 210 powers in
     10 steps), and only the accepted point is built, with _trial_point's
     bytes.  Either way a step depends on x and the level alone, so after a
     null step the next one repeats its test and its point bit for bit and
     raises LineSearchFailure (RunawayInnerLoop if it passes max_inner_per_l).
+    Every error the driver raises names its level.
     phi'(x) = f'(x) + eps_l x is written into the last d, dead once a search
     returns or a level hands off (eps_l x first, then f'(x) + that: the plain
     expression's operands in its order, so its bits); only a run's first step
-    gets a new array.  Nothing else reads phi'(x), so step may overwrite it
-    (gprm's step turns it into d without a curvature_fn).  The driver never
-    writes f'(x)'s own array, an x, a y, the start or a trial point.
+    gets a new array.  Nothing else reads phi'(x), so step may overwrite it.
+    The driver never writes f'(x)'s own array, an x, a y, the start or a
+    trial point.
     observe(l, k, eps_l, x, y, test), if given, sees the k-th iterate of
     level l before its test.
     Level l takes Armijo steps along d until test <= delta_l, then passes
@@ -387,7 +349,7 @@ def _two_level(
     w0 a run holds x and d between steps, and at its peak four n-vectors:
     x, d and two trial points in an evaluated search (the closed form builds
     no trial point, only the accepted one), or in a step x, phi'(x), y and
-    the new d (gprm keeps phi'(x) beside them only with a curvature_fn).
+    the new d.
     """
     stop = stop if stop is not None else StopPolicy()
     if consts.Lprime < problem.objective.lipschitz_L + sched.epsilon0:
@@ -431,10 +393,7 @@ def _two_level(
             del y
             if N_l >= max_inner:
                 raise RunawayInnerLoop(f"level {l} exceeded {max_inner} inner iterations")
-            if curvature is None:
-                lam, x_new, phi_x, trials = _armijo(phi, x, d, beta, powers, quad_coeff, cap, phi_x)
-                trials_total += trials
-            else:
+            if curvature is not None:
                 kappa = curvature(d) + eps * dn2
                 if not 0.0 <= kappa <= Lprime * dn2:
                     if not kappa >= 0.0:
@@ -442,22 +401,36 @@ def _two_level(
                     raise LineSearchFailure(f"level {l}: curvature along d is {kappa / dn2!r} ||d||^2, "
                                             f"above L' = {Lprime!r}; lipschitz_L is understated "
                                             "or curvature_fn overstates the curvature")
-                for lam in powers:
-                    t = lam * cap
-                    if t > 1.0:
-                        continue
-                    trials_total += 1
-                    if t * slope + 0.5 * t * t * kappa <= -beta * lam * quad_coeff:
+            elif phi_x is None:
+                phi_x = phi(x)
+                if not math.isfinite(phi_x):
+                    raise OracleFailure(f"level {l}: objective value is not finite "
+                                        "at the line-search start")
+            for lam in powers:
+                t = lam * cap
+                if t > 1.0:
+                    continue
+                trials_total += 1
+                if curvature is None:
+                    x_new = _trial_point(x, d, t)
+                    val = phi(x_new)
+                    if val <= phi_x - beta * lam * quad_coeff:
+                        phi_x = val
                         break
-                else:
-                    raise LineSearchFailure(_NO_DECREASE.format(max_m))
-                if t == 1.0:  # _trial_point's bytes
-                    x_new = x + d
-                else:
-                    x_new = t * d
-                    x_new += x
+                elif t * slope + 0.5 * t * t * kappa <= -beta * lam * quad_coeff:
+                    if t == 1.0:  # the accepted point alone, with _trial_point's bytes
+                        x_new = x + d
+                    else:
+                        x_new = t * d
+                        x_new += x
+                    break
+            else:
+                raise LineSearchFailure(f"level {l}: no sufficient decrease within {max_m} "
+                                        "backtracking steps; gradient or Lipschitz data is suspect")
             if test == last_test and np.array_equal(x_new, x):
-                raise LineSearchFailure(_UNCHANGED.format(lam))
+                raise LineSearchFailure(f"level {l}: the accepted step at multiplier {lam!r} leaves "
+                                        "x unchanged, so the search would repeat it; objective "
+                                        "values are suspect")
             x, last_test = x_new, test
             if lam < min_lambda:
                 min_lambda = lam
@@ -513,21 +486,18 @@ def run_gprm(
         no arithmetic: an observed run has the same records, counters and
         final point.
 
-    Each step writes x - phi'(x) and then d = y - x into the phi'(x) array
-    the driver hands it, or, when the objective has a curvature_fn, into a
-    new array, so the projection oracle must never return its argument.
+    Each step writes x - phi'(x) into a new array and then d = y - x into
+    that array, so the projection oracle must never return its argument.
     _two_level states what a run holds.
     """
     project = _oracle(problem, "gprm")
-    curved = problem.objective.curvature_fn is not None
 
     def step(x: Array, g: Array) -> tuple:
-        # with a curvature_fn, g outlives the step's x - g for <phi'(x), d>
-        z = x - g if curved else np.subtract(x, g, g)
+        z = x - g  # g outlives the step's x - g for <phi'(x), d>
         y = project(z)
         d = np.subtract(y, x, z)
         dn2 = float(d.dot(d))
-        return y, d, math.sqrt(dn2), dn2, 1.0, float(g.dot(d)) if curved else None, dn2
+        return y, d, math.sqrt(dn2), dn2, 1.0, float(g.dot(d)), dn2
 
     def better(phi, x: Array, y: Array, phi_x: Optional[float]) -> Array:
         return y if phi(y) <= (phi(x) if phi_x is None else phi_x) else x
@@ -583,13 +553,12 @@ def run_cgrm(
     Parameters are those of run_gprm; observe's test value is the gap mu.
     """
     lmo = _oracle(problem, "cgrm", lmo=True)
-    curved = problem.objective.curvature_fn is not None
 
     def step(x: Array, g: Array) -> tuple:
         y = lmo(g)
         d = y - x
         mu = -float(g.dot(d))
-        return y, d, mu, mu * mu, mu, -mu, float(d.dot(d)) if curved else None
+        return y, d, mu, mu * mu, mu, -mu, float(d.dot(d))
 
     return _two_level(problem, sched, consts, w0, stop, observe, "lmo_calls", step,
                       lambda phi, x, y, phi_x: x)

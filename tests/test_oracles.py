@@ -93,6 +93,25 @@ def test_project_simplex_non_finite_input_is_an_oracle_failure(x):
         project_simplex(np.array(x), SIMPLEX3)
 
 
+@pytest.mark.parametrize("n", [3, 40])
+def test_project_simplex_of_large_finite_input(n):
+    """A top entry from about 1e16 up, or a sum past the float range, lets no
+    support index pass; the projection of x - max(x), which is x's, is
+    taken instead, with no RuntimeWarning on either side of _SMALL_SIMPLEX
+    (numpy warnings are errors in this suite)."""
+    e1 = np.eye(n)[0]
+    rest = np.zeros(n - 1)
+    for x, want in [(np.r_[1e16, rest], e1), (np.r_[1e308, rest - 1e308], e1),
+                    (np.full(n, 1e308), np.full(n, 1.0 / n)),
+                    (np.r_[1e16, rest[:-1], -np.inf], e1)]:
+        assert_allclose(project_simplex(x, SimplexSet(n)), want, rtol=0, atol=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(OracleFailure, match="project_simplex: non-finite input"):
+            project_simplex(np.r_[bad, 1e16, rest[1:]], SimplexSet(n))
+    with pytest.raises(OracleFailure, match="project_simplex: non-finite input"):
+        project_simplex(np.r_[np.inf, -np.inf, rest[1:]], SimplexSet(n))
+
+
 # ------------------------------------------------------------------- LMOs
 
 def test_lmo_box_examples():
@@ -291,15 +310,16 @@ def test_project_box_is_np_clip_bit_for_bit(case):
 
 
 def _simplex_reference(x):
-    """project_simplex's numpy sort-and-threshold formula, for every n; None
-    where it finds no support index."""
+    """project_simplex's numpy sort-and-threshold formula, for every n; where
+    it finds no support index, the formula on x - max(x) if max(x) is finite
+    (no NaN or +inf entry), else None."""
     u = x.copy()
     u.sort()
     u = u[::-1]
     css = u.cumsum() - 1.0
     passing = (u * np.arange(1, x.size + 1) > css).nonzero()[0]
     if passing.size == 0:
-        return None
+        return _simplex_reference(x - u[0]) if np.isfinite(u[0]) else None
     rho = int(passing[-1])
     return np.maximum(x - css[rho] / (rho + 1.0), 0.0)
 
@@ -310,14 +330,18 @@ def _simplex_reference(x):
 @example(np.array([0.2, np.nan, 0.5]))
 @example(np.array([np.inf, 0.5, -np.inf]))
 @example(np.array([0.5, 0.2, -np.inf]))  # accepted: -inf only fails its own test
-@example(np.array([1e308, 1e308, 0.5]))  # the sum overflows: no index passes
+@example(np.array([1e308, 1e308, 0.5]))  # the sum overflows: no index passes, so x - max(x)
+@example(np.array([1e16, 0.0, -1e308]))  # u_1 - 1 rounds to u_1: no index passes
+@example(np.array([1e308, 0.0, -1e308]))  # ... and the shift overflows to -inf
 @example(np.array([5e-324, -5e-324, 1e-310, 0.0]))
 # indices pass before the sum overflows to inf and meets -inf: the sum ends
 # NaN, yet the formula accepts
 @example(np.array([2.2472539841349246e+307] * 8 + [-np.inf]))
 def test_project_simplex_is_the_numpy_formula_bit_for_bit(x):
     """Up to _SMALL_SIMPLEX entries project_simplex scans Python floats; on
-    both sides of that cutoff it gives the formula's bytes, or both fail."""
+    both sides of that cutoff it gives the formula's bytes, or both fail.
+    Where the formula finds no support index on an input whose largest
+    entry is finite, both project x - max(x)."""
     with np.errstate(over="ignore", invalid="ignore"):
         want = _simplex_reference(x)
         for arg in (x, x.tolist()):

@@ -1,11 +1,14 @@
 """The README's examples run: its Python block, and its INI blocks as configs."""
 
 import dataclasses
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 
+import tikgrad
 from tikgrad import acceptance
 from tikgrad.bench import ExperimentConfig, validate_experiment
 from tikgrad.cli import load_sweep_configs
@@ -45,3 +48,25 @@ def test_readme_ini_blocks_load_and_validate_without_writing(tmp_path, monkeypat
     criterion_1 = ExperimentConfig("illposed_box(2)", "gprm", sigma=0.5,
                                    epsilon_min=acceptance.ACCEPT_EPS_MIN, x0=(1.0, 0.0))
     assert dataclasses.replace(loaded[0][0], output_path=None) == criterion_1
+
+
+def test_readme_names_into_tikgrad_resolve():
+    """Every backticked dotted name in the README that starts at tikgrad or
+    one of its modules (`solvers._two_level`, `tikgrad.with_bounds`) names
+    an attribute there, so the prose cannot keep pointing at deleted code."""
+    modules = {"tikgrad": tikgrad}
+    for info in pkgutil.iter_modules(tikgrad.__path__):
+        modules[info.name] = importlib.import_module(f"tikgrad.{info.name}")
+    names = [n for n in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", README)
+             if n.split(".")[0] in modules]
+    missing = []
+    for name in names:
+        head, *attrs = name.split(".")
+        obj = modules[head]
+        for attr in attrs:
+            obj = getattr(obj, attr, missing)
+        if obj is missing:
+            missing.append(name)
+    assert len(names) >= 10
+    assert missing == []
+

@@ -40,7 +40,6 @@ from tikgrad.regularization import GeometricSchedule, PerturbedObjective
 from tikgrad.solvers import (
     MethodConstants,
     StopPolicy,
-    _armijo,
     cgrm_constants,
     gprm_constants,
     run_cgm,
@@ -53,7 +52,7 @@ from path_helpers import tikhonov_path
 
 
 def _brute_smallest_m(phi, x, d, beta, theta, quad_coeff, cap=None, max_m=30):
-    """Literal scan over m = 0, 1, ...; the reference for _armijo."""
+    """Literal scan over m = 0, 1, ...; the reference for _two_level's search."""
     for m in range(max_m + 1):
         step = theta ** m
         if cap is not None and step * cap > 1.0:
@@ -83,37 +82,61 @@ def _no_phi(x):
     raise AssertionError("the closed-form search evaluated phi")
 
 
-def _scripted_level(w0, steps, beta=0.5, theta=0.5, value=None):
+def _scripted_level(w0, steps, beta=0.5, theta=0.5, value=None, max_m=60):
     """One level of _two_level from w0 on scripted steps (d, test, quad_coeff,
     cap, slope, kappa), then a handoff of x: the search as the driver runs
     it, with no oracle behind it.  With no value, the objective has no value
     to call, and its curvature oracle returns the step's kappa, so the search
     is the closed form: dn2 = 2^-80 makes eps_1 dn2 = 2^-1080 round to 0, so
     kappa reaches the search unchanged, and L' = 2^81 (kappa + 1) passes the
-    driver's L' check.  With a value, _armijo searches on it."""
+    driver's L' check.  With a value, the search evaluates phi_eps_1 =
+    value + 2^-1001 ||x||^2, whose second term is below value's rounding for
+    the values used here.  Returns the trace and the phi_x the handoff got:
+    the value the last evaluated search accepted, or None."""
     script = iter(steps + [(np.zeros_like(w0), 0.0, 0.0, 1.0, 0.0, 0.0)])
-    kappas = []
+    kappas, handed = [], []
 
     def step(x, g):
         d, test, q, cap, slope, kappa = next(script)
         kappas.append(kappa)
         return x, d.copy(), test, q, cap, slope, 2.0**-80
 
+    def handoff(phi, x, y, phi_x):
+        handed.append(phi_x)
+        return x
+
     objective = (Objective(_no_phi, np.zeros_like, 0.0, lambda d: kappas[-1]) if value is None
                  else Objective(value, np.zeros_like, 0.0))
     problem = Problem(objective, FeasibleSet(project_fn=np.copy))
     consts = MethodConstants(beta, theta, 1.0, 2.0**81 * (max(s[5] for s in steps) + 1.0))
-    stop = StopPolicy(epsilon_min=2.0**-1000, max_outer=1)
-    return solvers._two_level(problem, GeometricSchedule(2.0**-999), consts, w0, stop, None,
-                              "projections", step, lambda phi, x, y, phi_x: x)
+    stop = StopPolicy(epsilon_min=2.0**-1000, max_outer=1, max_linesearch_m=max_m)
+    trace = solvers._two_level(problem, GeometricSchedule(2.0**-999), consts, w0, stop, None,
+                               "projections", step, handoff)
+    return trace, handed[0]
 
 
-def _closed_search(x, d, beta, theta, q, cap, slope, kappa):
+def _one_step(x, d, beta, theta, q, cap, slope=0.0, kappa=0.0, value=None, max_m=60):
+    """(m, theta^m, accepted point, trials, accepted phi value or None) of a
+    level that takes the case's step alone."""
+    scan, phi_x = _scripted_level(x, [(d, 1.0, q, cap, slope, kappa)], beta, theta, value, max_m)
+    lam = scan.min_observed_lambda
+    return _powers(theta).index(lam), lam, scan.final_point, scan.counters.linesearch_trials, phi_x
+
+
+def _closed_search(x, d, beta, theta, q, cap, slope, kappa, max_m=60):
     """(m, theta^m, accepted point, trials) of the search _two_level decides
     from slope and kappa, read from a level that takes the case's step alone."""
-    scan = _scripted_level(x, [(d, 1.0, q, cap, slope, kappa)], beta, theta)
-    lam = scan.min_observed_lambda
-    return _powers(theta).index(lam), lam, scan.final_point, scan.counters.linesearch_trials
+    return _one_step(x, d, beta, theta, q, cap, slope, kappa, max_m=max_m)[:4]
+
+
+def _both_searches(phi, x, d, beta, theta, q, cap, max_m=60):
+    """The search evaluated on phi.value and the one decided from phi's slope
+    and curvature along d, each as (m, theta^m, accepted point, trials)."""
+    eps = phi.epsilon
+    slope = float((phi.base.gradient_fn(x) + eps * x) @ d)
+    kappa = phi.base.curvature_fn(d) + eps * float(d @ d)
+    return (_one_step(x, d, beta, theta, q, cap, value=phi.value, max_m=max_m)[:4],
+            _closed_search(x, d, beta, theta, q, cap, slope, kappa, max_m))
 
 
 # ---------------------------------------------------------------------------
@@ -123,28 +146,33 @@ def _closed_search(x, d, beta, theta, q, cap, slope, kappa):
 def test_armijo_accepts_unit_step():
     phi = _half_tsq()
     x, d = np.array([1.0]), np.array([-1.0])
-    lam, _, _, trials = _armijo(phi.value, x, d, 0.5, _powers(0.5), 1.0, 1.0)
-    assert (lam, trials) == (1.0, 1)
+    for _, lam, _, trials in _both_searches(phi, x, d, 0.5, 0.5, 1.0, 1.0):
+        assert (lam, trials) == (1.0, 1)
     assert _brute_smallest_m(phi, x, d, 0.5, 0.5, 1.0) == 0
 
 
 def test_armijo_backtracks_under_strict_decrease_demand():
     phi = _half_tsq()
     x, d = np.array([1.0]), np.array([-1.0])
-    lam, _, _, trials = _armijo(phi.value, x, d, 0.9, _powers(0.5), 1.0, 1.0)
-    assert _powers(0.5).index(lam) == _brute_smallest_m(phi, x, d, 0.9, 0.5, 1.0) == 3
-    assert (lam, trials) == (0.125, 4)
+    for m, lam, _, trials in _both_searches(phi, x, d, 0.9, 0.5, 1.0, 1.0):
+        assert m == _brute_smallest_m(phi, x, d, 0.9, 0.5, 1.0) == 3
+        assert (lam, trials) == (0.125, 4)
 
 
 def test_armijo_cap_skips_overlong_steps_unevaluated():
     """With cap mu=3, m=0 would pass the decrease test if it were evaluated
-    (the trial point is the origin), so m=2 proves the cap filters first."""
-    obj = Objective(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), 1.0)
+    (the trial point is the origin), so m=2 proves the cap filters first;
+    the evaluated search calls phi at x and at that one trial only."""
+    calls = []
+    obj = Objective(lambda x: calls.append(1) or 0.5 * float(x @ x), lambda x: x.copy(), 1.0,
+                    lambda d: float(d @ d))
     phi = PerturbedObjective(obj, 0.0)
     x, d, mu = np.array([3.0, 0.0]), np.array([-1.0, 0.0]), 3.0
     assert phi.value(x + 1.0 * mu * d) <= phi.value(x) - 0.5 * 1.0 * mu * mu
-    lam, _, _, trials = _armijo(phi.value, x, d, 0.5, _powers(0.5), mu * mu, mu)
-    assert (lam, trials) == (0.25, 1)
+    calls.clear()
+    for _, lam, _, trials in _both_searches(phi, x, d, 0.5, 0.5, mu * mu, mu):
+        assert (lam, trials) == (0.25, 1)
+    assert len(calls) == 2
     assert _brute_smallest_m(phi, x, d, 0.5, 0.5, mu * mu, cap=mu) == 2
 
 
@@ -184,19 +212,18 @@ def _quadratic_search(draw):
           0.5, 0.25, 1.0))
 def test_armijo_matches_brute_force_on_random_quadratics(case):
     """The evaluated search accepts the smallest admissible m of the literal
-    reference, and each search tests m - f + 1 powers, where f is the first
-    power with theta^f * cap <= 1.  Decided from slope and kappa inside
-    _two_level, the search calls no phi.  Where it accepts the evaluated
-    search's m, it returns that search's (lambda, point bytes, trials); at
-    the smaller of two different m, and at each power the searches test
-    where the two tests disagree, the margin is below the evaluated test's
-    rounding."""
+    reference and hands off the value at its point, and each search tests
+    m - f + 1 powers, where f is the first power with theta^f * cap <= 1.
+    Decided from slope and kappa, the search calls no phi.  Where it accepts
+    the evaluated search's m, it returns that search's (lambda, point bytes,
+    trials); at the smaller of two different m, and at each power the
+    searches test where the two tests disagree, the margin is below the
+    evaluated test's rounding."""
     phi, x, d, beta, theta, cap = case
     q = cap * float(d @ d)
     assume(q > 0.0)
     powers = _powers(theta)
-    lam, point, value, trials = _armijo(phi.value, x, d, beta, powers, q, cap)
-    m = powers.index(lam)
+    m, lam, point, trials, value = _one_step(x, d, beta, theta, q, cap, value=phi.value)
     assert m == _brute_smallest_m(phi, x, d, beta, theta, q, cap=cap, max_m=60)
     assert lam == pytest.approx(theta ** m, rel=1e-12)
     assert value == phi.value(point)
@@ -240,32 +267,37 @@ def _trial_case(draw):
 @given(_trial_case())
 # t = 0.25 * 3 at m = 2: t * d is finite, but a trial formed as 0.25 * (3 * d) is inf
 @example((np.array([0.0]), np.array([1e308]), 3.0))
+# a unit step whose x + d overflows to inf in every form
+@example((np.array([2.0**1023]), np.array([2.0**1023]), 1.0))
 def test_armijo_trial_point_bits(case):
-    """A unit step (theta^0 * cap = 1) accepted at m = 0 returns the bytes of
-    x + d, which are those of 1.0 * d + x; any other step t returns the bytes
-    of t * d + x.  A value that always passes makes m the first power with
-    step <= 1.  Entries are NaN-free: x + d and d + x may keep different NaN
-    payloads, and an accepted trial has a finite value.  inf - inf and
-    overflow give the same NaN or inf in every form."""
+    """At the first power the scan tests, the first with step t = theta^m *
+    cap <= 1, a unit step returns the bytes of x + d, which are those of
+    1.0 * d + x; any other step t returns the bytes of t * d + x.  Entries
+    are NaN-free: x + d and d + x may keep different NaN payloads.  inf - inf
+    and overflow give the same NaN or inf in every form.  _trial_point is
+    called directly: phi(x) at an infinite x fails _two_level's finite-value
+    check at the line-search start."""
     x, d, cap = case
     powers = _powers(0.5)
+    m = next(k for k, p in enumerate(powers) if p * cap <= 1.0)
+    t = powers[m] * cap
     with np.errstate(over="ignore", invalid="ignore"):
-        lam, point, _, trials = _armijo(lambda v: 0.0, x, d, 0.5, powers, 1.0, cap, 1.0)
-        t = lam * cap
+        point = solvers._trial_point(x, d, t)
         want = t * d
         want += x
-    m = powers.index(lam)
-    assert trials == 1 and t <= 1.0 and (m == 0 or powers[m - 1] * cap > 1.0)
+        unit = x + d
     assert point.tobytes() == want.tobytes()
     if t == 1.0:
-        with np.errstate(invalid="ignore"):
-            assert point.tobytes() == (x + d).tobytes()
+        assert point.tobytes() == unit.tobytes()
 
 
 def test_armijo_raises_line_search_failure():
-    phi = _half_tsq()
-    with pytest.raises(LineSearchFailure):
-        _armijo(phi.value, np.array([1.0]), np.array([-1.0]), 0.9, _powers(0.5, 1), 1.0, 1.0)
+    """With theta^0 and theta^1 failing, both searches raise the same error."""
+    x, d = np.array([1.0]), np.array([-1.0])
+    for search in (lambda: _one_step(x, d, 0.9, 0.5, 1.0, 1.0, value=_half_tsq().value, max_m=1),
+                   lambda: _closed_search(x, d, 0.9, 0.5, 1.0, 1.0, -1.0, 1.0, max_m=1)):
+        with pytest.raises(LineSearchFailure, match="^level 1: no sufficient decrease within 1 "):
+            search()
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +601,7 @@ def test_two_level_inner_loop_avoids_numpy_dispatch_wrappers(monkeypatch, label,
     was measured no faster.  Each Python frame costs about as much again, so the
     hook also counts every Python call: at most _CALL_BUDGET per inner
     iteration, plus 25 per level for its last test, handoff and record.  The
-    search is decided inside _two_level, which calls neither _armijo nor
-    _trial_point."""
+    search is decided inside _two_level, which does not call _trial_point."""
     gp = bundled_problem(label)
     w0 = np.array(w0)
     if method == "gprm":
@@ -607,7 +638,7 @@ def test_two_level_inner_loop_avoids_numpy_dispatch_wrappers(monkeypatch, label,
     assert trace.counters.inner_iterations > 5000
     calls.pop("_methods._clip", None)
     assert dict(calls) == {}
-    assert frames["_armijo"] == frames["_trial_point"] == 0
+    assert frames["_trial_point"] == 0
     levels = len(trace.outer_records)
     budget = _CALL_BUDGET[label] * trace.counters.inner_iterations + 25 * (levels + 1)
     assert frames.total() <= budget
@@ -799,9 +830,8 @@ def test_two_level_run_peaks_at_four_n_vectors(method, make, stop, closed):
     direction d is the next phi'(x)'s buffer, so the run keeps x and d, and
     at its peak two more: the accepted and the next trial point of an
     evaluated search (the closed form builds only the accepted point), or y
-    and the new d while phi'(x) is live, which gprm keeps through its step
-    only in the closed form.  Half a vector of slack covers the scalar
-    bookkeeping."""
+    and the new d while phi'(x) is live, which gprm keeps through its step.
+    Half a vector of slack covers the scalar bookkeeping."""
     n = 10**5
     gp = make(n)
     p, w0 = gp.problem if closed else _evaluated(gp.problem), default_start(gp, method)
@@ -1252,7 +1282,8 @@ def test_a_closed_form_null_step_raises_at_the_repeat(method, lam, closed, max_i
               else cgrm_constants(problem, 1e-15, w0))
     run = run_gprm if method == "gprm" else run_cgrm
     observe, seen = _observer()
-    error = ((LineSearchFailure, f"^the accepted step at multiplier {lam!r} leaves x unchanged")
+    error = ((LineSearchFailure, f"^level 1: the accepted step at multiplier {lam!r} leaves x "
+                                  "unchanged")
              if max_inner > 1 else (RunawayInnerLoop, "^level 1 exceeded 1 inner iterations$"))
     with pytest.raises(error[0], match=error[1]):
         run(problem, sched, consts, w0, StopPolicy(epsilon_min=1e-16, max_inner_per_l=max_inner),
@@ -1267,15 +1298,15 @@ def test_a_closed_form_null_step_raises_at_the_repeat(method, lam, closed, max_i
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "evaluated"])
 def test_no_sufficient_decrease_within_max_linesearch_m(method, label, max_m, iterate, closed):
     """A search that finds no passing power among theta^0 .. theta^max_m
-    raises the same LineSearchFailure, decided inside _two_level or by
-    _armijo, at the same iterate of level 1."""
+    raises the same LineSearchFailure, decided from the curvature oracle or
+    by evaluating phi, at the same iterate of level 1."""
     problem = bundled_problem(label).problem
     if not closed:
         problem = dataclasses.replace(problem, objective=dataclasses.replace(
             problem.objective, curvature_fn=None))
     observe, seen = _observer()
     w0 = np.eye(problem.feasible_set.dimension)[0]
-    with pytest.raises(LineSearchFailure, match=f"^no sufficient decrease within {max_m} "
+    with pytest.raises(LineSearchFailure, match=f"^level 1: no sufficient decrease within {max_m} "
                        "backtracking steps; gradient or Lipschitz data is suspect$"):
         _two_level_run(method, problem, w0, StopPolicy(max_linesearch_m=max_m), observe=observe)
     assert (seen[-1].level, seen[-1].k) == (1, iterate)
@@ -1330,7 +1361,7 @@ def test_armijo_null_unit_step_raises():
     that takes the null step once hands off x unchanged."""
     null = (np.array([-1e-20]), 1.0, 1e-40, 1.0, -1e-40, 1e-40)
     for value in (None, _half_tsq().value):
-        once = _scripted_level(np.array([1.0]), [null], value=value)
+        once, _ = _scripted_level(np.array([1.0]), [null], value=value)
         assert once.final_point.tobytes() == np.array([1.0]).tobytes()
         assert (once.counters.inner_iterations, once.counters.linesearch_trials) == (1, 1)
         with pytest.raises(LineSearchFailure, match="multiplier 1.0 leaves x unchanged"):
