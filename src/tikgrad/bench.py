@@ -140,24 +140,46 @@ def make_illposed_box(dim: int) -> GeneratedProblem:
     the minimal-norm solution is (1/dim, ..., 1/dim) by symmetry.  L = dim.
     The bounds -1 and 1 and x*_n are read-only stride-0 views (see
     _constant), so the problem stores O(1) floats, not three n-vectors; the
-    gradient and the oracles still return new n-vectors.
+    gradient and the oracles still return new n-vectors.  Below 8
+    coordinates the value, gradient and curvature add the entries as Python
+    floats, in order from 0.0: numpy's float sums do the same below their
+    8-entry pairwise block, so the bytes are numpy's, in a quarter of the time.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
+    # not builtin sum(), which adds floats with compensation from Python 3.12
+    small = dim < 8
 
     # np.add.reduce is x.sum() without the Python-level _sum frame numpy adds
     def value(x: Array) -> float:
-        s = float(np.add.reduce(x)) - 1.0
+        if small:
+            s = 0.0
+            for v in x.tolist():
+                s += v
+        else:
+            s = float(np.add.reduce(x))
+        s -= 1.0
         return 0.5 * s * s
 
     def gradient(x: Array) -> Array:
+        if small:
+            s = 0.0
+            for v in x.tolist():
+                s += v
+        else:
+            s = float(np.add.reduce(x))
         g = np.empty(dim)
-        g.fill(float(np.add.reduce(x)) - 1.0)
+        g.fill(s - 1.0)
         return g
 
     ones = _constant(dim, 1.0)
 
-    def curvature(d: Array) -> float:  # (sum d)^2; d.dot takes half np.add.reduce's time at n = 2
+    def curvature(d: Array) -> float:  # (sum d)^2
+        if small:
+            s = 0.0
+            for v in d.tolist():
+                s += v
+            return s ** 2
         return float(d.dot(ones)) ** 2
 
     box = BoxSet(_constant(dim, -1.0), _constant(dim, 1.0))

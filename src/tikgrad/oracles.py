@@ -170,13 +170,13 @@ def project_simplex(x: Array, simplex: SimplexSet) -> Array:
     (Duchi et al. 2008).  Up to _SMALL_SIMPLEX coordinates rho and the
     threshold are found in Python floats: the float operations of the numpy
     code below, in its order, so the same bytes, with 2 ufunc calls instead
-    of about 15 numpy calls.  Where no support index passes (u_1 - 1 rounds
-    to u_1 from about 1e16 up, or the sum overflows) and the largest entry
-    is finite, x - max(x) is projected instead: adding a multiple of the
-    ones vector leaves the projection unchanged, and the shifted top entry 0
-    passes.  Both paths raise OracleFailure for a NaN or +inf entry; a -inf
-    entry fails only its own support test.  Neither path emits a numpy
-    RuntimeWarning.
+    of about 15 numpy calls.  Where u_1 - 1 rounds to u_1 (from about 1e16
+    up, where an index passes only by rounding) or no support index passes
+    (the sum overflows), and u_1 is finite, x - max(x) is projected instead:
+    adding a multiple of the ones vector leaves the projection unchanged,
+    and the shifted top entry 0 passes.  Both paths raise OracleFailure for
+    a NaN or +inf entry; a -inf entry fails only its own support test.
+    Neither path emits a numpy RuntimeWarning.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size != simplex.dimension:
@@ -191,7 +191,7 @@ def project_simplex(x: Array, simplex: SimplexSet) -> Array:
                 rho, c = k, s - 1.0
             elif v != v:  # a NaN entry, which list.sort does not order
                 raise OracleFailure("project_simplex: non-finite input")
-        if rho:
+        if rho and u[0] - 1.0 != u[0]:
             return np.maximum(x - c / rho, 0.0)
     else:
         u = x.copy()
@@ -200,7 +200,7 @@ def project_simplex(x: Array, simplex: SimplexSet) -> Array:
         with np.errstate(over="ignore", invalid="ignore"):  # +inf with -inf, or overflow
             css = u.cumsum() - 1.0
             passing = (u * np.arange(1, x.size + 1) > css).nonzero()[0]
-        if passing.size:
+        if passing.size and u[0] - 1.0 != u[0]:
             rho = int(passing[-1])
             return np.maximum(x - css[rho] / (rho + 1.0), 0.0)
     if not math.isfinite(u[0]):  # a NaN (numpy sorts it first here) or +inf entry

@@ -103,3 +103,18 @@ def test_acceptance_keeps_the_globals_the_benchmark_rebinds():
                for a in n.posonlyargs + n.args + n.kwonlyargs}
     called = _called_globals(tree)
     assert [n for n in names if n not in called or n in stored] == []
+
+
+def test_the_library_adds_no_floats_with_builtin_sum_or_fsum():
+    """From Python 3.12 builtin sum() adds floats with compensation:
+    sum([1e16, 1.0, -1e16], 0.0) is 1.0 there and 0.0 on 3.11.  math.fsum
+    rounds once, unlike numpy.  A solver, oracle or problem calling either
+    would make its traces depend on the interpreter."""
+    calls = []
+    for module in (bench, core, oracles, regularization, solvers):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            f = getattr(node, "func", None)
+            if (isinstance(f, ast.Name) and f.id in ("sum", "fsum")
+                    or isinstance(f, ast.Attribute) and f.attr == "fsum"):
+                calls.append(f"{module.__name__}:{node.lineno}")
+    assert calls == []

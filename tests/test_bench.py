@@ -312,20 +312,55 @@ def test_illposed_gradients_have_the_bytes_of_a_scaled_dense_vector(t):
     """The simplex gradient t (1, -1, 0, ...) is filled from the products t * 0.0,
     t * 1.0 and t * -1.0, and the box gradient s (1, ..., 1) from s: the bytes
     of t times a dense direction and s times a dense ones vector, signed
-    zeros and the sign of a NaN included."""
-    n = 5
-    direction = np.zeros(n)
-    direction[:2] = 1.0, -1.0
-    x = np.zeros(n)
-    x[0] = t  # x_1 - x_2 = t - 0.0 = t
-    got = make_illposed_simplex(n).problem.objective.gradient_fn(x)
-    with np.errstate(invalid="ignore"):  # inf * 0.0
-        want = t * direction
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    x[1] = 1.0  # sum(x) - 1 = t, -0.0 aside
-    s = float(np.add.reduce(x)) - 1.0
-    got = make_illposed_box(n).problem.objective.gradient_fn(x)
-    assert np.array_equal(got.view(np.int64), (s * np.ones(n)).view(np.int64))
+    zeros and the sign of a NaN included.  The box's sum is added in Python
+    floats at n = 5 and by numpy at n = 8."""
+    for n in (5, 8):
+        direction = np.zeros(n)
+        direction[:2] = 1.0, -1.0
+        x = np.zeros(n)
+        x[0] = t  # x_1 - x_2 = t - 0.0 = t
+        got = make_illposed_simplex(n).problem.objective.gradient_fn(x)
+        with np.errstate(invalid="ignore"):  # inf * 0.0
+            want = t * direction
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        x[1] = 1.0  # sum(x) - 1 = t, -0.0 aside
+        s = float(np.add.reduce(x)) - 1.0
+        got = make_illposed_box(n).problem.objective.gradient_fn(x)
+        assert np.array_equal(got.view(np.int64), (s * np.ones(n)).view(np.int64))
+
+
+def _outcome(call):
+    """call()'s bytes, "nan" for a NaN result (whose payload may differ), or
+    the OverflowError a Python float power raises past the float range."""
+    try:
+        r = np.asarray(call(), dtype=np.float64)
+    except OverflowError:
+        return "OverflowError"
+    return "nan" if np.isnan(r.flat[0]) else r.tobytes()
+
+
+_SUM_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 1e308]),
+                         st.floats(width=64))
+
+
+@given(st.integers(2, 7).flatmap(lambda n: arrays(np.float64, n, elements=_SUM_ENTRIES)))
+@example(np.full(4, -0.0))  # numpy's sum, like the loop's, is +0.0
+@example(np.array([1e308, 1e308, -1.0]))  # the sum overflows; (sum d)^2 raises
+@example(np.array([np.inf, 1.0, -np.inf]))
+# at dim 8 numpy sums pairwise, (1e16 + 1) + (-1e16 + 1) = 0, and the plain
+# loop gives 1: the problem must keep numpy's sum there
+@example(np.array([1e16, 1.0, -1e16, 1.0, 0.0, 0.0, 0.0, 0.0]))
+def test_illposed_box_small_sums_are_numpys(x):
+    """Below 8 coordinates illposed_box adds Python floats; its value,
+    gradient and curvature keep the bytes of the numpy formulas."""
+    n = x.size
+    obj = make_illposed_box(n).problem.objective
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = float(np.add.reduce(x)) - 1.0
+        dot = float(x.dot(bench._constant(n, 1.0)))
+    assert _outcome(lambda: obj.value_fn(x)) == _outcome(lambda: 0.5 * s * s)
+    assert _outcome(lambda: obj.gradient_fn(x)) == _outcome(lambda: np.full(n, s))
+    assert _outcome(lambda: obj.curvature_fn(x)) == _outcome(lambda: dot ** 2)
 
 
 # ---------------------------------------------------------------------------

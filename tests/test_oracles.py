@@ -6,9 +6,11 @@ checked against dense grid minimization of ||x - q||, LMOs against grid or
 vertex enumeration of <g, q>.
 """
 
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
@@ -103,6 +105,8 @@ def test_project_simplex_of_large_finite_input(n):
     rest = np.zeros(n - 1)
     for x, want in [(np.r_[1e16, rest], e1), (np.r_[1e308, rest - 1e308], e1),
                     (np.full(n, 1e308), np.full(n, 1.0 / n)),
+                    (np.r_[np.full(n - 1, 2.2472539841349246e+307), -np.inf],
+                     np.r_[np.full(n - 1, 1.0 / (n - 1)), 0.0]),
                     (np.r_[1e16, rest[:-1], -np.inf], e1)]:
         assert_allclose(project_simplex(x, SimplexSet(n)), want, rtol=0, atol=0)
     for bad in (np.nan, np.inf):
@@ -311,14 +315,14 @@ def test_project_box_is_np_clip_bit_for_bit(case):
 
 def _simplex_reference(x):
     """project_simplex's numpy sort-and-threshold formula, for every n; where
-    it finds no support index, the formula on x - max(x) if max(x) is finite
-    (no NaN or +inf entry), else None."""
+    it finds no support index, or u_1 - 1 rounds to u_1, the formula on
+    x - max(x) if max(x) is finite (no NaN or +inf entry), else None."""
     u = x.copy()
     u.sort()
     u = u[::-1]
     css = u.cumsum() - 1.0
     passing = (u * np.arange(1, x.size + 1) > css).nonzero()[0]
-    if passing.size == 0:
+    if passing.size == 0 or u[0] - 1.0 == u[0]:
         return _simplex_reference(x - u[0]) if np.isfinite(u[0]) else None
     rho = int(passing[-1])
     return np.maximum(x - css[rho] / (rho + 1.0), 0.0)
@@ -334,14 +338,14 @@ def _simplex_reference(x):
 @example(np.array([1e16, 0.0, -1e308]))  # u_1 - 1 rounds to u_1: no index passes
 @example(np.array([1e308, 0.0, -1e308]))  # ... and the shift overflows to -inf
 @example(np.array([5e-324, -5e-324, 1e-310, 0.0]))
-# indices pass before the sum overflows to inf and meets -inf: the sum ends
-# NaN, yet the formula accepts
+# indices pass by rounding alone before the sum overflows to inf and meets
+# -inf; as u_1 - 1 rounds to u_1, x - max(x) is projected: (1/8, ..., 1/8, 0)
 @example(np.array([2.2472539841349246e+307] * 8 + [-np.inf]))
 def test_project_simplex_is_the_numpy_formula_bit_for_bit(x):
     """Up to _SMALL_SIMPLEX entries project_simplex scans Python floats; on
     both sides of that cutoff it gives the formula's bytes, or both fail.
-    Where the formula finds no support index on an input whose largest
-    entry is finite, both project x - max(x)."""
+    Where the formula finds no support index, or u_1 - 1 rounds to u_1, on
+    an input whose largest entry is finite, both project x - max(x)."""
     with np.errstate(over="ignore", invalid="ignore"):
         want = _simplex_reference(x)
         for arg in (x, x.tolist()):
@@ -350,6 +354,26 @@ def test_project_simplex_is_the_numpy_formula_bit_for_bit(x):
                     project_simplex(arg, SimplexSet(x.size))
             else:
                 assert _same_bits(project_simplex(arg, SimplexSet(x.size)), want)
+
+
+@given(st.integers(1, 2 * _SMALL_SIMPLEX).flatmap(
+    lambda n: arrays(np.float64, n, elements=st.floats(max_value=sys.float_info.max))))
+@example(np.array([2.2472539841349246e+307] * 8 + [-np.inf]))
+# all 26 entries come back 0.375, not 1/26: the threshold is off by 5 ulps of u_1
+@example(np.full(26, -363029131794187.5))
+def test_project_simplex_lands_on_the_simplex(x):
+    """Every input whose largest entry u_1 is finite projects to entries >= 0
+    that sum to 1 within n (n + 4) 2^-52 max(1, |u_1|).  The threshold is a
+    sum of up to n entries near u_1, rounded at every add, divided by the
+    support size: its error grows as n |u_1|, and n entries carry it.  Where
+    u_1 - 1 rounds to u_1, x - max(x) is projected, whose top entry is 0."""
+    top = float(x.max())
+    assume(top > -np.inf)
+    p = project_simplex(x, SimplexSet(x.size))
+    assert np.logical_and.reduce(p >= 0.0)
+    scale = 1.0 if top - 1.0 == top else max(1.0, abs(top))
+    n = x.size
+    assert abs(float(np.add.reduce(p)) - 1.0) <= n * (n + 4) * 2.0**-52 * scale
 
 
 @_FEW
