@@ -1,8 +1,11 @@
 """Executable acceptance suite: eleven criteria, one pass/fail line each.
 
-Each criterion_* function takes a SuiteContext (which caches solver runs and
+Each criterion_N function takes a SuiteContext (which caches solver runs and
 Tikhonov oracle solutions so criteria can share them) and returns a
-CriterionResult.  run_all executes all eleven in order; format_line renders
+CriterionResult.  Its body returns only (passed, detail): the _criterion
+decorator that names it adds its number, from the order of definition, and
+turns a solver error it raises into its FAIL, under its own name.  CRITERIA
+lists the eleven in that order; run_all executes them and format_line renders
 the one-line verdict.  The CLI `verify` subcommand and the test suite both
 drive this module, so a failure shows up identically in both places.
 Each solver run is an ExperimentConfig whose problem, start, schedule, stop
@@ -11,6 +14,7 @@ policy, constants and step come from validate_experiment, as in `tikgrad run`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -50,6 +54,29 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+
+
+CRITERIA: list = []
+
+
+def _criterion(name: str):
+    """Register a check returning (passed, detail) as the next criterion; the
+    registered function returns its CriterionResult, and a solver error the
+    check raises is that criterion's FAIL."""
+    def register(check):
+        number = len(CRITERIA) + 1
+
+        @functools.wraps(check)
+        def criterion(ctx: SuiteContext) -> CriterionResult:
+            try:
+                passed, detail = check(ctx)
+            except (RunawayInnerLoop, LineSearchFailure, OracleFailure) as exc:
+                passed, detail = False, f"solver failure: {type(exc).__name__}: {exc}"
+            return CriterionResult(number, name, passed, detail)
+
+        CRITERIA.append(criterion)
+        return criterion
+    return register
 
 
 class SuiteContext:
@@ -105,44 +132,35 @@ def _baseline_run(label: str, method: str, x0: tuple, max_iter: int):
     return run(gp.problem, step, x0, max_iter)
 
 
-def _strong_convergence(ctx: SuiteContext, number: int, name: str, method: str,
-                        label: str) -> CriterionResult:
+def _strong_convergence(ctx: SuiteContext, method: str, label: str) -> tuple[bool, str]:
     _, _, _, trace, elapsed = ctx.two_level_run(method, label, 0.5)
     dist = trace.outer_records[-1].dist_xstar
     passed = dist < 5e-2 and elapsed < 1.0
-    return CriterionResult(
-        number,
-        name,
-        passed,
-        f"final dist {dist:.3e} (need < 5e-2), solver time {elapsed:.3f}s (need < 1s)",
-    )
+    return passed, f"final dist {dist:.3e} (need < 5e-2), solver time {elapsed:.3f}s (need < 1s)"
 
 
-def criterion_1(ctx: SuiteContext) -> CriterionResult:
-    return _strong_convergence(ctx, 1, "strong convergence, two-level gradient projection",
-                               "gprm", "illposed_box(2)")
+@_criterion("strong convergence, two-level gradient projection")
+def criterion_1(ctx: SuiteContext) -> tuple[bool, str]:
+    return _strong_convergence(ctx, "gprm", "illposed_box(2)")
 
 
-def criterion_2(ctx: SuiteContext) -> CriterionResult:
-    return _strong_convergence(ctx, 2, "strong convergence, two-level conditional gradient",
-                               "cgrm", "illposed_simplex(3)")
+@_criterion("strong convergence, two-level conditional gradient")
+def criterion_2(ctx: SuiteContext) -> tuple[bool, str]:
+    return _strong_convergence(ctx, "cgrm", "illposed_simplex(3)")
 
 
-def criterion_3(ctx: SuiteContext) -> CriterionResult:
+@_criterion("weak vs strong contrast")
+def criterion_3(ctx: SuiteContext) -> tuple[bool, str]:
     trace = _baseline_run("illposed_box(2)", "gpm", CRITERION_3_START, 2000)
     d_gpm = trace.outer_records[-1].dist_xstar
-    ok_gprm = criterion_1(ctx).passed
-    passed = d_gpm >= 0.7 and ok_gprm
-    return CriterionResult(
-        3,
-        "weak vs strong contrast",
-        passed,
+    ok_gprm = _strong_convergence(ctx, "gprm", "illposed_box(2)")[0]
+    return d_gpm >= 0.7 and ok_gprm, (
         f"fixed-step method stalls at dist {d_gpm:.3f} (need >= 0.7) "
-        f"while the two-level method converges ({ok_gprm})",
-    )
+        f"while the two-level method converges ({ok_gprm})")
 
 
-def criterion_4(ctx: SuiteContext) -> CriterionResult:
+@_criterion("complexity bound compliance")
+def criterion_4(ctx: SuiteContext) -> tuple[bool, str]:
     checked = 0
     worst = None
     for (method, label), sigma in itertools.product(TWO_LEVEL_CASES, SIGMAS):
@@ -158,11 +176,11 @@ def criterion_4(ctx: SuiteContext) -> CriterionResult:
             if n > bound:
                 worst = f"{method} {label} sigma={sigma} alpha={alpha}: N={n} > bound={bound:.3e}"
     passed = worst is None and checked > 0
-    detail = worst or f"measured N <= bound at all {checked} attained grid points (12 runs)"
-    return CriterionResult(4, "complexity bound compliance", passed, detail)
+    return passed, worst or f"measured N <= bound at all {checked} attained grid points (12 runs)"
 
 
-def criterion_5(ctx: SuiteContext) -> CriterionResult:
+@_criterion("line-search step lower bound")
+def criterion_5(ctx: SuiteContext) -> tuple[bool, str]:
     worst_margin = math.inf
     worst_run = ""
     for (method, label), sigma in itertools.product(TWO_LEVEL_CASES, SIGMAS):
@@ -171,27 +189,21 @@ def criterion_5(ctx: SuiteContext) -> CriterionResult:
         if margin < worst_margin:
             worst_margin = margin
             worst_run = f"{method} {label} sigma={sigma}"
-    passed = worst_margin >= 0.0
-    return CriterionResult(
-        5,
-        "line-search step lower bound",
-        passed,
-        f"worst min(lambda) - gamma = {worst_margin:.3e} at {worst_run} (need >= 0)",
-    )
+    return worst_margin >= 0.0, (
+        f"worst min(lambda) - gamma = {worst_margin:.3e} at {worst_run} (need >= 0)")
 
 
-def criterion_6(ctx: SuiteContext) -> CriterionResult:
+@_criterion("inner-loop finiteness")
+def criterion_6(ctx: SuiteContext) -> tuple[bool, str]:
     worst = 0
     for (method, label), sigma in itertools.product(TWO_LEVEL_CASES, SIGMAS):
         _, _, _, trace, _ = ctx.two_level_run(method, label, sigma)
         worst = max(worst, max(r.N_l for r in trace.outer_records))
-    passed = worst < 10**6
-    return CriterionResult(
-        6, "inner-loop finiteness", passed, f"largest per-level count {worst} (need < 1e6)"
-    )
+    return worst < 10**6, f"largest per-level count {worst} (need < 1e6)"
 
 
-def criterion_7(ctx: SuiteContext) -> CriterionResult:
+@_criterion("regularized-gap certificates")
+def criterion_7(ctx: SuiteContext) -> tuple[bool, str]:
     details = []
     passed = True
     for method, label in CERTIFIED_RUNS:
@@ -217,12 +229,11 @@ def criterion_7(ctx: SuiteContext) -> CriterionResult:
         if worst > 1e-8:
             passed = False
         details.append(f"{method}: {len(samples)} samples, worst slack {worst:.2e}")
-    return CriterionResult(
-        7, "regularized-gap certificates", passed, "; ".join(details) + " (need <= 1e-8)"
-    )
+    return passed, "; ".join(details) + " (need <= 1e-8)"
 
 
-def criterion_8(ctx: SuiteContext) -> CriterionResult:
+@_criterion("regularization path")
+def criterion_8(ctx: SuiteContext) -> tuple[bool, str]:
     details = []
     passed = True
     for label in ("illposed_box(2)", "illposed_simplex(3)"):
@@ -237,7 +248,7 @@ def criterion_8(ctx: SuiteContext) -> CriterionResult:
         ok = all_ok and end_dist < 1e-2
         passed = passed and ok
         details.append(f"{label}: pairwise ok={all_ok}, end dist {end_dist:.2e}")
-    return CriterionResult(8, "regularization path", passed, "; ".join(details))
+    return passed, "; ".join(details)
 
 
 def _rate_checkpoints(trace, max_iter: int) -> tuple[float, float]:
@@ -271,7 +282,8 @@ def _rate_checkpoints(trace, max_iter: int) -> tuple[float, float]:
     return first, final
 
 
-def criterion_9(ctx: SuiteContext) -> CriterionResult:
+@_criterion("baseline value rates")
+def criterion_9(ctx: SuiteContext) -> tuple[bool, str]:
     trace_g = _baseline_run("wellposed_box(2)", "gpm", (0.0, 0.0), RATE_ITERS)
     trace_c = _baseline_run("wellposed_simplex(3)", "cgm", (1.0, 0.0, 0.0), RATE_ITERS)
     details = []
@@ -281,9 +293,7 @@ def criterion_9(ctx: SuiteContext) -> CriterionResult:
         ok = final <= 2.0 * first
         passed = passed and ok
         details.append(f"{name}: sup k*gap {first:.2e} (k<1000) vs {final:.2e} (k<=1e4)")
-    return CriterionResult(
-        9, "baseline value rates", passed, "; ".join(details) + " (need final <= 2x first)"
-    )
+    return passed, "; ".join(details) + " (need final <= 2x first)"
 
 
 def _feasible_sampler(kind, obj, rng):
@@ -298,7 +308,8 @@ def _feasible_sampler(kind, obj, rng):
     return lambda: rng.dirichlet(np.ones(obj.dimension))
 
 
-def criterion_10(ctx: SuiteContext) -> CriterionResult:
+@_criterion("oracle invariants")
+def criterion_10(ctx: SuiteContext) -> tuple[bool, str]:
     rng = np.random.default_rng(0)
     cases = [
         ("box", BoxSet(np.array([-1.0, -0.5, 0.0]), np.array([1.0, 0.5, 2.0]))),
@@ -341,16 +352,13 @@ def criterion_10(ctx: SuiteContext) -> CriterionResult:
         and worst_lmo <= 1e-10
         and extreme_ok
     )
-    return CriterionResult(
-        10,
-        "oracle invariants",
-        passed,
+    return passed, (
         f"idem {worst_idem:.1e} (<=1e-12), nonexp {worst_nonexp:.1e} (<=1e-12), "
-        f"vi {worst_vi:.1e} (<=1e-10), lmo {worst_lmo:.1e} (<=1e-10), extreme {extreme_ok}",
-    )
+        f"vi {worst_vi:.1e} (<=1e-10), lmo {worst_lmo:.1e} (<=1e-10), extreme {extreme_ok}")
 
 
-def criterion_11(ctx: SuiteContext) -> CriterionResult:
+@_criterion("complexity exponent trend")
+def criterion_11(ctx: SuiteContext) -> tuple[bool, str]:
     rows = []
     for sigma in SIGMAS:
         _, _, _, trace, _ = ctx.two_level_run("gprm", "illposed_box(2)", sigma)
@@ -362,39 +370,17 @@ def criterion_11(ctx: SuiteContext) -> CriterionResult:
     exps = [e for _, e, _ in rows]
     enough = all(u >= 4 for _, _, u in rows)
     monotone = all(np.isfinite(exps)) and exps[0] >= exps[1] >= exps[2]
-    passed = enough and monotone
     detail = ", ".join(f"sigma={s}: exponent {e:.3f} ({u} fit points)" for s, e, u in rows)
     # the monotone test's two margins, so a verdict that rests on a small one shows it
     detail += (f"; margins {exps[0] - exps[1]:.3e} (sigma 1 vs 0.5), "
                f"{exps[1] - exps[2]:.3e} (sigma 0.5 vs 0.25) (need >= 0)")
-    return CriterionResult(11, "complexity exponent trend", passed, detail)
-
-
-CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-)
+    return enough and monotone, detail
 
 
 def run_all(ctx: Optional[SuiteContext] = None) -> list[CriterionResult]:
     """Each criterion's result in order; a solver error it raises is its FAIL."""
     ctx = ctx if ctx is not None else SuiteContext()
-    results = []
-    for number, fn in enumerate(CRITERIA, 1):
-        try:
-            results.append(fn(ctx))
-        except (RunawayInnerLoop, LineSearchFailure, OracleFailure) as exc:
-            results.append(CriterionResult(number, "solver failure", False, f"{type(exc).__name__}: {exc}"))
-    return results
+    return [check(ctx) for check in CRITERIA]
 
 
 def format_line(result: CriterionResult) -> str:

@@ -356,6 +356,16 @@ def make_rankdef_lsq(A: Array, b: Array, fs: FeasibleSet, label: Optional[str] =
 
 _LABEL_RE = re.compile(r"^([a-z_]+)\((\d+)\)$")
 _PROBLEM_CACHE: dict[str, GeneratedProblem] = {}
+_FAMILIES = {"illposed_box": make_illposed_box, "illposed_simplex": make_illposed_simplex}
+_BOX2 = BoxSet(_constant(2, -1.0), _constant(2, 1.0))
+# the fixed least-squares problems, (name, dim): (A, b, set)
+_LEAST_SQUARES = {
+    ("rankdef_box", 2): ([[1.0, 1.0], [0.0, 0.0]], [1.0, 0.0], _BOX2),
+    ("rankdef_simplex", 3): ([[1.0, -1.0, 0.0], [0.0, 0.0, 0.0]], [0.0, 0.0], SimplexSet(3)),
+    ("wellposed_box", 2): ([[2.0, 0.0], [0.0, 1.0]], [0.6, 0.4], _BOX2),
+    ("wellposed_simplex", 3): ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                               [0.5, 0.3, 0.2], SimplexSet(3)),
+}
 
 
 def bundled_problem(label: str) -> GeneratedProblem:
@@ -371,34 +381,16 @@ def bundled_problem(label: str) -> GeneratedProblem:
     if m is None:
         raise ConfigError(f"problem_label: cannot parse {label!r}")
     name, dim = m.group(1), int(m.group(2))
-    box2 = lambda: BoxSet(_constant(2, -1.0), _constant(2, 1.0)).to_feasible_set()
-    if name in ("illposed_box", "illposed_simplex"):
-        make = make_illposed_box if name == "illposed_box" else make_illposed_simplex
+    if (name, dim) in _LEAST_SQUARES:
+        A, b, kind = _LEAST_SQUARES[name, dim]
+        gp = make_rankdef_lsq(A, b, kind.to_feasible_set(), label)
+    else:
+        if name not in _FAMILIES:
+            raise ConfigError(f"problem_label: unknown label {label!r}")
         try:
-            gp = make(dim)
+            gp = _FAMILIES[name](dim)
         except ValueError as exc:
             raise ConfigError(f"problem_label: {label!r}: {exc}") from None
-    elif name == "rankdef_box" and dim == 2:
-        gp = make_rankdef_lsq(
-            np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0]), box2(), label
-        )
-    elif name == "rankdef_simplex" and dim == 3:
-        gp = make_rankdef_lsq(
-            np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]),
-            np.zeros(2),
-            SimplexSet(3).to_feasible_set(),
-            label,
-        )
-    elif name == "wellposed_box" and dim == 2:
-        gp = make_rankdef_lsq(
-            np.diag([2.0, 1.0]), np.array([0.6, 0.4]), box2(), label
-        )
-    elif name == "wellposed_simplex" and dim == 3:
-        gp = make_rankdef_lsq(
-            np.eye(3), np.array([0.5, 0.3, 0.2]), SimplexSet(3).to_feasible_set(), label
-        )
-    else:
-        raise ConfigError(f"problem_label: unknown label {label!r}")
     _PROBLEM_CACHE[label] = gp
     return gp
 

@@ -132,7 +132,8 @@ class Problem:
     """Objective plus feasible set, with optional ground truth.
 
     known_fstar is the optimal value, known_xstar_n the minimal-norm optimal
-    point; both are used only by tests and reporting, never by the solvers.
+    point.  The solvers read them only to fill each record's delta_wl and
+    dist_xstar (None without them); they never steer a run.
     """
 
     objective: Objective

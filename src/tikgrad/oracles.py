@@ -191,8 +191,6 @@ def project_simplex(x: Array, simplex: SimplexSet) -> Array:
                 rho, c = k, s - 1.0
             elif v != v:  # a NaN entry, which list.sort does not order
                 raise OracleFailure("project_simplex: non-finite input")
-        if rho and u[0] - 1.0 != u[0]:
-            return np.maximum(x - c / rho, 0.0)
     else:
         u = x.copy()
         u.sort()
@@ -200,9 +198,10 @@ def project_simplex(x: Array, simplex: SimplexSet) -> Array:
         with np.errstate(over="ignore", invalid="ignore"):  # +inf with -inf, or overflow
             css = u.cumsum() - 1.0
             passing = (u * np.arange(1, x.size + 1) > css).nonzero()[0]
-        if passing.size and u[0] - 1.0 != u[0]:
-            rho = int(passing[-1])
-            return np.maximum(x - css[rho] / (rho + 1.0), 0.0)
+        rho = int(passing[-1]) + 1 if passing.size else 0
+        c = float(css[rho - 1])
+    if rho and u[0] - 1.0 != u[0]:
+        return np.maximum(x - c / rho, 0.0)
     if not math.isfinite(u[0]):  # a NaN (numpy sorts it first here) or +inf entry
         raise OracleFailure("project_simplex: non-finite input")
     with np.errstate(over="ignore"):  # an entry far enough below u_0 shifts to -inf

@@ -20,10 +20,11 @@ from tikgrad.bench import (
     bundled_problem,
     run_experiment,
     solver_constants,
+    validate_experiment,
     write_trace_csv,
 )
-from tikgrad.core import OracleCounters
-from tikgrad.solvers import OuterRecord, SolverTrace, run_cgm, run_gpm
+from tikgrad.core import LineSearchFailure, OracleCounters
+from tikgrad.solvers import OuterRecord, SolverTrace, run_cgm, run_cgrm, run_gpm, run_gprm
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +227,24 @@ def test_run_all_covers_every_criterion_once(ctx):
     assert all(r.passed for r in results)
 
 
+def test_criteria_register_in_number_order():
+    assert [f.__name__ for f in acceptance.CRITERIA] == [f"criterion_{i}" for i in range(1, 12)]
+
+
+def test_a_criterion_called_directly_fails_on_a_solver_error(monkeypatch):
+    """A gprm error is the FAIL of each criterion that runs gprm, under its own
+    number and name, when it is called outside run_all too."""
+    def fail(*args, **kwargs):
+        raise LineSearchFailure("no sufficient decrease")
+    monkeypatch.setattr(acceptance, "run_gprm", fail)
+    ctx = acceptance.SuiteContext()
+    for check, number, name in (
+            (acceptance.criterion_1, 1, "strong convergence, two-level gradient projection"),
+            (acceptance.criterion_3, 3, "weak vs strong contrast")):
+        assert check(ctx) == acceptance.CriterionResult(
+            number, name, False, "solver failure: LineSearchFailure: no sufficient decrease")
+
+
 # Trace CSV SHA-256, final_point.tobytes() SHA-256, OracleCounters in field
 # order, and min_observed_lambda of canonical runs.  Refactors of the solvers
 # must reproduce them bit for bit; a change that alters the arithmetic on
@@ -335,3 +354,43 @@ def test_the_closed_form_search_calls_phi_only_at_handoffs(monkeypatch, closed):
             assert 0 < n_calls <= 3 * len(trace.outer_records)
         else:
             assert n_calls >= trace.counters.linesearch_trials
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "evaluated"])
+def test_ground_truth_fills_the_records_and_never_steers_a_run(closed):
+    """Without known_fstar and known_xstar_n, each sigma = 0.5 two-level run
+    of the suite (with or without the curvature oracle) and each short
+    baseline of GOLDEN gives the same counters, final point bytes, min lambda
+    and per-record (l, epsilon_l, delta_l, N_l, cum_inner); only its records'
+    delta_wl and dist_xstar change, to None."""
+    def with_and_without_truth(problem):
+        if not closed:
+            problem = dataclasses.replace(
+                problem, objective=dataclasses.replace(problem.objective, curvature_fn=None))
+        return problem, dataclasses.replace(problem, known_fstar=None, known_xstar_n=None)
+
+    pairs = []
+    for method, label in acceptance.TWO_LEVEL_CASES:
+        dim = bundled_problem(label).problem.feasible_set.dimension
+        cfg = ExperimentConfig(label, method, sigma=0.5, epsilon_min=acceptance.ACCEPT_EPS_MIN,
+                               x0=(1.0,) + (0.0,) * (dim - 1))
+        gp, w0, sched, stop, consts, _ = validate_experiment(cfg)
+        run = run_gprm if method == "gprm" else run_cgrm
+        pairs.append([run(p, sched, consts, w0, stop) for p in with_and_without_truth(gp.problem)])
+    for run, label, x0 in ((run_gpm, "wellposed_box(2)", (0.0, 0.0)),
+                           (run_cgm, "wellposed_simplex(3)", (1.0, 0.0, 0.0))):
+        gp = bundled_problem(label)
+        pairs.append([run(p, 1.0 / gp.analytic_L, np.array(x0), 200)
+                      for p in with_and_without_truth(gp.problem)])
+
+    def steps(trace):
+        return [(r.l, r.epsilon_l, r.delta_l, r.N_l, r.cum_inner) for r in trace.outer_records]
+
+    for known, blind in pairs:
+        assert blind.counters == known.counters
+        assert blind.final_point.tobytes() == known.final_point.tobytes()
+        assert blind.min_observed_lambda == known.min_observed_lambda
+        assert steps(blind) == steps(known)
+        assert all(r.delta_wl is not None and r.dist_xstar is not None
+                   for r in known.outer_records)
+        assert all(r.delta_wl is None and r.dist_xstar is None for r in blind.outer_records)

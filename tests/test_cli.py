@@ -375,8 +375,14 @@ def test_verify_turns_a_solver_error_into_the_criterions_fail(monkeypatch, capsy
     assert len(lines) == 11
     failed = {int(line.split()[1]) for line in lines if " FAIL " in line}
     assert failed == {1, 3, 4, 5, 6, 7, 11}
+    names = {1: "strong convergence, two-level gradient projection", 3: "weak vs strong contrast",
+             4: "complexity bound compliance", 5: "line-search step lower bound",
+             6: "inner-loop finiteness", 7: "regularized-gap certificates",
+             11: "complexity exponent trend"}
     for number in failed:
         assert "LineSearchFailure: no sufficient decrease" in lines[number - 1]
+        assert lines[number - 1].startswith(
+            f"criterion {number:02d} FAIL {names[number]}: solver failure: ")
 
 
 def test_report_prints_complexity_table(tmp_path, capsys):

@@ -171,7 +171,8 @@ def test_bundled_objectives_are_midpoint_convex():
 
 def test_bundled_gradients_match_differences():
     rng = np.random.default_rng(4)
-    for label in ("illposed_box(2)", "illposed_simplex(3)", "wellposed_box(2)"):
+    for label in ("illposed_box(2)", "illposed_simplex(3)", "rankdef_box(2)",
+                  "rankdef_simplex(3)", "wellposed_box(2)", "wellposed_simplex(3)"):
         gp = bundled_problem(label)
         project = gp.problem.feasible_set.project_fn
         n = gp.problem.feasible_set.dimension

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import tikgrad
-from tikgrad import acceptance
+from tikgrad import acceptance, bench
 from tikgrad.bench import ExperimentConfig, validate_experiment
 from tikgrad.cli import load_sweep_configs
 
@@ -70,3 +70,11 @@ def test_readme_names_into_tikgrad_resolve():
     assert len(names) >= 10
     assert missing == []
 
+
+def test_readme_lists_every_bundled_label():
+    """Each label bundled_problem knows is backticked in the README: the
+    scalable families as `name(dim)`, the fixed problems as spelled."""
+    labels = [f"{name}(dim)" for name in bench._FAMILIES]
+    labels += [f"{name}({dim})" for name, dim in bench._LEAST_SQUARES]
+    assert len(labels) == 6
+    assert [label for label in labels if f"`{label}`" not in README] == []
