@@ -17,13 +17,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bench import (ExperimentConfig, bound_constants, bundled_problem, measure_complexity,
+from .bench import (ExperimentConfig, _norm, bound_constants, bundled_problem, measure_complexity,
                     validate_experiment, with_bounds)
 from .core import LineSearchFailure, OracleFailure, RunawayInnerLoop
 from .oracles import BallSet, BoxSet, SimplexSet
@@ -296,21 +297,29 @@ def criterion_9(ctx: SuiteContext) -> tuple[bool, str]:
     return passed, "; ".join(details) + " (need final <= 2x first)"
 
 
-def _feasible_sampler(kind, obj, rng):
+def _gauss(rng: random.Random, dim: int, scale: float) -> np.ndarray:
+    return np.array([scale * rng.gauss(0.0, 1.0) for _ in range(dim)])
+
+
+def _feasible_point(kind, obj, rng: random.Random) -> np.ndarray:
+    """A point of the set drawn from rng: uniform on the box and the ball,
+    Dirichlet(1), also uniform, on the simplex."""
     if kind == "box":
-        return lambda: rng.uniform(obj.lower, obj.upper)
+        return np.array([rng.uniform(lo, hi)
+                         for lo, hi in zip(obj.lower.tolist(), obj.upper.tolist())])
     if kind == "ball":
-        def sample():
-            v = rng.standard_normal(obj.dimension)
-            v *= obj.radius * rng.uniform() ** (1.0 / obj.dimension) / np.linalg.norm(v)
-            return obj.center + v
-        return sample
-    return lambda: rng.dirichlet(np.ones(obj.dimension))
+        v = _gauss(rng, obj.dimension, 1.0)
+        v *= obj.radius * rng.random() ** (1.0 / obj.dimension) / _norm(v)
+        return obj.center + v
+    e = np.array([rng.expovariate(1.0) for _ in range(obj.dimension)])
+    return e / e.sum()
 
 
 @_criterion("oracle invariants")
 def criterion_10(ctx: SuiteContext) -> tuple[bool, str]:
-    rng = np.random.default_rng(0)
+    # stdlib random, every argument given, so the draws are the same on every
+    # supported Python and verify never loads numpy.random
+    rng = random.Random(0)
     cases = [
         ("box", BoxSet(np.array([-1.0, -0.5, 0.0]), np.array([1.0, 0.5, 2.0]))),
         ("ball", BallSet(np.array([0.5, -0.5]), 1.5)),
@@ -321,30 +330,24 @@ def criterion_10(ctx: SuiteContext) -> tuple[bool, str]:
     for kind, obj in cases:
         fs = obj.to_feasible_set()
         dim = fs.dimension
-        feasible = _feasible_sampler(kind, obj, rng)
         for _ in range(100):
-            x = 2.5 * rng.standard_normal(dim)
-            y = 2.5 * rng.standard_normal(dim)
+            x = _gauss(rng, dim, 2.5)
+            y = _gauss(rng, dim, 2.5)
             p = fs.project_fn(x)
-            worst_idem = max(worst_idem, float(np.linalg.norm(fs.project_fn(p) - p)))
-            worst_nonexp = max(
-                worst_nonexp,
-                float(np.linalg.norm(p - fs.project_fn(y)) - np.linalg.norm(x - y)),
-            )
+            worst_idem = max(worst_idem, _norm(fs.project_fn(p) - p))
+            worst_nonexp = max(worst_nonexp, _norm(p - fs.project_fn(y)) - _norm(x - y))
             for _ in range(5):
-                q = feasible()
+                q = _feasible_point(kind, obj, rng)
                 worst_vi = max(worst_vi, float((x - p) @ (q - p)))
-            g = rng.standard_normal(dim)
+            g = _gauss(rng, dim, 2.5)
             v = fs.lmo_fn(g)
             for _ in range(5):
-                q = feasible()
+                q = _feasible_point(kind, obj, rng)
                 worst_lmo = max(worst_lmo, float(g @ v - g @ q))
             if kind == "box":
-                extreme_ok = extreme_ok and bool(
-                    np.all((v == obj.lower) | (v == obj.upper))
-                )
+                extreme_ok = extreme_ok and bool(((v == obj.lower) | (v == obj.upper)).all())
             elif kind == "simplex":
-                extreme_ok = extreme_ok and np.sum(v == 1.0) == 1 and np.sum(v == 0.0) == dim - 1
+                extreme_ok = extreme_ok and (v == 1.0).sum() == 1 and (v == 0.0).sum() == dim - 1
     passed = (
         worst_idem <= 1e-12
         and worst_nonexp <= 1e-12

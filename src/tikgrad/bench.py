@@ -354,7 +354,8 @@ def make_rankdef_lsq(A: Array, b: Array, fs: FeasibleSet, label: Optional[str] =
     )
 
 
-_LABEL_RE = re.compile(r"^([a-z_]+)\((\d+)\)$")
+# a dimension with a leading zero would cache a second copy of its problem
+_LABEL_RE = re.compile(r"^([a-z_]+)\(([1-9]\d*)\)$")
 _PROBLEM_CACHE: dict[str, GeneratedProblem] = {}
 _FAMILIES = {"illposed_box": make_illposed_box, "illposed_simplex": make_illposed_simplex}
 _BOX2 = BoxSet(_constant(2, -1.0), _constant(2, 1.0))

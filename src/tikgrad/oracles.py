@@ -170,12 +170,14 @@ def project_simplex(x: Array, simplex: SimplexSet) -> Array:
     (Duchi et al. 2008).  Up to _SMALL_SIMPLEX coordinates rho and the
     threshold are found in Python floats: the float operations of the numpy
     code below, in its order, so the same bytes, with 2 ufunc calls instead
-    of about 15 numpy calls.  Where u_1 - 1 rounds to u_1 (from about 1e16
-    up, where an index passes only by rounding) or no support index passes
-    (the sum overflows), and u_1 is finite, x - max(x) is projected instead:
-    adding a multiple of the ones vector leaves the projection unchanged,
-    and the shifted top entry 0 passes.  Both paths raise OracleFailure for
-    a NaN or +inf entry; a -inf entry fails only its own support test.
+    of about 15 numpy calls.  Where |u_1| >= 2 and u_1 is finite, x - max(x)
+    is projected instead: adding a multiple of the ones vector leaves the
+    projection unchanged, the support's entries lie in (u_1 - 1, u_1], so
+    the shift is exact on them (Sterbenz), and the threshold is then found
+    near 0, not at the scale of u_1, whose cumsum would round at n |u_1|
+    (and overflow, or pass indices by rounding alone, from about 1e16 up).
+    Both paths raise OracleFailure for a NaN or +inf entry; a -inf entry
+    fails only its own support test.
     Neither path emits a numpy RuntimeWarning.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -200,7 +202,7 @@ def project_simplex(x: Array, simplex: SimplexSet) -> Array:
             passing = (u * np.arange(1, x.size + 1) > css).nonzero()[0]
         rho = int(passing[-1]) + 1 if passing.size else 0
         c = float(css[rho - 1])
-    if rho and u[0] - 1.0 != u[0]:
+    if abs(u[0]) < 2.0:  # then index 1 passes, so rho >= 1
         return np.maximum(x - c / rho, 0.0)
     if not math.isfinite(u[0]):  # a NaN (numpy sorts it first here) or +inf entry
         raise OracleFailure("project_simplex: non-finite input")

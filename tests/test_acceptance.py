@@ -7,7 +7,11 @@ acceptance report; shared solver runs live in a module-scoped context.
 import dataclasses
 import hashlib
 import itertools
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -178,6 +182,29 @@ def test_only_the_certified_runs_are_observed(ctx):
 
 def test_criterion_10_oracle_randomized_suites(ctx):
     _check(acceptance.criterion_10(ctx))
+
+
+# a fresh process that imports the package, the acceptance suite and the CLI,
+# builds every bundled problem and runs criterion 10, the suite's only draws;
+# it prints the numpy.random modules it then holds
+_NUMPY_RANDOM_PROBE = """
+import sys
+import tikgrad, tikgrad.acceptance, tikgrad.cli
+for label in ("illposed_box(2)", "illposed_simplex(3)", "rankdef_box(2)",
+              "rankdef_simplex(3)", "wellposed_box(2)", "wellposed_simplex(3)"):
+    tikgrad.bundled_problem(label)
+assert tikgrad.acceptance.criterion_10(tikgrad.acceptance.SuiteContext()).passed
+print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+"""
+
+
+def test_verify_never_loads_numpy_random():
+    """numpy.random and the 16 modules it pulls in added about 2 MB to a
+    verify process's peak RSS; criterion 10 draws from stdlib random."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", _NUMPY_RANDOM_PROBE], capture_output=True,
+                         text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (out.returncode, out.stdout.strip()) == (0, "[]"), out.stderr
 
 
 def test_criterion_11_complexity_exponent_tracks_sigma(ctx):

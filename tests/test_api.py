@@ -118,3 +118,42 @@ def test_the_library_adds_no_floats_with_builtin_sum_or_fsum():
                     or isinstance(f, ast.Attribute) and f.attr == "fsum"):
                 calls.append(f"{module.__name__}:{node.lineno}")
     assert calls == []
+
+
+def _numpy_random_uses(tree: ast.Module) -> list:
+    """Lines of tree that name np.random or numpy.random, or import
+    numpy.random (`import numpy.random`, `from numpy import random`,
+    `from numpy.random import ...`)."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "random" and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[:2] == ["numpy", "random"] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            hit = (parts[:2] == ["numpy", "random"]
+                   or parts == ["numpy"] and any(a.name == "random" for a in node.names))
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_probe_finds_every_way_to_reach_numpy_random():
+    found = _numpy_random_uses(ast.parse(
+        "import numpy.random\nimport numpy.random as npr\nfrom numpy import random\n"
+        "from numpy.random import default_rng\nnp.random.default_rng(0)\n"
+        "numpy.random.seed(0)\nimport random\nrandom.Random(0)\nnp.linalg.norm(x)\n"))
+    assert sorted(found) == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_uses_numpy_random(name):
+    """Importing numpy.random loads 16 modules and adds about 2 MB to a verify
+    process's peak RSS; every draw the package makes comes from stdlib
+    random (test_acceptance checks the modules a verify process holds)."""
+    module = importlib.import_module(name)
+    assert _numpy_random_uses(ast.parse(Path(module.__file__).read_text())) == []

@@ -513,6 +513,9 @@ def test_run_experiment_config_validation():
         run_experiment(ExperimentConfig("illposed_box(2)", "newton"))
     with pytest.raises(ConfigError, match="problem_label"):
         run_experiment(ExperimentConfig("mystery(9)", "gprm"))
+    for label in ("illposed_box(03)", "rankdef_box(02)"):
+        with pytest.raises(ConfigError, match=r"problem_label: cannot parse"):
+            run_experiment(ExperimentConfig(label, "gprm"))
     with pytest.raises(ConfigError, match=r"problem_label: 'illposed_box\(1\)': dim must be >= 2"):
         run_experiment(ExperimentConfig("illposed_box(1)", "gprm"))
     with pytest.raises(ConfigError, match=r"problem_label: 'illposed_simplex\(2\)'"):

@@ -315,15 +315,15 @@ def test_project_box_is_np_clip_bit_for_bit(case):
 
 def _simplex_reference(x):
     """project_simplex's numpy sort-and-threshold formula, for every n; where
-    it finds no support index, or u_1 - 1 rounds to u_1, the formula on
-    x - max(x) if max(x) is finite (no NaN or +inf entry), else None."""
+    |u_1| >= 2, the formula on x - max(x) if max(x) is finite (no NaN or
+    +inf entry), else None."""
     u = x.copy()
     u.sort()
     u = u[::-1]
+    if not abs(u[0]) < 2.0:  # |u_1| >= 2, or a NaN entry (sorted first)
+        return _simplex_reference(x - u[0]) if np.isfinite(u[0]) else None
     css = u.cumsum() - 1.0
     passing = (u * np.arange(1, x.size + 1) > css).nonzero()[0]
-    if passing.size == 0 or u[0] - 1.0 == u[0]:
-        return _simplex_reference(x - u[0]) if np.isfinite(u[0]) else None
     rho = int(passing[-1])
     return np.maximum(x - css[rho] / (rho + 1.0), 0.0)
 
@@ -334,18 +334,21 @@ def _simplex_reference(x):
 @example(np.array([0.2, np.nan, 0.5]))
 @example(np.array([np.inf, 0.5, -np.inf]))
 @example(np.array([0.5, 0.2, -np.inf]))  # accepted: -inf only fails its own test
-@example(np.array([1e308, 1e308, 0.5]))  # the sum overflows: no index passes, so x - max(x)
-@example(np.array([1e16, 0.0, -1e308]))  # u_1 - 1 rounds to u_1: no index passes
+@example(np.array([1e308, 1e308, 0.5]))  # the sum would overflow: x - max(x)
+@example(np.array([1e16, 0.0, -1e308]))  # u_1 - 1 rounds to u_1
 @example(np.array([1e308, 0.0, -1e308]))  # ... and the shift overflows to -inf
 @example(np.array([5e-324, -5e-324, 1e-310, 0.0]))
-# indices pass by rounding alone before the sum overflows to inf and meets
-# -inf; as u_1 - 1 rounds to u_1, x - max(x) is projected: (1/8, ..., 1/8, 0)
+# unshifted, indices would pass by rounding alone before the sum overflows
+# to inf and meets -inf; x - max(x) projects to (1/8, ..., 1/8, 0)
 @example(np.array([2.2472539841349246e+307] * 8 + [-np.inf]))
+@example(np.array([2.0, 1.5, -3.0]))  # |u_1| = 2: the first shifted input
+@example(np.array([1.9999999999999998, 1.5, -3.0]))  # the last unshifted one
+@example(np.array([-2.0, -2.5, -3.0]))
 def test_project_simplex_is_the_numpy_formula_bit_for_bit(x):
     """Up to _SMALL_SIMPLEX entries project_simplex scans Python floats; on
     both sides of that cutoff it gives the formula's bytes, or both fail.
-    Where the formula finds no support index, or u_1 - 1 rounds to u_1, on
-    an input whose largest entry is finite, both project x - max(x)."""
+    Where |u_1| >= 2 on an input whose largest entry is finite, both
+    project x - max(x)."""
     with np.errstate(over="ignore", invalid="ignore"):
         want = _simplex_reference(x)
         for arg in (x, x.tolist()):
@@ -359,21 +362,21 @@ def test_project_simplex_is_the_numpy_formula_bit_for_bit(x):
 @given(st.integers(1, 2 * _SMALL_SIMPLEX).flatmap(
     lambda n: arrays(np.float64, n, elements=st.floats(max_value=sys.float_info.max))))
 @example(np.array([2.2472539841349246e+307] * 8 + [-np.inf]))
-# all 26 entries come back 0.375, not 1/26: the threshold is off by 5 ulps of u_1
+# unshifted, all 26 entries came back 0.375, not 1/26: the threshold was off
+# by 5 ulps of u_1
 @example(np.full(26, -363029131794187.5))
+@example(np.full(32, 3e15) + np.linspace(-0.01, 0.01, 32))
 def test_project_simplex_lands_on_the_simplex(x):
     """Every input whose largest entry u_1 is finite projects to entries >= 0
-    that sum to 1 within n (n + 4) 2^-52 max(1, |u_1|).  The threshold is a
-    sum of up to n entries near u_1, rounded at every add, divided by the
-    support size: its error grows as n |u_1|, and n entries carry it.  Where
-    u_1 - 1 rounds to u_1, x - max(x) is projected, whose top entry is 0."""
-    top = float(x.max())
-    assume(top > -np.inf)
+    that sum to 1 within n (n + 4) 2^-52.  The threshold is a sum of up to n
+    support entries, rounded at every add, divided by the support size, and
+    n entries carry its error; as x - max(x) is projected where |u_1| >= 2,
+    those entries lie in (-3, 2), whatever the scale of x."""
+    assume(float(x.max()) > -np.inf)
     p = project_simplex(x, SimplexSet(x.size))
     assert np.logical_and.reduce(p >= 0.0)
-    scale = 1.0 if top - 1.0 == top else max(1.0, abs(top))
     n = x.size
-    assert abs(float(np.add.reduce(p)) - 1.0) <= n * (n + 4) * 2.0**-52 * scale
+    assert abs(float(np.add.reduce(p)) - 1.0) <= n * (n + 4) * 2.0**-52
 
 
 @_FEW
