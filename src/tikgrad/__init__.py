@@ -11,6 +11,15 @@ The package re-exports the __all__ of core, oracles, regularization, solvers
 and bench.
 """
 
+import os
+
+# numpy's OpenBLAS threads x.dot(y) from about 1e5 entries, and the sum's order
+# then depends on the core count: one thread keeps a trace's bytes the same on
+# every machine.  A value already set is kept; numpy reads these as it loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from . import bench, core, oracles, regularization, solvers
 from .core import *
 from .oracles import *

@@ -390,7 +390,7 @@ def bundled_problem(label: str) -> GeneratedProblem:
             raise ConfigError(f"problem_label: unknown label {label!r}")
         try:
             gp = _FAMILIES[name](dim)
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:  # numpy's MemoryError names shape and bytes
             raise ConfigError(f"problem_label: {label!r}: {exc}") from None
     _PROBLEM_CACHE[label] = gp
     return gp
@@ -543,8 +543,10 @@ class ExperimentConfig:
 
 
 # one valid instance of each library type that owns config fields; each owned
-# field is range-checked by its owner's __post_init__, one field at a time, so
-# the errors come in this order of owners and each owner's field order
+# field is range-checked by its owner's __post_init__, one field at a time,
+# with the fields accepted before it (so a check across fields, as the
+# schedule's delta_0, sees the config's values), and the errors come in this
+# order of owners and each owner's field order
 _OWNERS = (GeometricSchedule(), gprm_constants(1.0, 1.0), StopPolicy())
 
 
@@ -556,7 +558,7 @@ def _validate_config(cfg: ExperimentConfig) -> list[str]:
         for f in dataclasses.fields(owner):
             if hasattr(cfg, f.name):
                 try:
-                    dataclasses.replace(owner, **{f.name: getattr(cfg, f.name)})
+                    owner = dataclasses.replace(owner, **{f.name: getattr(cfg, f.name)})
                 except ValueError as exc:
                     errors.append(str(exc))
     if cfg.max_iter <= 0:
@@ -583,6 +585,8 @@ def _check_output_dir(path: str) -> None:
     """ConfigError unless path is not its own sidecar path, neither path nor its
     sidecar is a directory, path names a file (not empty, no trailing separator)
     and its nearest existing ancestor is a writable directory; nothing is created."""
+    if "\0" in path:  # the os calls would raise ValueError
+        raise ConfigError(f"output_path: {path!r} contains a NUL byte")
     if sidecar_path(path) == path:
         raise ConfigError(f"output_path: {path!r} is its own sidecar path; "
                           "the trace needs a name not ending in .json")
@@ -609,9 +613,11 @@ def validate_experiment(cfg: ExperimentConfig) -> tuple[
     baseline's lam (gpm) or theta_k (cgm), default 1/L, None for gprm and cgrm.
     Raises ConfigError for a field outside its mandated interval, an
     output_path ending in .json (the sidecar would replace the trace), naming
-    no file, or whose directory cannot be created or written, an unknown
-    problem label, a baseline step at or above 2/L, or an x0 that has the
-    wrong dimension, a non-finite entry, or lies outside the feasible set.
+    no file, holding a NUL byte, or whose directory cannot be created or
+    written, an unknown problem label or one too large to allocate, a
+    baseline step at or above 2/L, an x0 that has the wrong dimension, a
+    non-finite entry, or lies outside the feasible set, or, with an
+    output_path, a two-level run whose sidecar C1 or C2 would not be finite.
     """
     errors = _validate_config(cfg)
     if errors:
@@ -636,7 +642,10 @@ def validate_experiment(cfg: ExperimentConfig) -> tuple[
             raise ConfigError(f"x0: {exc}") from None
     sched = GeometricSchedule(cfg.epsilon0, cfg.nu, cfg.sigma)
     stop = StopPolicy(cfg.epsilon_min, cfg.max_outer, cfg.max_inner_per_l, cfg.max_linesearch_m)
-    return gp, x0, sched, stop, solver_constants(cfg, gp, x0), step
+    consts = solver_constants(cfg, gp, x0)
+    if cfg.output_path is not None:
+        _bound_entries(cfg, gp, consts)  # the sidecar's, refused before the run writes the CSV
+    return gp, x0, sched, stop, consts, step
 
 
 def run_experiment(cfg: ExperimentConfig) -> SolverTrace:
@@ -724,6 +733,24 @@ def read_trace_csv(path: str) -> list[dict]:
     return rows
 
 
+def _bound_entries(cfg: ExperimentConfig, gp: GeneratedProblem,
+                   consts: Optional[MethodConstants]) -> dict:
+    """The sidecar's gamma, Lprime, C1 and C2, all None for gpm and cgm;
+    ConfigError unless C1 and C2 are finite, as `tikgrad report` reads them."""
+    if consts is None:
+        return dict(gamma=None, Lprime=None, C1=None, C2=None)
+    sched = GeometricSchedule(cfg.epsilon0, cfg.nu, cfg.sigma)
+    xnorm = float(np.linalg.norm(gp.analytic_xstar_n))
+    try:  # a float power raises OverflowError, and C2 divides by epsilon0^(2 + 2 sigma)
+        C1, C2 = bound_constants(cfg.method, sched, consts, xnorm)
+    except (OverflowError, ZeroDivisionError):
+        C1 = C2 = math.inf
+    if not (math.isfinite(C1) and math.isfinite(C2)):
+        raise ConfigError("epsilon0: the complexity bound's C1 and C2 leave the float "
+                          "range, so the sidecar cannot record them")
+    return dict(gamma=consts.gamma, Lprime=consts.Lprime, C1=C1, C2=C2)
+
+
 def sidecar_path(csv_path: str) -> str:
     return os.path.splitext(csv_path)[0] + ".json"
 
@@ -737,13 +764,7 @@ def write_sidecar(
 ) -> None:
     """JSON companion to the CSV: full config, derived constants, counters."""
     constants: dict = {"beta": cfg.beta, "theta": cfg.theta, "nu": cfg.nu, "sigma": cfg.sigma}
-    if consts is not None:
-        sched = GeometricSchedule(cfg.epsilon0, cfg.nu, cfg.sigma)
-        xnorm = float(np.linalg.norm(gp.analytic_xstar_n))
-        C1, C2 = bound_constants(cfg.method, sched, consts, xnorm)
-        constants.update(gamma=consts.gamma, Lprime=consts.Lprime, C1=C1, C2=C2)
-    else:
-        constants.update(gamma=None, Lprime=None, C1=None, C2=None)
+    constants.update(_bound_entries(cfg, gp, consts))
     payload = {
         "config": dataclasses.asdict(cfg),
         "problem": {

@@ -1,9 +1,9 @@
-"""Projection and linear-minimization oracles for box, ball, and simplex.
+"""Projection and linear-minimization oracles for the box and the simplex.
 
 Projections are exact (up to float rounding): coordinate clamping for the
-box, radial scaling for the ball, sort-and-threshold for the simplex.  LMOs
-return extreme points; ties are broken deterministically (lower bound for
-the box, smallest coordinate index for the simplex) so runs are repeatable.
+box, sort-and-threshold for the simplex.  LMOs return extreme points; ties
+are broken deterministically (lower bound for the box, smallest coordinate
+index for the simplex) so runs are repeatable.
 
 The simplex projection has two paths with the same bytes: up to
 _SMALL_SIMPLEX coordinates it scans Python floats, where numpy's dozen calls
@@ -21,13 +21,10 @@ from .core import Array, FeasibleSet, OracleFailure, _collapse_stride0, as_vecto
 
 __all__ = [
     "BoxSet",
-    "BallSet",
     "SimplexSet",
     "project_box",
-    "project_ball",
     "project_simplex",
     "lmo_box",
-    "lmo_ball",
     "lmo_simplex",
 ]
 
@@ -74,40 +71,6 @@ class BoxSet:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class BallSet:
-    """Euclidean ball {x : ||x - center|| <= radius}."""
-
-    center: Array
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center))
-        if not (np.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError("radius must be finite and positive")
-
-    @property
-    def dimension(self) -> int:
-        return self.center.size
-
-    def contains(self, x: Array, tol: float = 1e-10) -> bool:
-        """ValueError unless x has the center's shape."""
-        x = np.asarray(x)
-        if x.shape != self.center.shape:
-            raise ValueError(f"expected shape {self.center.shape}, got {x.shape}")
-        d = x - self.center
-        return math.sqrt(d.dot(d)) <= self.radius + tol
-
-    def to_feasible_set(self) -> FeasibleSet:
-        return FeasibleSet(
-            project_fn=lambda x: project_ball(x, self),
-            lmo_fn=lambda g: lmo_ball(g, self),
-            membership_fn=self.contains,
-            diameter_B=2.0 * self.radius,
-            dimension=self.dimension,
-        )
-
-
 @dataclass(frozen=True)
 class SimplexSet:
     """Unit simplex {x >= 0 : sum(x) = 1} in the given dimension."""
@@ -145,15 +108,6 @@ def project_box(x: Array, box: BoxSet) -> Array:
     x's zero.  No bundled bound is zero.
     """
     return np.asarray(x).clip(box.lower, box.upper)
-
-
-def project_ball(x: Array, ball: BallSet) -> Array:
-    """Radial projection: points outside move straight toward the center."""
-    d = x - ball.center
-    n = math.sqrt(d.dot(d))
-    if n <= ball.radius:
-        return np.array(x, dtype=np.float64, copy=True)
-    return ball.center + (ball.radius / n) * d
 
 
 # timed at n = 2..64, the scan took 2.4 us against numpy's 6.4 us at n = 3 and
@@ -226,14 +180,6 @@ def lmo_box(g: Array, box: BoxSet) -> Array:
     v = box.lower.copy()
     np.copyto(v, box.upper, where=g < _ZERO)
     return v
-
-
-def lmo_ball(g: Array, ball: BallSet) -> Array:
-    """Boundary point center - radius * g/||g||; the center when g = 0."""
-    n = math.sqrt(g.dot(g))
-    if n == 0.0:
-        return np.array(ball.center, copy=True)
-    return ball.center - (ball.radius / n) * g
 
 
 def lmo_simplex(g: Array, simplex: SimplexSet) -> Array:

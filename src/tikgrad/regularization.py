@@ -64,6 +64,10 @@ class GeometricSchedule:
             raise ValueError("nu: must lie in (0, 1)")
         if not (0.0 < self.sigma <= 1.0):
             raise ValueError("sigma: must lie in (0, 1]")
+        try:  # delta_0 is the largest delta_l, so then no level's overflows
+            math.pow(self.epsilon0, 1.0 + self.sigma)
+        except OverflowError:
+            raise ValueError("epsilon0: delta_0 = epsilon0^(1 + sigma) overflows") from None
 
     def params(self, l: int) -> tuple[float, float]:
         if l < 0:

@@ -8,7 +8,9 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from tikgrad.core import Objective, Problem
-from tikgrad.oracles import BallSet, BoxSet
+from tikgrad.oracles import BoxSet
+
+from ball import BallSet
 
 # Fixed examples, no deadline on a shared host, and no example database, so runs
 # reproduce exactly.  Hypothesis still caches the constants it mines from source

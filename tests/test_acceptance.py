@@ -7,6 +7,7 @@ acceptance report; shared solver runs live in a module-scoped context.
 import dataclasses
 import hashlib
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -29,6 +30,8 @@ from tikgrad.bench import (
 )
 from tikgrad.core import LineSearchFailure, OracleCounters
 from tikgrad.solvers import OuterRecord, SolverTrace, run_cgm, run_cgrm, run_gpm, run_gprm
+
+import decimal_shadow
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +257,13 @@ def test_run_all_covers_every_criterion_once(ctx):
     assert all(r.passed for r in results)
 
 
+def test_every_result_holds_a_python_bool_and_dumps_as_json(ctx):
+    """A check's numpy comparison gives np.bool_, which json.dumps refuses."""
+    for result in acceptance.run_all(ctx):
+        assert type(result.passed) is bool
+        json.dumps(dataclasses.asdict(result))
+
+
 def test_criteria_register_in_number_order():
     assert [f.__name__ for f in acceptance.CRITERIA] == [f"criterion_{i}" for i in range(1, 12)]
 
@@ -354,6 +364,30 @@ def test_canonical_traces_are_bit_identical_without_the_curvature_oracle(monkeyp
     the same GOLDEN tuples as the closed form, trial counts included."""
     _swap_objectives(monkeypatch, lambda o: dataclasses.replace(o, curvature_fn=None))
     test_canonical_traces_are_bit_identical(acceptance.SuiteContext(), tmp_path)
+
+
+@pytest.fixture(scope="module")
+def shadow_runs():
+    """decimal_shadow's replays of criteria 1 and 2's runs, by (method, label)."""
+    return {(m, f"{family}({n})"): decimal_shadow.replay(m, family, n, acceptance.ACCEPT_EPS_MIN)
+            for m, family, n in decimal_shadow.CERTIFIED}
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "evaluated"])
+def test_criteria_1_and_2_runs_are_the_paper_method_in_200_digits(ctx, shadow_runs, closed,
+                                                                 monkeypatch):
+    """Each level takes the inner iterations of the decimal replay, which
+    writes out the paper's rules with no float code of the package, and the
+    final points agree within 1e-12, with the curvature oracle's closed-form
+    search and with the search that evaluates phi at every trial."""
+    if not closed:
+        _swap_objectives(monkeypatch, lambda o: dataclasses.replace(o, curvature_fn=None))
+        ctx = acceptance.SuiteContext()
+    assert [(m, label) for m, label in shadow_runs] == list(acceptance.CERTIFIED_RUNS)
+    for (method, label), (counts, point) in shadow_runs.items():
+        trace = ctx.two_level_run(method, label, 0.5)[3]
+        assert [r.N_l for r in trace.outer_records if r.l >= 1] == counts
+        assert max(abs(a - b) for a, b in zip(trace.final_point.tolist(), point)) <= 1e-12
 
 
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "evaluated"])

@@ -1,6 +1,11 @@
-"""Tests for the command-line front end, driven in-process through main()."""
+"""Tests for the command-line front end, driven in-process through main(),
+and in subprocesses where the process environment matters."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -310,6 +315,44 @@ def test_output_path_that_names_no_file_is_a_config_error(
     assert list(work.iterdir()) == []
 
 
+@pytest.mark.parametrize("fields, message", [
+    # the levels' delta_l = eps_l^(1 + sigma) would overflow inside the run
+    (dict(epsilon0="1e308", epsilon_min="1e300"),
+     "epsilon0: delta_0 = epsilon0^(1 + sigma) overflows"),
+    # each field passes alone, with the other's default
+    (dict(epsilon0="1e200", sigma="1", epsilon_min="1e190"),
+     "epsilon0: delta_0 = epsilon0^(1 + sigma) overflows"),
+    # the sidecar's bound constants would overflow after the CSV was written
+    (dict(epsilon0="1e200", epsilon_min="1e190", output_path="out.csv"),
+     "epsilon0: the complexity bound's C1 and C2 leave the float range, "
+     "so the sidecar cannot record them"),
+    # C1 = inf, which `tikgrad report` refuses to read back
+    (dict(epsilon0="1e100", epsilon_min="1e99", output_path="out.csv"),
+     "epsilon0: the complexity bound's C1 and C2 leave the float range, "
+     "so the sidecar cannot record them"),
+    # C2 would divide by epsilon0^3 = 0.0
+    (dict(epsilon0="1e-120", epsilon_min="1e-121", output_path="out.csv"),
+     "epsilon0: the complexity bound's C1 and C2 leave the float range, "
+     "so the sidecar cannot record them"),
+    (dict(output_path="a\0b.csv"), "output_path: 'a\\x00b.csv' contains a NUL byte"),
+    (dict(problem_label="illposed_box(99999999999999)"),
+     "problem_label: 'illposed_box(99999999999999)': Unable to allocate 728. TiB for an "
+     "array with shape (99999999999999,) and data type float64"),
+], ids=["delta_0_overflow", "delta_0_overflow_across_fields", "bound_overflow",
+        "bound_infinite", "bound_zero_division", "nul_byte", "memory"])
+def test_inputs_that_would_end_in_a_traceback_are_config_errors(
+    tmp_path, capsys, monkeypatch, fields, message
+):
+    """Each exits 1 with one line before solving, and writes nothing."""
+    fields = {"problem_label": "illposed_box(2)", "method": "gprm", **fields}
+    cfg = _run_ini(tmp_path, **fields)
+    monkeypatch.chdir(tmp_path)
+    _no_solver(monkeypatch)
+    assert main(["run", cfg]) == 1
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.ini"]
+
+
 def test_run_output_flag_under_a_file_solves_nothing(tmp_path, capsys, monkeypatch):
     (tmp_path / "F").write_text("")
     cfg = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm")
@@ -529,3 +572,37 @@ def test_report_refuses_a_nan_delta_cell(tmp_path, capsys):
     assert main(["report", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and f"cannot read {path}: line {len(lines)} of" in err
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _tikgrad_process(args, threads):
+    """python args with src on the path and the BLAS thread variables as given
+    (a missing key is removed from the environment)."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    env.update(threads, PYTHONPATH=_SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=env)
+
+
+def test_a_large_run_writes_the_same_bytes_whatever_the_blas_threads(tmp_path):
+    """From about 1e5 entries OpenBLAS threads x.dot(y) and sums in another
+    order, so before the package pinned one thread this run's CSV differed
+    with the variables unset on a host with two or more cores."""
+    cfg = _run_ini(tmp_path, problem_label="illposed_box(200000)", method="gprm",
+                   epsilon_min="1e-3")
+    written = []
+    for name, threads in (("unset", {}), ("one", dict.fromkeys(_BLAS_THREADS, "1"))):
+        out = tmp_path / f"{name}.csv"
+        done = _tikgrad_process(["-m", "tikgrad.cli", "run", cfg, "--output", str(out)], threads)
+        assert done.returncode == 0, done.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_the_package_keeps_a_blas_thread_count_the_user_set():
+    probe = f"import os, tikgrad; print(*(os.environ[k] for k in {_BLAS_THREADS!r}))"
+    done = _tikgrad_process(["-c", probe], {"OPENBLAS_NUM_THREADS": "2"})
+    assert (done.returncode, done.stdout) == (0, "2 1 1\n"), done.stderr

@@ -18,16 +18,15 @@ from tikgrad.bench import _constant
 from tikgrad.core import OracleFailure, as_vector
 from tikgrad.oracles import (
     _SMALL_SIMPLEX,
-    BallSet,
     BoxSet,
     SimplexSet,
-    lmo_ball,
     lmo_box,
     lmo_simplex,
-    project_ball,
     project_box,
     project_simplex,
 )
+
+from ball import BallSet, lmo_ball, project_ball
 
 BOX01 = BoxSet(np.zeros(2), np.ones(2))
 BOX_SYM3 = BoxSet(-np.ones(3), np.ones(3))

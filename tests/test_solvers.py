@@ -35,7 +35,7 @@ from tikgrad.core import (
     Problem,
     RunawayInnerLoop,
 )
-from tikgrad.oracles import BallSet, BoxSet, SimplexSet, project_box, project_simplex
+from tikgrad.oracles import BoxSet, SimplexSet, project_box, project_simplex
 from tikgrad.regularization import GeometricSchedule, PerturbedObjective
 from tikgrad.solvers import (
     MethodConstants,
@@ -48,6 +48,7 @@ from tikgrad.solvers import (
     run_gprm,
 )
 
+from ball import BallSet
 from path_helpers import tikhonov_path
 
 
