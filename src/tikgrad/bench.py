@@ -179,8 +179,12 @@ def make_illposed_box(dim: int) -> GeneratedProblem:
             s = 0.0
             for v in d.tolist():
                 s += v
-            return s ** 2
-        return float(d.dot(ones)) ** 2
+        else:
+            s = float(d.dot(ones))
+        try:
+            return s ** 2  # not s * s, whose bytes differ on some doubles
+        except OverflowError:  # from |sum d| of about 1.34e154; the driver refuses inf
+            return math.inf
 
     box = BoxSet(_constant(dim, -1.0), _constant(dim, 1.0))
     xstar = _constant(dim, 1.0 / dim)
@@ -642,7 +646,11 @@ def validate_experiment(cfg: ExperimentConfig) -> tuple[
             raise ConfigError(f"x0: {exc}") from None
     sched = GeometricSchedule(cfg.epsilon0, cfg.nu, cfg.sigma)
     stop = StopPolicy(cfg.epsilon_min, cfg.max_outer, cfg.max_inner_per_l, cfg.max_linesearch_m)
-    consts = solver_constants(cfg, gp, x0)
+    try:
+        consts = solver_constants(cfg, gp, x0)
+    except ValueError:  # the fields passed their owners, so only gamma = 0.0 is left
+        raise ConfigError(f"theta: the step floor gamma, proportional to theta = {cfg.theta!r}, "
+                          "underflows to 0") from None
     if cfg.output_path is not None:
         _bound_entries(cfg, gp, consts)  # the sidecar's, refused before the run writes the CSV
     return gp, x0, sched, stop, consts, step

@@ -159,6 +159,8 @@ class StopPolicy:
         for name in ("max_outer", "max_inner_per_l", "max_linesearch_m"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be positive")
+        if self.max_linesearch_m > 100_000:  # _two_level lists each theta^m, 32 bytes apiece
+            raise ValueError("max_linesearch_m: must be at most 100000")
 
 
 @dataclass

@@ -88,14 +88,19 @@ def _simplex(n):
 FAMILIES = {"illposed_box": _box, "illposed_simplex": _simplex}
 
 
-def replay(method, family, n, epsilon_min, beta=0.5, theta=0.5, max_m=60, max_outer=60):
+def replay(method, family, n, epsilon_min, beta=0.5, theta=0.5, max_m=60, max_outer=60,
+           start=None):
     """(N_l per level, final point as floats) of method ('gprm' or 'cgrm')
-    on family(n) from e_1, levels l = 1, 2, ... while 2^-l >= epsilon_min."""
+    on family(n) from start (n floats, read exactly; e_1 if None), levels
+    l = 1, 2, ... while 2^-l >= epsilon_min."""
     with localcontext() as ctx:
         ctx.prec = PREC
         f, grad, project, lmo = FAMILIES[family](n)
         beta, theta, eps_min = Decimal(beta), Decimal(theta), Decimal(epsilon_min)
-        x = [Decimal(1)] + [Decimal(0)] * (n - 1)
+        if start is None:
+            x = [Decimal(1)] + [Decimal(0)] * (n - 1)
+        else:
+            x = [Decimal(v) for v in start]
         counts = []
         eps = Decimal(1)
         for _ in range(max_outer):

@@ -390,6 +390,34 @@ def test_criteria_1_and_2_runs_are_the_paper_method_in_200_digits(ctx, shadow_ru
         assert max(abs(a - b) for a, b in zip(trace.final_point.tolist(), point)) <= 1e-12
 
 
+# N_l and first final entry of
+# decimal_shadow.replay("gprm", "illposed_box", 4096, 1e-6, start=[0.0] * 4096),
+# about 5 s of shadow, too slow for tier-1, recorded on Python 3.11.7
+SHADOW_BOX_4096 = ([8, 2, 1, 2, 1, 2, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4],
+                   0.00024414062487802067)
+
+
+def test_illposed_box_4096_closed_run_is_the_paper_method_in_200_digits():
+    """gprm on illposed_box(4096) under the default config (epsilon_min 1e-6,
+    start 0): the closed search takes the shadow's N_l at every level and
+    ends within 1e-12 of its point.  The evaluated search rounds
+    phi(x + t d) - phi(x) at the scale of phi and departs from level 14 on,
+    with 40 inner iterations against 49, so where the two float searches
+    part, the closed one is the paper's method."""
+    counts, point = SHADOW_BOX_4096
+    gp, x0, sched, stop, consts, _ = validate_experiment(
+        ExperimentConfig("illposed_box(4096)", "gprm"))
+    closed = run_gprm(gp.problem, sched, consts, x0, stop)
+    assert [r.N_l for r in closed.outer_records if r.l >= 1] == counts
+    assert np.abs(closed.final_point - point).max() <= 1e-12
+    problem = dataclasses.replace(gp.problem, objective=dataclasses.replace(
+        gp.problem.objective, curvature_fn=None))
+    evaluated = [r.N_l for r in run_gprm(problem, sched, consts, x0, stop).outer_records
+                 if r.l >= 1]
+    assert evaluated[:13] == counts[:13] and evaluated[13] != counts[13]
+    assert (sum(evaluated), sum(counts)) == (40, 49)
+
+
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "evaluated"])
 def test_the_closed_form_search_calls_phi_only_at_handoffs(monkeypatch, closed):
     """With the curvature oracle, each sigma = 0.5 run calls value_fn at most

@@ -1,5 +1,6 @@
 """Tests for problem generators, complexity measurement, and serialization."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -31,7 +32,7 @@ from tikgrad.bench import (
     write_sidecar,
     write_trace_csv,
 )
-from tikgrad.core import OracleCounters, OracleFailure
+from tikgrad.core import LineSearchFailure, OracleCounters, OracleFailure
 from tikgrad.oracles import BoxSet
 from tikgrad.regularization import GeometricSchedule
 from tikgrad.solvers import (
@@ -42,6 +43,7 @@ from tikgrad.solvers import (
     cgrm_constants,
     gprm_constants,
     run_cgm,
+    run_cgrm,
     run_gpm,
     run_gprm,
 )
@@ -330,12 +332,13 @@ def test_illposed_gradients_have_the_bytes_of_a_scaled_dense_vector(t):
 
 
 def _outcome(call):
-    """call()'s bytes, "nan" for a NaN result (whose payload may differ), or
-    the OverflowError a Python float power raises past the float range."""
+    """call()'s bytes, "nan" for a NaN result (whose payload may differ), and
+    inf's bytes where a Python float power raises OverflowError past the
+    float range, as the curvature oracle returns inf there."""
     try:
         r = np.asarray(call(), dtype=np.float64)
     except OverflowError:
-        return "OverflowError"
+        r = np.asarray(math.inf)
     return "nan" if np.isnan(r.flat[0]) else r.tobytes()
 
 
@@ -345,7 +348,8 @@ _SUM_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf,
 
 @given(st.integers(2, 7).flatmap(lambda n: arrays(np.float64, n, elements=_SUM_ENTRIES)))
 @example(np.full(4, -0.0))  # numpy's sum, like the loop's, is +0.0
-@example(np.array([1e308, 1e308, -1.0]))  # the sum overflows; (sum d)^2 raises
+@example(np.array([1e308, 1e308, -1.0]))  # the sum overflows to inf
+@example(np.array([1e155, 1e155]))  # the sum is finite; (sum d)^2 raises
 @example(np.array([np.inf, 1.0, -np.inf]))
 # at dim 8 numpy sums pairwise, (1e16 + 1) + (-1e16 + 1) = 0, and the plain
 # loop gives 1: the problem must keep numpy's sum there
@@ -361,6 +365,26 @@ def test_illposed_box_small_sums_are_numpys(x):
     assert _outcome(lambda: obj.value_fn(x)) == _outcome(lambda: 0.5 * s * s)
     assert _outcome(lambda: obj.gradient_fn(x)) == _outcome(lambda: np.full(n, s))
     assert _outcome(lambda: obj.curvature_fn(x)) == _outcome(lambda: dot ** 2)
+
+
+@pytest.mark.parametrize("method", ["gprm", "cgrm"])
+@pytest.mark.parametrize("n", [2, 8])
+def test_illposed_box_curvature_past_the_float_range_is_inf(n, method):
+    """From |sum d| of about 1.34e154 on, (sum d)^2 leaves the float range: the
+    curvature is inf on both sides of the 8-coordinate cutoff, not an
+    OverflowError, and a run whose curvature is inf ends in the driver's
+    LineSearchFailure."""
+    gp = make_illposed_box(n)
+    obj = gp.problem.objective
+    assert obj.curvature_fn(np.full(n, 1e155)) == math.inf
+    problem = dataclasses.replace(gp.problem, objective=dataclasses.replace(
+        obj, curvature_fn=lambda d: obj.curvature_fn(1e160 * d)))
+    w0 = np.eye(n)[0]
+    consts = (gprm_constants(obj.lipschitz_L, 1.0) if method == "gprm"
+              else cgrm_constants(problem, 1.0, w0))
+    run = run_gprm if method == "gprm" else run_cgrm
+    with pytest.raises(LineSearchFailure, match=r"^level 1: curvature along d is inf \|\|d\|\|\^2"):
+        run(problem, GeometricSchedule(), consts, w0, StopPolicy())
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +574,7 @@ OWNED_FIELDS = {
     "epsilon_min": (lambda v: StopPolicy(epsilon_min=v), (0.0, -1.0, math.nan, -math.inf)),
     "max_outer": (lambda v: StopPolicy(max_outer=v), (0, -1)),
     "max_inner_per_l": (lambda v: StopPolicy(max_inner_per_l=v), (0, -1)),
-    "max_linesearch_m": (lambda v: StopPolicy(max_linesearch_m=v), (0, -1)),
+    "max_linesearch_m": (lambda v: StopPolicy(max_linesearch_m=v), (0, -1, 100_001)),
 }
 
 

@@ -1,13 +1,17 @@
 """Tests for the command-line front end, driven in-process through main(),
 and in subprocesses where the process environment matters."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tikgrad import acceptance, bench
 from tikgrad.acceptance import CriterionResult
@@ -338,8 +342,16 @@ def test_output_path_that_names_no_file_is_a_config_error(
     (dict(problem_label="illposed_box(99999999999999)"),
      "problem_label: 'illposed_box(99999999999999)': Unable to allocate 728. TiB for an "
      "array with shape (99999999999999,) and data type float64"),
+    # theta passes its owner's (0, 1), but gamma = min{1, theta (...)} underflows
+    (dict(theta="5e-324"),
+     "theta: the step floor gamma, proportional to theta = 5e-324, underflows to 0"),
+    (dict(method="cgrm", theta="5e-324"),
+     "theta: the step floor gamma, proportional to theta = 5e-324, underflows to 0"),
+    # the search lists every power theta^m before the first step
+    (dict(max_linesearch_m="100001"), "max_linesearch_m: must be at most 100000"),
 ], ids=["delta_0_overflow", "delta_0_overflow_across_fields", "bound_overflow",
-        "bound_infinite", "bound_zero_division", "nul_byte", "memory"])
+        "bound_infinite", "bound_zero_division", "nul_byte", "memory", "gprm_gamma_underflow",
+        "cgrm_gamma_underflow", "linesearch_powers"])
 def test_inputs_that_would_end_in_a_traceback_are_config_errors(
     tmp_path, capsys, monkeypatch, fields, message
 ):
@@ -351,6 +363,64 @@ def test_inputs_that_would_end_in_a_traceback_are_config_errors(
     assert main(["run", cfg]) == 1
     assert capsys.readouterr() == ("", f"config error: {message}\n")
     assert list(tmp_path.iterdir()) == [tmp_path / "config.ini"]
+
+
+# the INI fuzz draws each value from a pool that can run and a pool of edge
+# values; no cap on a run's length is drawn above _CAPS, so no draw runs long
+_CAPS = {"max_outer": 3, "max_inner_per_l": 200, "max_iter": 50}
+_NUMBERS = ("0", "-0", "inf", "-inf", "nan", "1e308", "-1e308", "2", "1e200", "9" * 400,
+            "-" + "9" * 30, "x", "")
+
+
+def _pool(good, odd):
+    return st.sampled_from(good) | st.sampled_from(odd)
+
+
+_INI_VALUES = {
+    "problem_label": _pool(
+        ("illposed_box(2)", "illposed_simplex(3)", "wellposed_box(2)", "wellposed_simplex(3)",
+         "rankdef_box(2)", "rankdef_simplex(3)", "illposed_box(16)"),
+        ("illposed_box(1)", "illposed_box(02)", "illposed_box(-2)", "illposed_box(2.0)",
+         "illposed_box(99999999999999)", "illposed_box(2", "Illposed_Box(2)", "illposed_box()",
+         " illposed_box(2) ", "rankdef_box(3)", "", "%(x)s", "\u00e9")),
+    "method": st.sampled_from(("gpm", "cgm", "gprm", "cgrm", "GPRM", "iterreg")),
+    "max_linesearch_m": _pool(("1", "2", "60", "100000"),
+                              ("0", "-1", "100001", "9" * 30, "1.5", "x")),
+    "x0": _pool(("1, 0", "1,0,0", "0.5, 0.5", "0, 0", "5e-324, 1", "-1, 1"),
+                ("", "1", "nan, 0", "inf, 0", "1e308, -1e308", "a, b", ",,", "1,,0",
+                 "9" * 400 + ", 0")),
+    "output_path": _pool(("out.csv", "sub/out.csv"), ("out.json", "sub/", "a\0b.csv")),
+    **{name: _pool(("1", "0.5", "0.999999", "1e-6", "1e-300", "5e-324"), _NUMBERS)
+       for name in ("epsilon0", "nu", "sigma", "lam", "theta_k", "beta", "theta", "epsilon_min")},
+    **{name: _pool(("1", str(cap)), ("0", "-1", "-" + "9" * 30)) for name, cap in _CAPS.items()},
+}
+
+
+@st.composite
+def _ini_fields(draw):
+    """The caps at their largest, then problem_label, method and some more
+    keys with edge values; no cap drawn exceeds its largest."""
+    fields = {key: str(cap) for key, cap in _CAPS.items()}
+    keys = draw(st.lists(st.sampled_from(sorted(_INI_VALUES)), max_size=4, unique=True))
+    fields.update({key: draw(_INI_VALUES[key]) for key in ["problem_label", "method", *keys]})
+    return fields
+
+
+@settings(max_examples=120)
+@given(_ini_fields())
+@example({"problem_label": "illposed_box(2)", "method": "gprm", "theta": "5e-324",
+          "max_outer": "3", "max_inner_per_l": "200", "max_iter": "50"})
+def test_run_ends_every_edge_config_with_an_exit_code(fields):
+    """Whatever the edge values, `tikgrad run` returns 0, 1 or 2 and raises
+    nothing: no traceback reaches the user."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if "output_path" in fields:
+            fields = {**fields, "output_path": os.path.join(tmp, fields["output_path"])}
+        path = os.path.join(tmp, "config.ini")
+        with open(path, "w") as fh:
+            fh.write("[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["run", path]) in (0, 1, 2)
 
 
 def test_run_output_flag_under_a_file_solves_nothing(tmp_path, capsys, monkeypatch):

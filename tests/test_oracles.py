@@ -16,15 +16,7 @@ from numpy.testing import assert_allclose
 
 from tikgrad.bench import _constant
 from tikgrad.core import OracleFailure, as_vector
-from tikgrad.oracles import (
-    _SMALL_SIMPLEX,
-    BoxSet,
-    SimplexSet,
-    lmo_box,
-    lmo_simplex,
-    project_box,
-    project_simplex,
-)
+from tikgrad.oracles import _SMALL_SIMPLEX, BoxSet, SimplexSet
 
 from ball import BallSet, lmo_ball, project_ball
 
@@ -49,10 +41,10 @@ def _simplex_grid(n=1001):
 # ---------------------------------------------------------------- projections
 
 def test_project_box_examples():
-    assert_allclose(project_box(np.array([2.0, -1.0]), BOX01), [1.0, 0.0])
-    assert_allclose(project_box(np.array([0.5, 0.5]), BOX01), [0.5, 0.5])
+    assert_allclose(BOX01.project(np.array([2.0, -1.0])), [1.0, 0.0])
+    assert_allclose(BOX01.project(np.array([0.5, 0.5])), [0.5, 0.5])
     assert_allclose(
-        project_box(np.array([3.0, 0.5, -2.0]), BOX_SYM3), [1.0, 0.5, -1.0]
+        BOX_SYM3.project(np.array([3.0, 0.5, -2.0])), [1.0, 0.5, -1.0]
     )
 
 
@@ -71,14 +63,14 @@ def test_project_ball_examples():
 
 def test_project_simplex_examples():
     assert_allclose(
-        project_simplex(np.array([0.5, 0.5, 0.5]), SIMPLEX3), np.full(3, 1.0 / 3.0)
+        SIMPLEX3.project(np.array([0.5, 0.5, 0.5])), np.full(3, 1.0 / 3.0)
     )
-    assert_allclose(project_simplex(np.array([1.0, 0.0, 0.0]), SIMPLEX3), [1.0, 0.0, 0.0])
+    assert_allclose(SIMPLEX3.project(np.array([1.0, 0.0, 0.0])), [1.0, 0.0, 0.0])
     x = np.array([0.9, 0.6, -0.5])
-    got = project_simplex(x, SIMPLEX3)
+    got = SIMPLEX3.project(x)
     assert_allclose(got, [0.65, 0.35, 0.0], atol=1e-12)
     # a -inf entry fails only its own support test
-    assert_allclose(project_simplex(np.array([0.9, 0.6, -np.inf]), SIMPLEX3), got)
+    assert_allclose(SIMPLEX3.project(np.array([0.9, 0.6, -np.inf])), got)
     # grid over the simplex cannot beat the threshold solution
     grid = _simplex_grid()
     best = np.min(np.sum((grid - x) ** 2, axis=1))
@@ -90,8 +82,8 @@ def test_project_simplex_examples():
 )
 def test_project_simplex_non_finite_input_is_an_oracle_failure(x):
     # a NaN or +inf entry fails every support test; it must not surface as IndexError
-    with pytest.raises(OracleFailure, match="project_simplex: non-finite input"):
-        project_simplex(np.array(x), SIMPLEX3)
+    with pytest.raises(OracleFailure, match="SimplexSet.project: non-finite input"):
+        SIMPLEX3.project(np.array(x))
 
 
 @pytest.mark.parametrize("n", [3, 40])
@@ -107,21 +99,21 @@ def test_project_simplex_of_large_finite_input(n):
                     (np.r_[np.full(n - 1, 2.2472539841349246e+307), -np.inf],
                      np.r_[np.full(n - 1, 1.0 / (n - 1)), 0.0]),
                     (np.r_[1e16, rest[:-1], -np.inf], e1)]:
-        assert_allclose(project_simplex(x, SimplexSet(n)), want, rtol=0, atol=0)
+        assert_allclose(SimplexSet(n).project(x), want, rtol=0, atol=0)
     for bad in (np.nan, np.inf):
-        with pytest.raises(OracleFailure, match="project_simplex: non-finite input"):
-            project_simplex(np.r_[bad, 1e16, rest[1:]], SimplexSet(n))
-    with pytest.raises(OracleFailure, match="project_simplex: non-finite input"):
-        project_simplex(np.r_[np.inf, -np.inf, rest[1:]], SimplexSet(n))
+        with pytest.raises(OracleFailure, match="SimplexSet.project: non-finite input"):
+            SimplexSet(n).project(np.r_[bad, 1e16, rest[1:]])
+    with pytest.raises(OracleFailure, match="SimplexSet.project: non-finite input"):
+        SimplexSet(n).project(np.r_[np.inf, -np.inf, rest[1:]])
 
 
 # ------------------------------------------------------------------- LMOs
 
 def test_lmo_box_examples():
-    assert_allclose(lmo_box(np.array([1.0, -1.0]), BOX01), [0.0, 1.0])
+    assert_allclose(BOX01.lmo(np.array([1.0, -1.0])), [0.0, 1.0])
     # zero components tie; the rule picks the lower bound
-    assert_allclose(lmo_box(np.zeros(2), BOX01), [0.0, 0.0])
-    assert_allclose(lmo_box(np.array([-2.0, 3.0, 0.5]), BOX_SYM3), [1.0, -1.0, -1.0])
+    assert_allclose(BOX01.lmo(np.zeros(2)), [0.0, 0.0])
+    assert_allclose(BOX_SYM3.lmo(np.array([-2.0, 3.0, 0.5])), [1.0, -1.0, -1.0])
 
 
 def test_lmo_ball_examples():
@@ -136,11 +128,11 @@ def test_lmo_ball_examples():
 
 
 def test_lmo_simplex_examples():
-    assert_allclose(lmo_simplex(np.array([0.2, -0.5, 0.1]), SIMPLEX3), [0.0, 1.0, 0.0])
+    assert_allclose(SIMPLEX3.lmo(np.array([0.2, -0.5, 0.1])), [0.0, 1.0, 0.0])
     # ties go to the smallest index
-    assert_allclose(lmo_simplex(np.ones(3), SIMPLEX3), [1.0, 0.0, 0.0])
+    assert_allclose(SIMPLEX3.lmo(np.ones(3)), [1.0, 0.0, 0.0])
     g = np.array([-5.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
-    got = lmo_simplex(g, SIMPLEX3)
+    got = SIMPLEX3.lmo(g)
     assert_allclose(got, [1.0, 0.0, 0.0])
     vertex_values = [g[i] for i in range(3)]
     assert float(g @ got) == min(vertex_values)
@@ -149,12 +141,15 @@ def test_lmo_simplex_examples():
 # ------------------------------------------------------- randomized invariants
 
 def _cases(rng):
+    """(kind, set, projection, LMO), each oracle a function of one vector."""
     lower = rng.uniform(-2.0, 0.0, 3)
+    box = BoxSet(lower, lower + rng.uniform(0.5, 2.0, 3))
+    ball = BallSet(rng.uniform(-1.0, 1.0, 2), float(rng.uniform(0.5, 2.0)))
+    simplex, fs = SimplexSet(4), ball.to_feasible_set()
     return [
-        ("box", BoxSet(lower, lower + rng.uniform(0.5, 2.0, 3)), project_box, lmo_box),
-        ("ball", BallSet(rng.uniform(-1.0, 1.0, 2), float(rng.uniform(0.5, 2.0))),
-         project_ball, lmo_ball),
-        ("simplex", SimplexSet(4), project_simplex, lmo_simplex),
+        ("box", box, box.project, box.lmo),
+        ("ball", ball, fs.project_fn, fs.lmo_fn),
+        ("simplex", simplex, simplex.project, simplex.lmo),
     ]
 
 
@@ -174,9 +169,9 @@ def test_projection_idempotent_and_member():
         dim = obj.dimension
         for _ in range(100):
             x = 3.0 * rng.standard_normal(dim)
-            p = project(x, obj)
+            p = project(x)
             assert obj.contains(p, 1e-10)
-            assert np.linalg.norm(project(p, obj) - p) <= 1e-12
+            assert np.linalg.norm(project(p) - p) <= 1e-12
 
 
 def test_projection_nonexpansive():
@@ -186,7 +181,7 @@ def test_projection_nonexpansive():
         for _ in range(100):
             x = 3.0 * rng.standard_normal(dim)
             y = 3.0 * rng.standard_normal(dim)
-            lhs = np.linalg.norm(project(x, obj) - project(y, obj))
+            lhs = np.linalg.norm(project(x) - project(y))
             assert lhs <= np.linalg.norm(x - y) + 1e-12
 
 
@@ -197,7 +192,7 @@ def test_projection_variational_inequality():
         dim = obj.dimension
         for _ in range(100):
             x = 3.0 * rng.standard_normal(dim)
-            p = project(x, obj)
+            p = project(x)
             for _ in range(50):
                 q = _feasible(kind, obj, rng)
                 assert float((x - p) @ (q - p)) <= 1e-10
@@ -209,7 +204,7 @@ def test_lmo_optimality():
         dim = obj.dimension
         for _ in range(100):
             g = rng.standard_normal(dim)
-            y = lmo(g, obj)
+            y = lmo(g)
             assert obj.contains(y, 1e-10)
             for _ in range(50):
                 q = _feasible(kind, obj, rng)
@@ -222,11 +217,11 @@ def test_lmo_returns_extreme_points():
     simplex = SimplexSet(5)
     for _ in range(100):
         g = rng.standard_normal(3)
-        y = lmo_box(g, box)
+        y = box.lmo(g)
         at_bound = (np.abs(y - box.lower) <= 1e-12) | (np.abs(y - box.upper) <= 1e-12)
         assert at_bound.all()
         h = rng.standard_normal(5)
-        v = lmo_simplex(h, simplex)
+        v = simplex.lmo(h)
         assert np.sum(v) == 1.0 and np.count_nonzero(v) == 1
 
 
@@ -308,12 +303,12 @@ def _box_and_vector(draw):
 def test_project_box_is_np_clip_bit_for_bit(case):
     box, x = case
     want = np.clip(x, box.lower, box.upper)
-    assert _same_bits(project_box(x, box), want)
-    assert np.array_equal(project_box(x.tolist(), box), want, equal_nan=True)
+    assert _same_bits(box.project(x), want)
+    assert np.array_equal(box.project(x.tolist()), want, equal_nan=True)
 
 
 def _simplex_reference(x):
-    """project_simplex's numpy sort-and-threshold formula, for every n; where
+    """SimplexSet.project's numpy sort-and-threshold formula, for every n; where
     |u_1| >= 2, the formula on x - max(x) if max(x) is finite (no NaN or
     +inf entry), else None."""
     u = x.copy()
@@ -344,7 +339,7 @@ def _simplex_reference(x):
 @example(np.array([1.9999999999999998, 1.5, -3.0]))  # the last unshifted one
 @example(np.array([-2.0, -2.5, -3.0]))
 def test_project_simplex_is_the_numpy_formula_bit_for_bit(x):
-    """Up to _SMALL_SIMPLEX entries project_simplex scans Python floats; on
+    """Up to _SMALL_SIMPLEX entries SimplexSet.project scans Python floats; on
     both sides of that cutoff it gives the formula's bytes, or both fail.
     Where |u_1| >= 2 on an input whose largest entry is finite, both
     project x - max(x)."""
@@ -352,10 +347,10 @@ def test_project_simplex_is_the_numpy_formula_bit_for_bit(x):
         want = _simplex_reference(x)
         for arg in (x, x.tolist()):
             if want is None:
-                with pytest.raises(OracleFailure, match="project_simplex: non-finite input"):
-                    project_simplex(arg, SimplexSet(x.size))
+                with pytest.raises(OracleFailure, match="SimplexSet.project: non-finite input"):
+                    SimplexSet(x.size).project(arg)
             else:
-                assert _same_bits(project_simplex(arg, SimplexSet(x.size)), want)
+                assert _same_bits(SimplexSet(x.size).project(arg), want)
 
 
 @given(st.integers(1, 2 * _SMALL_SIMPLEX).flatmap(
@@ -372,7 +367,7 @@ def test_project_simplex_lands_on_the_simplex(x):
     n entries carry its error; as x - max(x) is projected where |u_1| >= 2,
     those entries lie in (-3, 2), whatever the scale of x."""
     assume(float(x.max()) > -np.inf)
-    p = project_simplex(x, SimplexSet(x.size))
+    p = SimplexSet(x.size).project(x)
     assert np.logical_and.reduce(p >= 0.0)
     n = x.size
     assert abs(float(np.add.reduce(p)) - 1.0) <= n * (n + 4) * 2.0**-52
@@ -383,15 +378,15 @@ def test_project_simplex_lands_on_the_simplex(x):
 def test_lmo_box_is_nested_where_bit_for_bit(case):
     box, g = case
     want = np.where(g > 0.0, box.lower, np.where(g < 0.0, box.upper, box.lower))
-    assert _same_bits(lmo_box(g, box), want)
+    assert _same_bits(box.lmo(g), want)
 
 
 @_FEW
 @given(st.integers(1, 6).flatmap(_vectors))
 def test_lmo_simplex_picks_np_argmin_index(g):
     want = np.eye(g.size)[np.argmin(g)]
-    assert _same_bits(lmo_simplex(g, SimplexSet(g.size)), want)
-    assert _same_bits(lmo_simplex(g.tolist(), SimplexSet(g.size)), want)
+    assert _same_bits(SimplexSet(g.size).lmo(g), want)
+    assert _same_bits(SimplexSet(g.size).lmo(g.tolist()), want)
 
 
 @st.composite
@@ -456,12 +451,12 @@ def test_box_with_stride_0_bounds_keeps_every_bit(case):
     views = BoxSet(_constant(n, lo), _constant(n, hi))
     dense = BoxSet(np.full(n, lo), np.full(n, hi))
     assert views.lower.strides == views.upper.strides == (0,)
-    got, want = project_box(x, views), project_box(x, dense)
+    got, want = views.project(x), dense.project(x)
     assert _same_bits(got, x.clip(lo, hi))
     if lo != 0.0 and hi != 0.0:
         assert _same_bits(got, want)
     assert np.array_equal(got, want, equal_nan=True)
-    assert _same_bits(lmo_box(g, views), lmo_box(g, dense))
+    assert _same_bits(views.lmo(g), dense.lmo(g))
     for tol in (1e-10, 0.0):
         assert views.contains(x, tol) == dense.contains(x, tol)
     assert np.float64(views.diameter()).tobytes() == np.float64(dense.diameter()).tobytes()

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from tikgrad.bench import bundled_problem
 from tikgrad.core import FeasibleSet, Objective, OracleFailure, Problem
-from tikgrad.oracles import SimplexSet, lmo_simplex
+from tikgrad.oracles import SimplexSet
 from tikgrad.regularization import (
     GeometricSchedule,
     PathCheckReport,
@@ -160,7 +160,7 @@ def test_tikhonov_solve_validation(ball_linear):
             tikhonov_solve(ball_linear, eps)
 
     lmo_only = FeasibleSet(
-        lmo_fn=lambda g: lmo_simplex(g, SimplexSet(2)),
+        lmo_fn=SimplexSet(2).lmo,
         diameter_B=np.sqrt(2.0),
         dimension=2,
     )
