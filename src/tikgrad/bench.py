@@ -8,6 +8,10 @@ grid and fits the growth exponent; with_bounds attaches the closed-form
 upper bound the two-level methods must stay under.
 run_experiment ties a validated config to a bundled problem, runs the
 configured method, and serializes the trace as CSV plus a JSON sidecar.
+This module owns both formats: write_trace_csv and read_trace_csv the CSV,
+write_sidecar and read_sidecar the sidecar, whose config holds the run's
+fields, nu and sigma among them, and whose constants hold gamma, Lprime, C1
+and C2, each fact stored once.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ __all__ = [
     "write_trace_csv",
     "read_trace_csv",
     "write_sidecar",
+    "read_sidecar",
     "sidecar_path",
 ]
 
@@ -117,10 +122,8 @@ def _constant(dim: int, value: float) -> Array:
 
     A stride-0 view of an immutable numpy scalar: ufuncs read it as the
     full vector and give the same bits, and any write raises ValueError,
-    so the memoized problems cannot be corrupted.  One exception to the
-    bits: ndarray.clip against a zero bound keeps the sign of a tied zero
-    entry, as for a scalar bound; no bound built here is zero.  Building
-    it costs less than np.ones(2); np.broadcast_to takes about 10x as long.
+    so the memoized problems cannot be corrupted.  Building it costs less
+    than np.ones(2); np.broadcast_to takes about 10x as long.
     The library's elementwise checks (as_vector, BoxSet and the membership
     tests) read one entry of such a view, so a problem built from them is
     checked in O(1) work, except for the reductions whose bits depend on the
@@ -450,7 +453,7 @@ def _fit_exponent(alpha_grid, measured, attained) -> float:
     for a, n, ok in zip(alpha_grid, measured, attained):
         if ok and n >= 1:
             xs.append(math.log(1.0 / a))
-            ys.append(math.log(float(n)))
+            ys.append(math.log(n))  # an int past the float range has a log too
     if len(xs) < 2:
         return math.nan
     return float(np.polyfit(np.asarray(xs), np.asarray(ys), 1)[0])
@@ -661,7 +664,8 @@ def run_experiment(cfg: ExperimentConfig) -> SolverTrace:
 
     Raises ConfigError (see validate_experiment) before touching the solver;
     writes the CSV trace and its JSON sidecar next to each other at
-    output_path.
+    output_path.  An earlier sidecar there is removed before the CSV is
+    replaced, so a failed write leaves no CSV beside another run's sidecar.
     """
     gp, x0, sched, stop, consts, step = validate_experiment(cfg)
     run = {"gpm": run_gpm, "cgm": run_cgm, "gprm": run_gprm, "cgrm": run_cgrm}[cfg.method]
@@ -669,8 +673,11 @@ def run_experiment(cfg: ExperimentConfig) -> SolverTrace:
     trace = run(gp.problem, *args)
 
     if cfg.output_path is not None:
+        side = sidecar_path(cfg.output_path)
+        if os.path.exists(side):
+            os.remove(side)
         write_trace_csv(trace, cfg.output_path)
-        write_sidecar(cfg, gp, trace, consts, sidecar_path(cfg.output_path))
+        write_sidecar(cfg, gp, trace, consts, side)
     return trace
 
 
@@ -725,17 +732,21 @@ def read_trace_csv(path: str) -> list[dict]:
     or empty, or if a cell is not a number or not finite (no run writes one)."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != list(TRACE_HEADER):
-            raise ValueError(f"unexpected trace header in {path}")
-        rows = []
-        for raw in reader:
-            # DictReader files a long row's extra cells under None and fills a short one with None
-            if None in raw or None in raw.values():
-                raise ValueError(f"line {reader.line_num} of {path}: expected {len(TRACE_HEADER)} cells")
-            try:
-                rows.append({c: _parse(c, raw[c]) for c in TRACE_HEADER})
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num} of {path}: {exc}") from None
+        try:
+            if reader.fieldnames != list(TRACE_HEADER):
+                raise ValueError(f"unexpected trace header in {path}")
+            rows = []
+            for raw in reader:
+                # DictReader files a long row's extra cells under None and fills a short one with None
+                if None in raw or None in raw.values():
+                    raise ValueError(f"line {reader.line_num} of {path}: expected {len(TRACE_HEADER)} cells")
+                try:
+                    rows.append({c: _parse(c, raw[c]) for c in TRACE_HEADER})
+                except ValueError as exc:
+                    raise ValueError(f"line {reader.line_num} of {path}: {exc}") from None
+        except csv.Error as exc:  # a cell past csv.field_size_limit(), or a NUL before Python 3.11
+            # DictReader.line_num counts the rows it returned, its reader's the lines it read
+            raise ValueError(f"line {reader.reader.line_num} of {path}: {exc}") from None
     if not rows:
         raise ValueError(f"no data rows in {path}")
     return rows
@@ -770,24 +781,50 @@ def write_sidecar(
     consts: Optional[MethodConstants],
     path: str,
 ) -> None:
-    """JSON companion to the CSV: full config, derived constants, counters."""
-    constants: dict = {"beta": cfg.beta, "theta": cfg.theta, "nu": cfg.nu, "sigma": cfg.sigma}
-    constants.update(_bound_entries(cfg, gp, consts))
+    """JSON companion to the CSV: config, ground truth, bound constants, counters."""
     payload = {
         "config": dataclasses.asdict(cfg),
         "problem": {
-            "label": gp.label,
             "analytic_L": gp.analytic_L,
             "analytic_fstar": gp.analytic_fstar,
             "dstar_description": gp.dstar_description,
         },
-        "constants": constants,
+        "constants": _bound_entries(cfg, gp, consts),
         "counters": trace.counters.as_dict(),
         "min_observed_lambda": (
             trace.min_observed_lambda if math.isfinite(trace.min_observed_lambda) else None
         ),
-        "outer_levels": len([r for r in trace.outer_records if r.l >= 1]),
     }
     with _atomic_open(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def read_sidecar(csv_path: str) -> Optional[tuple[dict, dict, Optional[tuple]]]:
+    """csv_path's sidecar as (config, counters, with_bounds' (C1, C2, nu, sigma) or
+    None unless all four are set), None if it has none; ValueError unless it is an
+    object of objects, C1 and C2 are null or finite and >= 0 and nu and sigma null
+    or passed by GeometricSchedule (a JSON boolean is not a number)."""
+    path = sidecar_path(csv_path)
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        try:
+            meta = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+    if not isinstance(meta, dict):
+        raise ValueError("not a JSON object")
+    config, constants, counters = entries = [meta.get(k, {}) for k in ("config", "constants", "counters")]
+    for key, entry in zip(("config", "constants", "counters"), entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{key} is not a JSON object")
+    bound = {"constant C1": constants.get("C1"), "constant C2": constants.get("C2"),
+             "nu": config.get("nu"), "sigma": config.get("sigma")}
+    for name, v in bound.items():
+        if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
+            raise ValueError(f"{name} is not a number")
+        if v is not None and name.startswith("constant") and not 0.0 <= v < math.inf:
+            raise ValueError(f"{name} out of range")
+    GeometricSchedule(**{k: bound[k] for k in ("nu", "sigma") if bound[k] is not None})
+    return config, counters, None if None in bound.values() else tuple(bound.values())

@@ -11,6 +11,8 @@ report FILES...   summary and complexity tables from stored trace CSVs
 Config files are INI key-value text; section names are organizational only,
 keys must be ExperimentConfig field names and each key may appear once.
 Values are read literally ('%' is not interpolated).
+report reads each trace and its sidecar through bench.read_trace_csv and
+bench.read_sidecar, which own both formats and their checks.
 Exit codes: 0 success, 1 config error, 2 solver failure, 3 acceptance
 failure.
 """
@@ -21,8 +23,6 @@ import argparse
 import configparser
 import dataclasses
 import itertools
-import json
-import math
 import os
 import sys
 import typing
@@ -33,6 +33,7 @@ from .bench import (
     ConfigError,
     ExperimentConfig,
     measure_complexity,
+    read_sidecar,
     read_trace_csv,
     run_experiment,
     sidecar_path,
@@ -183,50 +184,22 @@ def _cmd_verify(_args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_ACCEPT
 
 
-_BOUND_KEYS = ("C1", "C2", "nu", "sigma")
-
-
-def _sidecar_entries(meta) -> tuple[dict, dict, dict]:
-    """The sidecar's (config, constants, counters); ValueError unless all three
-    are JSON objects and each bound constant is null or a number in its range:
-    nu in (0, 1), sigma in (0, 1], C1 and C2 finite and >= 0."""
-    if not isinstance(meta, dict):
-        raise ValueError("not a JSON object")
-    entries = {key: meta.get(key, {}) for key in ("config", "constants", "counters")}
-    for key, entry in entries.items():
-        if not isinstance(entry, dict):
-            raise ValueError(f"{key} is not a JSON object")
-    constants = entries["constants"]
-    for key in _BOUND_KEYS:
-        v = constants.get(key)
-        if v is None:
-            continue
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"constant {key} is not a number")
-        if not {"nu": 0.0 < v < 1.0, "sigma": 0.0 < v <= 1.0}.get(key, 0.0 <= v < math.inf):
-            raise ValueError(f"constant {key} out of range")
-    return entries["config"], constants, entries["counters"]
-
-
 def _cmd_report(args) -> int:
     status = EXIT_OK
     for path in args.traces:
-        reading, sidecar = path, None
+        reading = path
         try:
             rows = read_trace_csv(path)
             # the sidecar is read before anything is printed, so a bad one skips the whole file
             reading = sidecar_path(path)
-            if os.path.exists(reading):
-                with open(reading) as fh:
-                    sidecar = _sidecar_entries(json.load(fh))
+            sidecar = read_sidecar(path)
         except (OSError, ValueError) as exc:
             print(f"cannot read {reading}: {exc}", file=sys.stderr)
             status = EXIT_CONFIG
             continue
         print(f"== {path} ==")
-        constants, counters = {}, {}
+        cfg, counters, bound_args = sidecar or ({}, {}, None)
         if sidecar is not None:
-            cfg, constants, counters = sidecar
             print(f"method {cfg.get('method')} on {cfg.get('problem_label')}")
         records = [OuterRecord(**row) for row in rows]
         last = records[-1]
@@ -240,8 +213,7 @@ def _cmd_report(args) -> int:
             report = measure_complexity(records)
         except ValueError:
             continue  # no level, or a level without Delta: no table
-        bound_args = [constants.get(k) for k in _BOUND_KEYS]
-        if None not in bound_args:
+        if bound_args is not None:
             report = with_bounds(report, *bound_args)
         print(f"{'alpha':>10} {'N(alpha)':>10} {'bound':>12}")
         # bound_N is empty when the sidecar lacks a constant: zip_longest pads it with None

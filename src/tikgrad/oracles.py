@@ -41,8 +41,13 @@ class BoxSet:
     upper: Array
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", as_vector(self.lower))
-        object.__setattr__(self, "upper", as_vector(self.upper))
+        for name in ("lower", "upper"):
+            v = as_vector(getattr(self, name))
+            # clip keeps a tied zero's sign when both bounds are stride-0 views, and
+            # gives the bound's zero when either is dense: a zero bound is stored dense
+            if v.strides == (0,) and v.size and v.item(0) == 0.0:
+                v = v.copy()
+            object.__setattr__(self, name, v)
         if self.lower.shape != self.upper.shape:
             raise ValueError("lower and upper must have the same length")
         if np.logical_or.reduce(_collapse_stride0(self.lower) > _collapse_stride0(self.upper)):
@@ -66,13 +71,8 @@ class BoxSet:
                     and np.logical_and.reduce(x <= _collapse_stride0(self.upper) + tol))
 
     def project(self, x: Array) -> Array:
-        """Clamp each coordinate to its interval.
-
-        The bytes of a clamped zero depend on how the bounds are stored: where an
-        entry ties a zero bound of the other sign (x = -0.0 on [0, 0]), dense
-        bounds give the bound's zero, but stride-0 bounds, like scalar ones, keep
-        x's zero.  No bundled bound is zero.
-        """
+        """Clamp each coordinate to its interval: the bytes of x.clip with the
+        bounds dense, whether they are stored dense or as stride-0 views."""
         return np.asarray(x).clip(self.lower, self.upper)
 
     def lmo(self, g: Array) -> Array:

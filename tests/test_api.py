@@ -15,6 +15,7 @@ from tikgrad.bench import ExperimentConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 import tracing  # noqa: E402  (benchmarks/tracing.py imports only tikgrad and the stdlib)
+import workloads  # noqa: E402
 
 MODULES = ["tikgrad"] + [f"tikgrad.{m.name}" for m in pkgutil.iter_modules(tikgrad.__path__)]
 
@@ -157,3 +158,24 @@ def test_no_module_uses_numpy_random(name):
     random (test_acceptance checks the modules a verify process holds)."""
     module = importlib.import_module(name)
     assert _numpy_random_uses(ast.parse(Path(module.__file__).read_text())) == []
+
+
+def test_the_benchmark_harness_runs_on_the_library(tmp_path, monkeypatch):
+    """benchmarks/workloads.py drives the library through its names:
+    solver_constants, StopPolicy's four positional fields,
+    FeasibleSet.project_fn, GeneratedProblem.analytic_xstar_n, write_sidecar's
+    five arguments and more.  Build the set-up of each workload, then run
+    small_n plainly and traced at epsilon_min 1e-3 (a cgrm level there takes
+    more than 60 inner iterations, so StopPolicy's max_outer and
+    max_inner_per_l cannot trade places unseen), so that src/ cannot drop or
+    change such a name without failing these tests."""
+    monkeypatch.setattr(bench, "_PROBLEM_CACHE", {})  # the set-ups clear it
+    for name in ("small_n", "large_n", "verify"):
+        workloads.workload(name, 0).setup()
+    specs = [dataclasses.replace(s, dist_limit=None)
+             for s in workloads.small_n_specs(0, epsilon_min=1e-3)]
+    run = workloads.RunWorkload(specs, setups_per_repeat=1, write_rounds=1)
+    cases, checks = run.setup(), workloads.Checks()
+    for mode in ("plain", "traced"):
+        run.repeat(cases, str(tmp_path), checks, mode)
+    assert checks.run > 0 and checks.failed == []

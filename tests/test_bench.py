@@ -690,12 +690,14 @@ def test_run_experiment_writes_csv_and_sidecar(tmp_path):
     assert payload["config"]["problem_label"] == "illposed_box(2)"
     assert payload["config"]["method"] == "gprm"
     assert payload["problem"]["analytic_L"] == 2.0
-    for key in ("beta", "theta", "nu", "sigma", "gamma", "Lprime", "C1", "C2"):
-        assert key in payload["constants"]
+    # each fact once: the schedule and step fields in config, the label in
+    # config.problem_label, the level count in the CSV's rows with l >= 1
+    assert sorted(payload["constants"]) == ["C1", "C2", "Lprime", "gamma"]
+    assert "label" not in payload["problem"] and "outer_levels" not in payload
     assert payload["constants"]["gamma"] == pytest.approx(1.0 / 6.0)
     assert payload["counters"]["inner_iterations"] == trace.counters.inner_iterations
     assert payload["min_observed_lambda"] == trace.min_observed_lambda
-    assert payload["outer_levels"] == len(trace.outer_records)
+    assert sum(row["l"] >= 1 for row in rows) == len(trace.outer_records)
 
 
 def test_sidecar_size_does_not_grow_with_dimension(tmp_path):

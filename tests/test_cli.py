@@ -569,15 +569,18 @@ def test_report_header_only_csv_exits_1(tmp_path, capsys):
         ('{"counters": 57}', "counters is not a JSON object"),
         ('{"constants": {"C1": "x", "C2": 1.0, "nu": 0.5, "sigma": 0.5}}',
          "constant C1 is not a number"),
-        # nu = 1 divides by zero in the bound, sigma = 1e300 overflows its power
-        ('{"constants": {"C1": 1.0, "C2": 1.0, "nu": 1.0, "sigma": 0.5}}',
-         "constant nu out of range"),
-        ('{"constants": {"C1": 1.0, "C2": 1.0, "nu": 0.5, "sigma": 1e300}}',
-         "constant sigma out of range"),
+        # nu = 1 divides by zero in the bound, sigma = 1e300 overflows its power;
+        # GeometricSchedule checks them, as it checks a config's
+        ('{"constants": {"C1": 1.0, "C2": 1.0}, "config": {"nu": 1.0, "sigma": 0.5}}',
+         "nu: must lie in (0, 1)"),
+        ('{"constants": {"C1": 1.0, "C2": 1.0}, "config": {"nu": 0.5, "sigma": 1e300}}',
+         "sigma: must lie in (0, 1]"),
         ('{"constants": {"C1": -1.0, "C2": 1.0, "nu": 0.5, "sigma": 0.5}}',
          "constant C1 out of range"),
         ('{"constants": {"C1": 1.0, "C2": NaN, "nu": 0.5, "sigma": 0.5}}',
          "constant C2 out of range"),
+        # json.load raises RecursionError, not ValueError
+        pytest.param("[" * 100_000, "JSON nested too deeply", id="deep_nesting"),
     ],
 )
 def test_report_unreadable_sidecar_exits_1_and_goes_on(tmp_path, capsys, sidecar, reason):
@@ -642,6 +645,135 @@ def test_report_refuses_a_nan_delta_cell(tmp_path, capsys):
     assert main(["report", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and f"cannot read {path}: line {len(lines)} of" in err
+
+
+_HEADER = "l,epsilon_l,delta_l,N_l,delta_wl,dist_xstar,cum_inner\n"
+# one cell past csv.field_size_limit()'s default of 131,072 characters
+_LONG_CELL = "1" * 131_073
+
+
+def test_report_refuses_a_cell_past_the_csv_field_limit(tmp_path, capsys):
+    """The csv module raises csv.Error, not ValueError, for a cell longer than
+    csv.field_size_limit(); report turns it into one `cannot read` line."""
+    path = tmp_path / "long.csv"
+    path.write_text(_HEADER + "0,,,0,,," + _LONG_CELL + "\n")
+    assert main(["report", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"cannot read {path}: line 2 of {path}: field larger than field limit (131072)\n")
+
+
+def test_report_fits_counts_past_the_float_range(tmp_path, capsys):
+    """A cum_inner cell past 1e308 parses as an int; the exponent fit takes
+    its log without converting it to a float, which would overflow."""
+    path = tmp_path / "huge.csv"
+    path.write_text(_HEADER + "1,0.5,,1,0.5,,1" + "0" * 400 + "\n2,0.25,,1,1e-9,,2" + "0" * 400
+                    + "\n")
+    assert main(["report", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-4].split()[:2] == ["0.03", "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("failing", ["write_trace_csv", "write_sidecar"])
+def test_a_failed_write_leaves_no_csv_beside_another_runs_sidecar(tmp_path, capsys,
+                                                                  monkeypatch, failing):
+    """A second run to the same output path fails in one of its two writes:
+    the CSV's after it replaced the file, or the sidecar's before it wrote.
+    `report` must then read the new CSV without the first run's sidecar."""
+    out = tmp_path / "out.csv"
+    first = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm",
+                     epsilon_min="1e-2", output_path=out)
+    assert main(["run", first]) == 0
+    second = _write_ini(tmp_path, "problem_label = illposed_simplex(3)\nmethod = cgrm\n"
+                        f"epsilon_min = 1e-3\noutput_path = {out}\n", name="second.ini")
+    write = getattr(bench, failing)
+
+    def fail(*args):
+        if failing == "write_trace_csv":
+            write(*args)
+        raise PermissionError(13, "Permission denied", str(out))
+    monkeypatch.setattr(bench, failing, fail)
+    assert main(["run", second]) == 1
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "cumulative inner iterations 406," in text
+    assert "method" not in text and "line-search trials" not in text
+    assert not (tmp_path / "out.json").exists()
+
+
+_COLUMNS = _HEADER.strip().split(",")
+# per column, (cells a stored trace holds, cells no run writes)
+_INT_CELLS = (("0", "1", "2", "5", "28"),
+              ("", "-1", "1.5", "x", "9" * 400, "9" * 5000, " 1", '"1"', "\0"))
+_FLOAT_CELLS = (("", "0.5", "0.25", "1e-3", "1e-9", "0.0"),
+                ("nan", "inf", "-inf", "1e400", "-0.0", "5e-324", "x", '"', "\0", _LONG_CELL))
+_CELLS = {c: _INT_CELLS if c in ("l", "N_l", "cum_inner") else _FLOAT_CELLS for c in _COLUMNS}
+
+
+@st.composite
+def _trace_text(draw):
+    """A trace CSV: the right header or a mangled one, then rows of cells a
+    trace holds or of any cells, some rows with a cell too few or too many."""
+    header = draw(st.sampled_from([_HEADER, _HEADER.replace("l,", "level,", 1),
+                                   ",".join(reversed(_COLUMNS)) + "\n", "", "\n",
+                                   _HEADER.strip() + ",extra\n"]))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        any_cells = draw(st.booleans())
+        cells = [draw(_pool(*_CELLS[c]) if any_cells else st.sampled_from(_CELLS[c][0]))
+                 for c in _COLUMNS] + ["0"]
+        rows.append(",".join(cells[:draw(st.sampled_from([7, 7, 7, 6, 8]))]) + "\n")
+    return header + "".join(rows)
+
+
+_JSON_VALUES = st.sampled_from([0.5, 1.0, 1, 0, -1.0, 1e300, 1e-300, 10**400, True, False,
+                                None, "x", [], {}, float("nan"), float("inf")])
+# no st.text(): its character tables cost about a second to build per session
+_KEYS = st.sampled_from(["config", "constants", "counters", "nu", "C1", "", "\u00e9"])
+_JSON = st.recursive(st.none() | st.booleans() | st.floats() | st.integers() | _KEYS,
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=8)
+
+
+@st.composite
+def _sidecar_bytes(draw):
+    """None (no sidecar), a payload shaped like a sidecar with drawn values,
+    random JSON, deep nesting, or bytes that are not UTF-8."""
+    kind = draw(st.sampled_from(["none", "payload", "payload", "json", "deep", "bytes"]))
+    if kind == "none":
+        return None
+    if kind == "payload":
+        payload = {
+            "config": {"method": "gprm", "problem_label": "illposed_box(2)",
+                       **draw(st.dictionaries(st.sampled_from(["nu", "sigma", "method"]),
+                                              _JSON_VALUES))},
+            "constants": draw(st.dictionaries(st.sampled_from(["C1", "C2", "gamma"]),
+                                              _JSON_VALUES | st.floats())),
+            "counters": draw(st.sampled_from([{"linesearch_trials": 84}, {}, [], 57])),
+        }
+        return json.dumps({k: v for k, v in payload.items() if draw(st.booleans())}).encode()
+    if kind == "json":
+        return json.dumps(draw(_JSON)).encode()
+    if kind == "deep":
+        return draw(st.sampled_from([b"[", b'{"config": [', b'{"a": {"a": '])) * 100_000
+    return draw(st.sampled_from([b"\xff\xfe{", b'{"config": "\xe9"}', b"\x00", b"{"]))
+
+
+@settings(max_examples=120)
+@given(_trace_text(), _sidecar_bytes())
+@example(_HEADER + "1,0.5,,1,0.5,,1\n2,0.25,,1,1e-9,,2\n",
+         b'{"config": {"nu": 0.5, "sigma": 0.5}, "constants": {"C1": 1e200, "C2": 1e300}}')
+def test_report_ends_every_mangled_input_with_exit_0_or_1(csv_text, sidecar):
+    """Whatever the trace and sidecar hold, `tikgrad report` returns 0 or 1
+    and raises nothing: no traceback reaches the user."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(csv_text)
+        if sidecar is not None:
+            with open(os.path.join(tmp, "run.json"), "wb") as fh:
+                fh.write(sidecar)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["report", path]) in (0, 1)
 
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

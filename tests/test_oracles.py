@@ -442,24 +442,38 @@ def _constant_box_and_vectors(draw):
 @example((4, -1.0, 1.0, np.array([-0.0, np.nan, np.inf, 1.0]), np.array([0.0, -0.0, np.nan, -1.0])))
 def test_box_with_stride_0_bounds_keeps_every_bit(case):
     """The bundled boxes keep their constant bounds as read-only stride-0
-    views; BoxSet keeps them so, and every box oracle gives the bytes it
-    gives with the same bounds stored densely, with one exception.  Where a
-    clamped entry ties a zero bound of the other sign, ndarray.clip keeps
-    the entry's zero for stride-0 bounds, as for scalar bounds, and the
-    bound's zero for dense ones.  The bundled bounds are -1 and 1."""
+    views; BoxSet keeps them so, but for a zero bound, which it stores dense,
+    and every box oracle gives the bytes it gives with the same bounds stored
+    densely.  (Where a clamped entry ties a zero bound of the other sign,
+    ndarray.clip keeps the entry's zero when both bounds are stride-0, as for
+    scalar bounds, and gives the bound's zero when either is dense.)"""
     n, lo, hi, x, g = case
     views = BoxSet(_constant(n, lo), _constant(n, hi))
     dense = BoxSet(np.full(n, lo), np.full(n, hi))
-    assert views.lower.strides == views.upper.strides == (0,)
+    assert [v.strides == (0,) for v in (views.lower, views.upper)] == [lo != 0.0, hi != 0.0]
     got, want = views.project(x), dense.project(x)
-    assert _same_bits(got, x.clip(lo, hi))
     if lo != 0.0 and hi != 0.0:
-        assert _same_bits(got, want)
-    assert np.array_equal(got, want, equal_nan=True)
+        assert _same_bits(got, x.clip(lo, hi))
+    assert _same_bits(got, want)
     assert _same_bits(views.lmo(g), dense.lmo(g))
     for tol in (1e-10, 0.0):
         assert views.contains(x, tol) == dense.contains(x, tol)
     assert np.float64(views.diameter()).tobytes() == np.float64(dense.diameter()).tobytes()
+
+
+@pytest.mark.parametrize("lo, hi, x, zero", [(0.0, 1.0, [-0.0, 0.5], 0.0),
+                                              (-1.0, -0.0, [0.0], -0.0)],
+                         ids=["lower_tie", "upper_tie"])
+def test_box_projection_bytes_do_not_depend_on_how_the_bounds_are_stored(lo, hi, x, zero):
+    """A zero entry tied with a zero bound of the other sign projects to the
+    bound's zero whether each bound is stored dense or as a stride-0 view."""
+    x = np.array(x)
+    n = x.size
+    for lower in (np.full(n, lo), _constant(n, lo)):
+        for upper in (np.full(n, hi), _constant(n, hi)):
+            got = BoxSet(lower, upper).project(x)
+            assert _same_bits(got, x.clip(np.full(n, lo), np.full(n, hi)))
+            assert np.float64(got[0]).tobytes() == np.float64(zero).tobytes()
 
 
 _ANY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.nan, np.inf, -np.inf]) | st.floats(width=64)
