@@ -7,11 +7,11 @@ measure_complexity turns a trace's records into N(alpha) counts on an accuracy
 grid and fits the growth exponent; with_bounds attaches the closed-form
 upper bound the two-level methods must stay under.
 run_experiment ties a validated config to a bundled problem, runs the
-configured method, and serializes the trace as CSV plus a JSON sidecar.
-This module owns both formats: write_trace_csv and read_trace_csv the CSV,
-write_sidecar and read_sidecar the sidecar, whose config holds the run's
-fields, nu and sigma among them, and whose constants hold gamma, Lprime, C1
-and C2, each fact stored once.
+configured method, and serializes the trace as CSV plus a JSON sidecar named
+by the CSV's whole path plus .json.  This module owns both formats:
+write_trace_csv and read_trace_csv the CSV, write_sidecar and read_sidecar the
+sidecar, whose config holds the run's fields, nu and sigma among them, and
+whose constants hold gamma, Lprime, C1 and C2, each fact stored once.
 """
 
 from __future__ import annotations
@@ -93,28 +93,18 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GeneratedProblem:
-    """A Problem carrying its ground truth f*, x*_n and L (Problem checks f(x*_n) = f*)."""
+    """A Problem sure to carry f*, x*_n and L, the ground truth the certificates read."""
 
     problem: Problem
-    label: str
-    dstar_description: str
 
-    def __post_init__(self):
+    def __post_init__(self):  # benchmarks/workloads.py times this check in its set-up
         p = self.problem
         if p.known_fstar is None or p.known_xstar_n is None or not p.objective.lipschitz_L > 0.0:
             raise ValueError("problem must carry f*, x*_n and a positive L")
 
-    @property
-    def analytic_L(self) -> float:
-        return self.problem.objective.lipschitz_L
-
-    @property
+    @property  # benchmarks/workloads.py reads it
     def analytic_xstar_n(self) -> Array:
         return self.problem.known_xstar_n
-
-    @property
-    def analytic_fstar(self) -> float:
-        return self.problem.known_fstar
 
 
 def _constant(dim: int, value: float) -> Array:
@@ -191,17 +181,12 @@ def make_illposed_box(dim: int) -> GeneratedProblem:
 
     box = BoxSet(_constant(dim, -1.0), _constant(dim, 1.0))
     xstar = _constant(dim, 1.0 / dim)
-    problem = Problem(
+    return GeneratedProblem(Problem(
         objective=Objective(value, gradient, float(dim), curvature),
         feasible_set=box.to_feasible_set(),
         known_fstar=0.0,
         known_xstar_n=xstar,
-    )
-    return GeneratedProblem(
-        problem=problem,
-        label=f"illposed_box({dim})",
-        dstar_description=f"{{x in [-1,1]^{dim} : sum(x) = 1}}",
-    )
+    ))
 
 
 def make_illposed_simplex(dim: int) -> GeneratedProblem:
@@ -235,17 +220,12 @@ def make_illposed_simplex(dim: int) -> GeneratedProblem:
 
     simplex = SimplexSet(dim)
     xstar = _constant(dim, 1.0 / dim)
-    problem = Problem(
+    return GeneratedProblem(Problem(
         objective=Objective(value, gradient, 2.0, curvature),
         feasible_set=simplex.to_feasible_set(),
         known_fstar=0.0,
         known_xstar_n=xstar,
-    )
-    return GeneratedProblem(
-        problem=problem,
-        label=f"illposed_simplex({dim})",
-        dstar_description=f"{{x in unit simplex of R^{dim} : x_1 = x_2}}",
-    )
+    ))
 
 
 def _norm(r: Array) -> float:
@@ -311,7 +291,7 @@ def _minimal_norm_in_slice(A: Array, pinv: Array, b_proj: Array, fs: FeasibleSet
     return za
 
 
-def make_rankdef_lsq(A: Array, b: Array, fs: FeasibleSet, label: Optional[str] = None) -> GeneratedProblem:
+def make_rankdef_lsq(A: Array, b: Array, fs: FeasibleSet) -> GeneratedProblem:
     """f(x) = 0.5 ||A x - b||^2 over the given set, A allowed rank-deficient.
 
     Requires the residual-minimal slice {A x = proj_range(A) b} to meet the
@@ -346,19 +326,12 @@ def make_rankdef_lsq(A: Array, b: Array, fs: FeasibleSet, label: Optional[str] =
     xstar = _minimal_norm_in_slice(A, pinv, b_proj, fs)
     xstar.flags.writeable = False
     fstar = value(xstar)
-    if label is None:
-        label = f"rankdef_lsq({A.shape[0]}x{A.shape[1]})"
-    problem = Problem(
+    return GeneratedProblem(Problem(
         objective=Objective(value, gradient, L, curvature),
         feasible_set=fs,
         known_fstar=fstar,
         known_xstar_n=xstar,
-    )
-    return GeneratedProblem(
-        problem=problem,
-        label=label,
-        dstar_description="{x in D : A x = proj_range(A)(b)}",
-    )
+    ))
 
 
 # a dimension with a leading zero would cache a second copy of its problem
@@ -376,7 +349,7 @@ _LEAST_SQUARES = {
 }
 
 
-def bundled_problem(label: str) -> GeneratedProblem:
+def bundled_problem(label: str) -> GeneratedProblem:  # benchmarks/workloads.py calls it
     """Label -> GeneratedProblem, memoized so oracle runs happen once.
 
     x*_n and the box bounds of every bundled problem are read-only, so no
@@ -391,7 +364,7 @@ def bundled_problem(label: str) -> GeneratedProblem:
     name, dim = m.group(1), int(m.group(2))
     if (name, dim) in _LEAST_SQUARES:
         A, b, kind = _LEAST_SQUARES[name, dim]
-        gp = make_rankdef_lsq(A, b, kind.to_feasible_set(), label)
+        gp = make_rankdef_lsq(A, b, kind.to_feasible_set())
     else:
         if name not in _FAMILIES:
             raise ConfigError(f"problem_label: unknown label {label!r}")
@@ -403,7 +376,7 @@ def bundled_problem(label: str) -> GeneratedProblem:
     return gp
 
 
-def default_start(gp: GeneratedProblem, method: str) -> Array:
+def default_start(gp: GeneratedProblem, method: str) -> Array:  # benchmarks/workloads.py calls it
     """Vertex start for LMO methods, projected origin otherwise.
 
     The set needs a projection and a dimension, as every bundled set has.
@@ -579,6 +552,7 @@ def _validate_config(cfg: ExperimentConfig) -> list[str]:
     return errors
 
 
+# benchmarks/workloads.py calls it
 def solver_constants(cfg: ExperimentConfig, gp: GeneratedProblem, x0: Array) -> Optional[MethodConstants]:
     """MethodConstants for the configured two-level method, else None."""
     if cfg.method == "gprm":
@@ -589,14 +563,11 @@ def solver_constants(cfg: ExperimentConfig, gp: GeneratedProblem, x0: Array) -> 
 
 
 def _check_output_dir(path: str) -> None:
-    """ConfigError unless path is not its own sidecar path, neither path nor its
-    sidecar is a directory, path names a file (not empty, no trailing separator)
-    and its nearest existing ancestor is a writable directory; nothing is created."""
+    """ConfigError unless neither path nor its sidecar is a directory, path names
+    a file (not empty, no trailing separator) and its nearest existing ancestor is
+    a writable directory; nothing is created."""
     if "\0" in path:  # the os calls would raise ValueError
         raise ConfigError(f"output_path: {path!r} contains a NUL byte")
-    if sidecar_path(path) == path:
-        raise ConfigError(f"output_path: {path!r} is its own sidecar path; "
-                          "the trace needs a name not ending in .json")
     for target in (path, sidecar_path(path)):
         if os.path.isdir(target):
             raise ConfigError(f"output_path: {target!r} is a directory")
@@ -619,9 +590,8 @@ def validate_experiment(cfg: ExperimentConfig) -> tuple[
     consts is solver_constants(cfg, gp, x0), None for gpm and cgm; step is the
     baseline's lam (gpm) or theta_k (cgm), default 1/L, None for gprm and cgrm.
     Raises ConfigError for a field outside its mandated interval, an
-    output_path ending in .json (the sidecar would replace the trace), naming
-    no file, holding a NUL byte, or whose directory cannot be created or
-    written, an unknown problem label or one too large to allocate, a
+    output_path naming no file, holding a NUL byte, or whose directory cannot be
+    created or written, an unknown problem label or one too large to allocate, a
     baseline step at or above 2/L, an x0 that has the wrong dimension, a
     non-finite entry, or lies outside the feasible set, or, with an
     output_path, a two-level run whose sidecar C1 or C2 would not be finite.
@@ -729,7 +699,8 @@ def write_trace_csv(trace: SolverTrace, path: str) -> None:
 
 def read_trace_csv(path: str) -> list[dict]:
     """Parsed rows of the trace CSV (None for empty cells); ValueError if malformed
-    or empty, or if a cell is not a number or not finite (no run writes one)."""
+    or empty, if a cell is not a number or not finite, or unless l counts up by 1,
+    N_l >= 0 and cum_inner is the running sum of N_l (no run writes any of these)."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -741,7 +712,15 @@ def read_trace_csv(path: str) -> list[dict]:
                 if None in raw or None in raw.values():
                     raise ValueError(f"line {reader.line_num} of {path}: expected {len(TRACE_HEADER)} cells")
                 try:
-                    rows.append({c: _parse(c, raw[c]) for c in TRACE_HEADER})
+                    row = {c: _parse(c, raw[c]) for c in TRACE_HEADER}
+                    prev = rows[-1] if rows else dict(l=row["l"] - 1, cum_inner=0)
+                    if row["l"] != prev["l"] + 1:
+                        raise ValueError(f"l {row['l']} does not follow l {prev['l']}")
+                    if row["N_l"] < 0:
+                        raise ValueError(f"N_l {row['N_l']} is negative")
+                    if row["cum_inner"] != prev["cum_inner"] + row["N_l"]:
+                        raise ValueError(f"cum_inner {row['cum_inner']} is not the running sum of N_l")
+                    rows.append(row)
                 except ValueError as exc:
                     raise ValueError(f"line {reader.line_num} of {path}: {exc}") from None
         except csv.Error as exc:  # a cell past csv.field_size_limit(), or a NUL before Python 3.11
@@ -771,24 +750,20 @@ def _bound_entries(cfg: ExperimentConfig, gp: GeneratedProblem,
 
 
 def sidecar_path(csv_path: str) -> str:
-    return os.path.splitext(csv_path)[0] + ".json"
+    """The trace's own sidecar: its whole path plus .json, so no two traces share one."""
+    return csv_path + ".json"
 
 
-def write_sidecar(
+def write_sidecar(  # benchmarks/workloads.py calls it
     cfg: ExperimentConfig,
     gp: GeneratedProblem,
     trace: SolverTrace,
     consts: Optional[MethodConstants],
     path: str,
 ) -> None:
-    """JSON companion to the CSV: config, ground truth, bound constants, counters."""
+    """JSON companion to the CSV: config, bound constants, counters, min lambda."""
     payload = {
         "config": dataclasses.asdict(cfg),
-        "problem": {
-            "analytic_L": gp.analytic_L,
-            "analytic_fstar": gp.analytic_fstar,
-            "dstar_description": gp.dstar_description,
-        },
         "constants": _bound_entries(cfg, gp, consts),
         "counters": trace.counters.as_dict(),
         "min_observed_lambda": (

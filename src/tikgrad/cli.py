@@ -65,7 +65,7 @@ _PARSERS = {
     str: (str, "text"),
     int: (int, "an integer"),
     float: (float, "a number"),
-    tuple: (lambda v: tuple(float(t) for t in v.split(",") if t.strip()), "comma-separated numbers"),
+    tuple: (lambda v: tuple(float(t) for t in v.split(",")), "comma-separated numbers"),
 }
 
 

@@ -64,7 +64,7 @@ def test_criterion_3_starts_gpm_off_the_solution_set():
     gp = bundled_problem("illposed_box(2)")
     x0 = np.array(acceptance.CRITERION_3_START)
     assert gp.problem.objective.gradient_fn(x0).any()
-    trace = run_gpm(gp.problem, 1.0 / gp.analytic_L, x0, 2000)
+    trace = run_gpm(gp.problem, 1.0 / gp.problem.objective.lipschitz_L, x0, 2000)
     assert trace.counters.inner_iterations > 0
     assert trace.outer_records[-1].dist_xstar >= 0.7
 
@@ -132,9 +132,10 @@ def _criterion_9_runs():
     box = bundled_problem("wellposed_box(2)")
     simplex = bundled_problem("wellposed_simplex(3)")
     return (
-        run_gpm(box.problem, 1.0 / box.analytic_L, np.zeros(2), acceptance.RATE_ITERS),
-        run_cgm(simplex.problem, 1.0 / simplex.analytic_L, np.array([1.0, 0.0, 0.0]),
+        run_gpm(box.problem, 1.0 / box.problem.objective.lipschitz_L, np.zeros(2),
                 acceptance.RATE_ITERS),
+        run_cgm(simplex.problem, 1.0 / simplex.problem.objective.lipschitz_L,
+                np.array([1.0, 0.0, 0.0]), acceptance.RATE_ITERS),
     )
 
 
@@ -331,9 +332,10 @@ def _canonical_runs(ctx):
     for method, label in acceptance.TWO_LEVEL_CASES:
         yield f"{method} {label}", ctx.two_level_run(method, label, 0.5)[3]
     box = bundled_problem("wellposed_box(2)")
-    yield "gpm", run_gpm(box.problem, 1.0 / box.analytic_L, np.zeros(2), 200)
+    yield "gpm", run_gpm(box.problem, 1.0 / box.problem.objective.lipschitz_L, np.zeros(2), 200)
     simplex = bundled_problem("wellposed_simplex(3)")
-    yield "cgm", run_cgm(simplex.problem, 1.0 / simplex.analytic_L, np.array([1.0, 0.0, 0.0]), 200)
+    yield "cgm", run_cgm(simplex.problem, 1.0 / simplex.problem.objective.lipschitz_L,
+                         np.array([1.0, 0.0, 0.0]), 200)
 
 
 def test_canonical_traces_are_bit_identical(ctx, tmp_path):
@@ -469,7 +471,7 @@ def test_ground_truth_fills_the_records_and_never_steers_a_run(closed):
     for run, label, x0 in ((run_gpm, "wellposed_box(2)", (0.0, 0.0)),
                            (run_cgm, "wellposed_simplex(3)", (1.0, 0.0, 0.0))):
         gp = bundled_problem(label)
-        pairs.append([run(p, 1.0 / gp.analytic_L, np.array(x0), 200)
+        pairs.append([run(p, 1.0 / gp.problem.objective.lipschitz_L, np.array(x0), 200)
                       for p in with_and_without_truth(gp.problem)])
 
     def steps(trace):

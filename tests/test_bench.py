@@ -56,11 +56,11 @@ from tikgrad.solvers import (
 def test_illposed_box_frozen_values():
     gp = make_illposed_box(2)
     assert_allclose(gp.analytic_xstar_n, [0.5, 0.5], rtol=0, atol=0)
-    assert gp.analytic_L == 2.0
-    assert gp.analytic_fstar == 0.0
+    assert gp.problem.objective.lipschitz_L == 2.0
+    assert gp.problem.known_fstar == 0.0
     gp3 = make_illposed_box(3)
     assert_allclose(gp3.analytic_xstar_n, np.full(3, 1.0 / 3.0))
-    assert gp3.analytic_L == 3.0
+    assert gp3.problem.objective.lipschitz_L == 3.0
     # (1,0) also minimizes f but carries a larger norm than x*_n
     other = np.array([1.0, 0.0])
     assert gp.problem.objective.value_fn(other) == 0.0
@@ -72,7 +72,7 @@ def test_illposed_box_frozen_values():
 def test_illposed_simplex_frozen_values():
     gp = make_illposed_simplex(3)
     assert_allclose(gp.analytic_xstar_n, np.full(3, 1.0 / 3.0), rtol=0, atol=0)
-    assert gp.analytic_L == 2.0
+    assert gp.problem.objective.lipschitz_L == 2.0
     assert gp.problem.objective.value_fn(gp.analytic_xstar_n) == 0.0
     assert gp.problem.objective.value_fn(np.array([0.0, 0.0, 1.0])) == 0.0
     with pytest.raises(ValueError):
@@ -99,20 +99,19 @@ def test_illposed_simplex_minimal_norm_by_grid():
 def test_rankdef_reduces_to_illposed_twins():
     box = bundled_problem("rankdef_box(2)")
     assert_allclose(box.analytic_xstar_n, [0.5, 0.5], rtol=0, atol=1e-6)
-    assert_allclose(box.analytic_L, 2.0, rtol=1e-9)
-    assert abs(box.analytic_fstar) < 1e-12
+    assert_allclose(box.problem.objective.lipschitz_L, 2.0, rtol=1e-9)
+    assert abs(box.problem.known_fstar) < 1e-12
 
     simplex = bundled_problem("rankdef_simplex(3)")
     assert_allclose(simplex.analytic_xstar_n, np.full(3, 1.0 / 3.0), rtol=0, atol=1e-6)
-    assert abs(simplex.analytic_fstar) < 1e-12
+    assert abs(simplex.problem.known_fstar) < 1e-12
 
 
 def test_rankdef_wellposed_identity_case():
     fs = BoxSet(-np.ones(2), np.ones(2)).to_feasible_set()
     gp = make_rankdef_lsq(np.eye(2), np.array([0.3, 0.4]), fs)
     assert_allclose(gp.analytic_xstar_n, [0.3, 0.4], rtol=0, atol=1e-7)
-    assert_allclose(gp.analytic_L, 1.0, rtol=1e-9)
-    assert gp.label == "rankdef_lsq(2x2)"
+    assert_allclose(gp.problem.objective.lipschitz_L, 1.0, rtol=1e-9)
 
 
 def test_rankdef_validation():
@@ -477,7 +476,7 @@ def test_measure_complexity_refuses_a_non_finite_delta():
 def gprm_box_trace():
     gp = bundled_problem("illposed_box(2)")
     sched = GeometricSchedule(1.0, 0.5, 0.5)
-    consts = gprm_constants(gp.analytic_L, 1.0)
+    consts = gprm_constants(gp.problem.objective.lipschitz_L, 1.0)
     trace = run_gprm(gp.problem, sched, consts, np.array([1.0, 0.0]),
                      stop=StopPolicy(epsilon_min=1e-4))
     return gp, sched, consts, trace
@@ -505,7 +504,7 @@ def test_gprm_exponent_falls_with_sigma():
     fits = []
     for sigma in (1.0, 0.5, 0.25):
         sched = GeometricSchedule(1.0, 0.5, sigma)
-        consts = gprm_constants(gp.analytic_L, 1.0)
+        consts = gprm_constants(gp.problem.objective.lipschitz_L, 1.0)
         trace = run_gprm(gp.problem, sched, consts, np.array([1.0, 0.0]), stop=stop)
         report = measure_complexity(trace.outer_records, alpha_grid=grid)
         assert not math.isnan(report.fitted_exponent)
@@ -682,18 +681,18 @@ def test_run_experiment_writes_csv_and_sidecar(tmp_path):
     out = str(tmp_path / "run.csv")
     cfg = ExperimentConfig("illposed_box(2)", "gprm", output_path=out)
     trace = run_experiment(cfg)
-    assert sidecar_path(out) == str(tmp_path / "run.json")
+    assert sidecar_path(out) == str(tmp_path / "run.csv.json")
     rows = read_trace_csv(out)
     assert len(rows) == len(trace.outer_records)
     with open(sidecar_path(out)) as fh:
         payload = json.load(fh)
     assert payload["config"]["problem_label"] == "illposed_box(2)"
     assert payload["config"]["method"] == "gprm"
-    assert payload["problem"]["analytic_L"] == 2.0
     # each fact once: the schedule and step fields in config, the label in
-    # config.problem_label, the level count in the CSV's rows with l >= 1
+    # config.problem_label, the level count in the CSV's rows with l >= 1;
+    # L, f* and D* are the bundled problem's, read from its label
+    assert sorted(payload) == ["config", "constants", "counters", "min_observed_lambda"]
     assert sorted(payload["constants"]) == ["C1", "C2", "Lprime", "gamma"]
-    assert "label" not in payload["problem"] and "outer_levels" not in payload
     assert payload["constants"]["gamma"] == pytest.approx(1.0 / 6.0)
     assert payload["counters"]["inner_iterations"] == trace.counters.inner_iterations
     assert payload["min_observed_lambda"] == trace.min_observed_lambda
@@ -706,14 +705,14 @@ def test_sidecar_size_does_not_grow_with_dimension(tmp_path):
         out = tmp_path / f"box{dim}.csv"
         run_experiment(ExperimentConfig(f"illposed_box({dim})", "gprm", epsilon_min=0.1,
                                         output_path=str(out)))
-        sizes.append((tmp_path / f"box{dim}.json").stat().st_size)
+        sizes.append((tmp_path / f"box{dim}.csv.json").stat().st_size)
     assert abs(sizes[1] - sizes[0]) <= 100
 
 
 def test_failed_write_keeps_previous_outputs(tmp_path, monkeypatch, gprm_box_trace):
     gp, _, consts, trace = gprm_box_trace
     out = tmp_path / "run.csv"
-    side = tmp_path / "run.json"
+    side = tmp_path / "run.csv.json"
     cfg = ExperimentConfig("illposed_box(2)", "gprm", epsilon_min=1e-4, output_path=str(out))
     write_trace_csv(trace, str(out))
     write_sidecar(cfg, gp, trace, consts, str(side))
@@ -727,4 +726,4 @@ def test_failed_write_keeps_previous_outputs(tmp_path, monkeypatch, gprm_box_tra
     with pytest.raises(RuntimeError):
         write_sidecar(cfg, gp, trace, consts, str(side))
     assert side.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.json"]

@@ -48,7 +48,7 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
         output_path=out,
     )
     assert main(["run", cfg]) == 0
-    assert out.exists() and (tmp_path / "t.json").exists()
+    assert out.exists() and (tmp_path / "t.csv.json").exists()
     with open(out) as fh:
         assert fh.readline().strip() == "l,epsilon_l,delta_l,N_l,delta_wl,dist_xstar,cum_inner"
     assert capsys.readouterr().out == (
@@ -63,7 +63,7 @@ def test_run_output_flag_overrides_config(tmp_path):
     )
     out = tmp_path / "override.csv"
     assert main(["run", cfg, "--output", str(out)]) == 0
-    assert out.exists() and (tmp_path / "override.json").exists()
+    assert out.exists() and (tmp_path / "override.csv.json").exists()
 
 
 def test_run_parses_x0_into_config(tmp_path):
@@ -77,7 +77,7 @@ def test_run_parses_x0_into_config(tmp_path):
         output_path=out,
     )
     assert main(["run", cfg]) == 0
-    with open(tmp_path / "gpm.json") as fh:
+    with open(tmp_path / "gpm.csv.json") as fh:
         payload = json.load(fh)
     assert payload["config"]["x0"] == [1.0, 0.0]
     rows = read_trace_csv(str(out))
@@ -110,6 +110,8 @@ def test_run_parses_x0_into_config(tmp_path):
          "problem_label: 'illposed_simplex(2)': dim must be >= 3"),
         (dict(problem_label="illposed_box(2)", method="iterreg"), "method: must be one of"),
         (dict(problem_label="illposed_box(2)", method="gprm", tau="0.25"), "tau: unknown field"),
+        (dict(problem_label="illposed_box(2)", method="gpm", x0="1,,0"),
+         "x0: expected comma-separated numbers, got '1,,0'"),
     ],
 )
 def test_run_config_errors_exit_1(tmp_path, capsys, fields, fragment):
@@ -182,7 +184,7 @@ def test_run_reads_a_percent_sign_literally(tmp_path):
     cfg = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm",
                    epsilon_min="1e-2", output_path=out)
     assert main(["run", cfg]) == 0
-    assert out.exists() and (tmp_path / "o%1.json").exists()
+    assert out.exists() and (tmp_path / "o%1.csv.json").exists()
 
 
 def test_run_solver_failure_exits_2(tmp_path, capsys):
@@ -210,7 +212,7 @@ def test_sweep_expands_cartesian_product(tmp_path, capsys):
     sigmas = []
     for i in range(2):
         assert (tmp_path / f"trace_{i:03d}.csv").exists()
-        with open(tmp_path / f"trace_{i:03d}.json") as fh:
+        with open(tmp_path / f"trace_{i:03d}.csv.json") as fh:
             sigmas.append(json.load(fh)["config"]["sigma"])
     assert sigmas == [1.0, 0.5]
     assert not out.exists()  # the template itself is never written
@@ -265,7 +267,7 @@ def _no_solver(monkeypatch):
         ("file/out.csv", "is not a directory"),
         ("file/sub/out.csv", "is not a directory"),
         ("dir", "is a directory"),
-        ("dir.csv", "dir.json' is a directory"),
+        ("dir.csv", "dir.csv.json' is a directory"),
     ],
 )
 def test_unwritable_output_is_a_config_error_before_solving(
@@ -273,7 +275,7 @@ def test_unwritable_output_is_a_config_error_before_solving(
 ):
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
-    (tmp_path / "dir.json").mkdir()
+    (tmp_path / "dir.csv.json").mkdir()
     cfg = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm",
                    epsilon_min="1e-2", output_path=tmp_path / where)
     _no_solver(monkeypatch)
@@ -284,19 +286,38 @@ def test_unwritable_output_is_a_config_error_before_solving(
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_output_path_that_is_its_own_sidecar_is_a_config_error(
-    tmp_path, capsys, monkeypatch, command
-):
-    """A trace named *.json would be replaced by its sidecar, which gets the
-    same name."""
+def test_output_path_ending_in_json_gets_its_own_sidecar(tmp_path, capsys, command):
+    """The sidecar's name is the trace's whole name plus .json, so a trace
+    named *.json keeps its bytes beside its sidecar."""
+    out = tmp_path / "out.json"
     cfg = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm",
-                   epsilon_min="1e-2", output_path=tmp_path / "out.json")
-    _no_solver(monkeypatch)
-    assert main([command, cfg]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: output_path: ") and "own sidecar path" in err
-    assert err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == [tmp_path / "config.ini"]
+                   epsilon_min="1e-2", output_path=out)
+    assert main([command, cfg]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini", "out.json", "out.json.json"]
+    assert out.read_text().startswith("l,epsilon_l,")
+    assert json.loads((tmp_path / "out.json.json").read_text())["config"]["output_path"] == str(out)
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    assert "method gprm on illposed_box(2)" in capsys.readouterr().out
+
+
+def test_traces_differing_only_in_extension_keep_their_own_sidecars(tmp_path, capsys):
+    """With the extension replaced, a.csv and a.txt would share a.json, and
+    the second run's config and counters would be reported beside the first
+    run's trace."""
+    first = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm",
+                     epsilon_min="1e-3", output_path=tmp_path / "a.csv")
+    assert main(["run", first]) == 0
+    second = _write_ini(tmp_path, "problem_label = illposed_simplex(3)\nmethod = cgrm\n"
+                        f"epsilon_min = 1e-3\noutput_path = {tmp_path / 'a.txt'}\n",
+                        name="second.ini")
+    assert main(["run", second]) == 0
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "a.csv"), str(tmp_path / "a.txt")]) == 0
+    text = capsys.readouterr().out
+    csv_part, txt_part = text.split(f"== {tmp_path / 'a.txt'} ==")
+    assert "method gprm on illposed_box(2)" in csv_part and "line-search trials 84\n" in csv_part
+    assert "method cgrm on illposed_simplex(3)" in txt_part
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -523,7 +544,7 @@ def test_report_prints_inf_for_an_overflowing_bound(tmp_path, capsys):
     cfg = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm",
                    epsilon_min="1e-3", output_path=out)
     assert main(["run", cfg]) == 0
-    sidecar = tmp_path / "run.json"
+    sidecar = tmp_path / "run.csv.json"
     payload = json.loads(sidecar.read_text())
     payload["constants"]["C1"] = 1e200
     sidecar.write_text(json.dumps(payload))
@@ -588,10 +609,10 @@ def test_report_unreadable_sidecar_exits_1_and_goes_on(tmp_path, capsys, sidecar
     bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
     write_trace_csv(trace, str(bad))
     write_trace_csv(trace, str(good))
-    (tmp_path / "bad.json").write_text(sidecar)
+    (tmp_path / "bad.csv.json").write_text(sidecar)
     assert main(["report", str(bad), str(good)]) == 1
     out, err = capsys.readouterr()
-    assert f"cannot read {tmp_path / 'bad.json'}: {reason}" in err
+    assert f"cannot read {tmp_path / 'bad.csv.json'}: {reason}" in err
     assert f"== {bad} ==" not in out and f"== {good} ==" in out
 
 
@@ -666,10 +687,31 @@ def test_report_fits_counts_past_the_float_range(tmp_path, capsys):
     """A cum_inner cell past 1e308 parses as an int; the exponent fit takes
     its log without converting it to a float, which would overflow."""
     path = tmp_path / "huge.csv"
-    path.write_text(_HEADER + "1,0.5,,1,0.5,,1" + "0" * 400 + "\n2,0.25,,1,1e-9,,2" + "0" * 400
-                    + "\n")
+    huge = "1" + "0" * 400
+    path.write_text(_HEADER + f"1,0.5,,{huge},0.5,,{huge}\n2,0.25,,{huge},1e-9,,2{'0' * 400}\n")
     assert main(["report", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[-4].split()[:2] == ["0.03", "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    # levels 2, 1, 1 with cum_inner 9, 3, -4, which report would otherwise
+    # print as `cumulative inner iterations -4` with a table
+    ("2,0.5,,9,0.1,,9\n1,0.25,,3,0.01,,3\n1,0.125,,1,1e-3,,-4\n", 3, "l 1 does not follow l 2"),
+    ("1,0.5,,-1,0.1,,-1\n", 2, "N_l -1 is negative"),
+    ("1,0.5,,2,0.1,,5\n", 2, "cum_inner 5 is not the running sum of N_l"),
+    ("0,,,0,1,1,0\n1,,,1,0.5,0.5,1\n2,,,1,0.1,0.1,3\n", 4, "cum_inner 3 is not the running sum of N_l"),
+], ids=["levels_out_of_order", "negative_N_l", "first_cum_inner", "later_cum_inner"])
+def test_report_refuses_rows_that_do_not_follow_each_other(tmp_path, capsys, rows, line, message):
+    """Each row's l is one above the previous row's, its N_l is >= 0 and its
+    cum_inner is the previous cum_inner (0 before the first row) plus N_l."""
+    path = tmp_path / "rows.csv"
+    path.write_text(_HEADER + rows)
+    expected = f"line {line} of {path}: {message}"
+    with pytest.raises(ValueError) as raised:
+        read_trace_csv(str(path))
+    assert str(raised.value) == expected
+    assert main(["report", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"cannot read {path}: {expected}\n")
 
 
 @pytest.mark.parametrize("failing", ["write_trace_csv", "write_sidecar"])
@@ -697,7 +739,7 @@ def test_a_failed_write_leaves_no_csv_beside_another_runs_sidecar(tmp_path, caps
     text = capsys.readouterr().out
     assert "cumulative inner iterations 406," in text
     assert "method" not in text and "line-search trials" not in text
-    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "out.csv.json").exists()
 
 
 _COLUMNS = _HEADER.strip().split(",")
@@ -712,15 +754,19 @@ _CELLS = {c: _INT_CELLS if c in ("l", "N_l", "cum_inner") else _FLOAT_CELLS for 
 @st.composite
 def _trace_text(draw):
     """A trace CSV: the right header or a mangled one, then rows of cells a
-    trace holds or of any cells, some rows with a cell too few or too many."""
+    trace holds, numbered and summed as a run writes them, or of any cells,
+    some rows with a cell too few or too many."""
     header = draw(st.sampled_from([_HEADER, _HEADER.replace("l,", "level,", 1),
                                    ",".join(reversed(_COLUMNS)) + "\n", "", "\n",
                                    _HEADER.strip() + ",extra\n"]))
-    rows = []
-    for _ in range(draw(st.integers(0, 5))):
+    rows, cum_inner = [], 0
+    for l in range(1, draw(st.integers(0, 5)) + 1):
         any_cells = draw(st.booleans())
         cells = [draw(_pool(*_CELLS[c]) if any_cells else st.sampled_from(_CELLS[c][0]))
                  for c in _COLUMNS] + ["0"]
+        if not any_cells:
+            cum_inner += int(cells[3])
+            cells[0], cells[6] = str(l), str(cum_inner)
         rows.append(",".join(cells[:draw(st.sampled_from([7, 7, 7, 6, 8]))]) + "\n")
     return header + "".join(rows)
 
@@ -770,7 +816,7 @@ def test_report_ends_every_mangled_input_with_exit_0_or_1(csv_text, sidecar):
         with open(path, "w", newline="") as fh:
             fh.write(csv_text)
         if sidecar is not None:
-            with open(os.path.join(tmp, "run.json"), "wb") as fh:
+            with open(bench.sidecar_path(path), "wb") as fh:
                 fh.write(sidecar)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["report", path]) in (0, 1)

@@ -451,7 +451,7 @@ def test_baselines_stop_at_the_first_bitwise_repeat(run, steps, label, x0, stop_
     point's bytes, since each step depends only on x; for any max_iter
     beyond that step the trace is the same, and up to it nothing changes."""
     gp = bundled_problem(label)
-    step = 1.0 / gp.analytic_L
+    step = 1.0 / gp.problem.objective.lipschitz_L
     points = [p.tobytes() for p in steps(gp.problem, step, np.array(x0), stop_at + 3)]
     assert [points[k + 1] == points[k] for k in range(stop_at + 1)] == [False] * stop_at + [True]
     stopped = [run(gp.problem, step, np.array(x0), n) for n in (stop_at + 1, stop_at + 7, 10**4)]
@@ -559,7 +559,7 @@ def _observer():
 @pytest.fixture(scope="module")
 def gprm_run():
     gp = bundled_problem("illposed_box(2)")
-    consts = gprm_constants(gp.analytic_L, SCHED.epsilon0)
+    consts = gprm_constants(gp.problem.objective.lipschitz_L, SCHED.epsilon0)
     observe, seen = _observer()
     trace = run_gprm(gp.problem, SCHED, consts, np.array([1.0, 0.0]), stop=STOP,
                      observe=observe)
@@ -606,7 +606,7 @@ def test_two_level_inner_loop_avoids_numpy_dispatch_wrappers(monkeypatch, label,
     gp = bundled_problem(label)
     w0 = np.array(w0)
     if method == "gprm":
-        run, consts = run_gprm, gprm_constants(gp.analytic_L, SCHED.epsilon0)
+        run, consts = run_gprm, gprm_constants(gp.problem.objective.lipschitz_L, SCHED.epsilon0)
     else:
         run, consts = run_cgrm, cgrm_constants(gp.problem, SCHED.epsilon0, w0)
     calls = collections.Counter()
@@ -655,8 +655,8 @@ def _run_on_simplex(method, x0, observe=None):
     if method == "cgm":
         return run_cgm(p, 0.5, x0, 20)
     if method == "gprm":
-        return run_gprm(p, SCHED, gprm_constants(gp.analytic_L, SCHED.epsilon0), x0, stop,
-                        observe)
+        consts = gprm_constants(p.objective.lipschitz_L, SCHED.epsilon0)
+        return run_gprm(p, SCHED, consts, x0, stop, observe)
     consts = cgrm_constants(p, SCHED.epsilon0, np.array([1.0, 0.0, 0.0]))
     return run_cgrm(p, SCHED, consts, x0, stop, observe)
 
@@ -1162,7 +1162,7 @@ def test_cgrm_gap_bound_certificate(cgrm_run):
 def test_two_level_validation():
     gp_box = bundled_problem("illposed_box(2)")
     gp_simplex = bundled_problem("illposed_simplex(3)")
-    ok_box = gprm_constants(gp_box.analytic_L, 1.0)
+    ok_box = gprm_constants(gp_box.problem.objective.lipschitz_L, 1.0)
     ok_simplex = cgrm_constants(gp_simplex.problem, 1.0, np.array([1.0, 0.0, 0.0]))
 
     low_L = gprm_constants(0.1, 0.5)  # Lprime = 0.6 < L = 2
@@ -1172,7 +1172,7 @@ def test_two_level_validation():
         run_gprm(gp_box.problem, SCHED, ok_box, np.array([5.0, 5.0]))
     # Lprime = 2.5 covers L = 2 but not L + epsilon0 = 3 under SCHED
     with pytest.raises(ValueError, match="below L \\+ epsilon0"):
-        run_gprm(gp_box.problem, SCHED, gprm_constants(gp_box.analytic_L, 0.5),
+        run_gprm(gp_box.problem, SCHED, gprm_constants(gp_box.problem.objective.lipschitz_L, 0.5),
                  np.array([1.0, 0.0]))
 
     lmo_only = FeasibleSet(
@@ -1206,7 +1206,7 @@ def test_two_level_runaway_inner_loop_raises():
     tight = StopPolicy(epsilon_min=1e-4, max_inner_per_l=1)
     gp_box = bundled_problem("illposed_box(2)")
     with pytest.raises(RunawayInnerLoop):
-        run_gprm(gp_box.problem, SCHED, gprm_constants(gp_box.analytic_L, 1.0),
+        run_gprm(gp_box.problem, SCHED, gprm_constants(gp_box.problem.objective.lipschitz_L, 1.0),
                  np.array([1.0, 0.0]), stop=tight)
     gp_simplex = bundled_problem("illposed_simplex(3)")
     w0 = np.array([1.0, 0.0, 0.0])
@@ -1225,7 +1225,7 @@ def test_nan_gradient_fails_fast(method):
     problem = Problem(nan_grad, gp.problem.feasible_set)
     w0 = np.array([1.0, 0.0])
     if method == "gprm":
-        run, consts = run_gprm, gprm_constants(gp.analytic_L, SCHED.epsilon0)
+        run, consts = run_gprm, gprm_constants(gp.problem.objective.lipschitz_L, SCHED.epsilon0)
     else:
         run, consts = run_cgrm, cgrm_constants(gp.problem, SCHED.epsilon0, w0)
     with pytest.raises(OracleFailure, match="level 1: handoff test is not finite"):
@@ -1500,7 +1500,7 @@ def test_counters_equal_the_oracle_calls_made(method, label, max_iter):
     # cgrm_constants evaluates the gradient at w0; that is not the run's work
     consts = _two_level_consts(method, gp.problem, x0)
     problem, calls = _counting(gp.problem)
-    step = 1.0 / gp.analytic_L
+    step = 1.0 / gp.problem.objective.lipschitz_L
     if method == "gpm":
         trace = run_gpm(problem, step, x0, max_iter)
     elif method == "cgm":
