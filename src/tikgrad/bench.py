@@ -563,11 +563,14 @@ def solver_constants(cfg: ExperimentConfig, gp: GeneratedProblem, x0: Array) -> 
 
 
 def _check_output_dir(path: str) -> None:
-    """ConfigError unless neither path nor its sidecar is a directory, path names
-    a file (not empty, no trailing separator) and its nearest existing ancestor is
-    a writable directory; nothing is created."""
+    """ConfigError unless path names a file (not empty, no trailing separator, not
+    *.json), neither it nor its sidecar is a directory, and its nearest existing
+    ancestor is a writable directory; nothing is created."""
     if "\0" in path:  # the os calls would raise ValueError
         raise ConfigError(f"output_path: {path!r} contains a NUL byte")
+    if path.endswith(".json"):  # a run to path[:-5] would remove it as its old sidecar
+        raise ConfigError(f"output_path: {path!r} ends in .json, the sidecar path of "
+                          f"a trace at {path[:-5]!r}")
     for target in (path, sidecar_path(path)):
         if os.path.isdir(target):
             raise ConfigError(f"output_path: {target!r} is a directory")
@@ -590,11 +593,12 @@ def validate_experiment(cfg: ExperimentConfig) -> tuple[
     consts is solver_constants(cfg, gp, x0), None for gpm and cgm; step is the
     baseline's lam (gpm) or theta_k (cgm), default 1/L, None for gprm and cgrm.
     Raises ConfigError for a field outside its mandated interval, an
-    output_path naming no file, holding a NUL byte, or whose directory cannot be
-    created or written, an unknown problem label or one too large to allocate, a
-    baseline step at or above 2/L, an x0 that has the wrong dimension, a
-    non-finite entry, or lies outside the feasible set, or, with an
-    output_path, a two-level run whose sidecar C1 or C2 would not be finite.
+    output_path ending in .json, naming no file, holding a NUL byte, or whose
+    directory cannot be created or written, an unknown problem label or one
+    too large to allocate, a baseline step at or above 2/L, an x0 that has the
+    wrong dimension, a non-finite entry, or lies outside the feasible set, or,
+    with an output_path, a two-level run whose sidecar C1 or C2 would not be
+    finite.
     """
     errors = _validate_config(cfg)
     if errors:

@@ -95,18 +95,20 @@ class Objective:
 class FeasibleSet:
     """A closed convex set given through its computational oracles.
 
-    At least one of project_fn / lmo_fn must be present.  Both must return a
-    new array on every call, never their argument and not a buffer they later
-    overwrite: the solvers keep the returned points without copying them, and
-    run_gprm's step overwrites the array it passed to project_fn with the
-    direction y - x.
+    At least one of project_fn / lmo_fn must be present.  lmo_fn(g) returns
+    the vertex and lmo_fn(g, x) the bytes of lmo_fn(g) - x: run_cgm always
+    calls the second form and run_cgrm unless observed, so a one-argument
+    lmo_fn fails in both.  Every oracle call must return a new array, never
+    an argument and not a buffer the oracle later overwrites: the solvers
+    keep the returned points without copying them, and run_gprm's step
+    overwrites the array it passed to project_fn with the direction y - x.
     membership_fn(x, tol) decides feasibility up to tol; diameter_B bounds
     sup ||x - y|| over the set and is required by conditional-gradient
     step-size theory.
     """
 
     project_fn: Optional[Callable[[Array], Array]] = None
-    lmo_fn: Optional[Callable[[Array], Array]] = None
+    lmo_fn: Optional[Callable[..., Array]] = None
     membership_fn: Optional[Callable[[Array, float], bool]] = None
     diameter_B: Optional[float] = None
     dimension: Optional[int] = None

@@ -3,9 +3,10 @@
 Projections are exact (up to float rounding): coordinate clamping for the
 box, sort-and-threshold for the simplex.  LMOs return extreme points; ties
 are broken deterministically (lower bound for the box, smallest coordinate
-index for the simplex) so runs are repeatable.  Each oracle is a method of
-its set (box.project(x), simplex.lmo(g)), and to_feasible_set hands the
-bound methods to FeasibleSet, so a solver's oracle call is one Python frame.
+index for the simplex) so runs are repeatable; lmo(g, x) is lmo(g) - x
+in one new array.  Each oracle is a method of its set (box.project(x),
+simplex.lmo(g)), and to_feasible_set hands the bound methods to
+FeasibleSet, so a solver's oracle call is one Python frame.
 
 The simplex projection has two paths with the same bytes: up to
 _SMALL_SIMPLEX coordinates it scans Python floats, where numpy's dozen calls
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +30,7 @@ __all__ = ["BoxSet", "SimplexSet"]
 # numpy 2.4)
 _SMALL_SIMPLEX = 32
 
-# a 0-d array operand: g < 0.0 converts the Python float at every call
+# a 0-d array operand: g < 0.0 or 0.0 - x converts the Python float at every call
 _ZERO = np.array(0.0)
 _ZERO.flags.writeable = False
 
@@ -75,8 +77,9 @@ class BoxSet:
         bounds dense, whether they are stored dense or as stride-0 views."""
         return np.asarray(x).clip(self.lower, self.upper)
 
-    def lmo(self, g: Array) -> Array:
-        """Vertex minimizing <g, .>: lower bound where g >= 0, upper where g < 0.
+    def lmo(self, g: Array, x: Optional[Array] = None) -> Array:
+        """Vertex minimizing <g, .>: lower bound where g >= 0, upper where g < 0;
+        with x, that vertex minus x, subtracted in the vertex's own array.
 
         The bytes of np.where(g < 0.0, upper, lower), a NaN entry of g taking
         the lower bound, built as a copy of the lower bound with the upper one
@@ -85,6 +88,8 @@ class BoxSet:
         """
         v = self.lower.copy()
         np.copyto(v, self.upper, where=g < _ZERO)
+        if x is not None:
+            v -= x
         return v
 
     def to_feasible_set(self) -> FeasibleSet:
@@ -162,14 +167,17 @@ class SimplexSet:
         with np.errstate(over="ignore"):  # an entry far enough below u_0 shifts to -inf
             return self.project(x - u[0])
 
-    def lmo(self, g: Array) -> Array:
-        """Vertex e_i for the smallest index i attaining min(g)."""
+    def lmo(self, g: Array, x: Optional[Array] = None) -> Array:
+        """Vertex e_i for the smallest index i attaining min(g); with an array x,
+        the bytes of e_i - x with no e_i built: 0.0 - x_j off i, 1.0 - x_i at i."""
         g = np.asarray(g)
         if g.size != self.dimension:
             raise ValueError(f"expected dimension {self.dimension}, got {g.size}")
         i = int(g.argmin())  # argmin returns the first minimizer
-        v = np.zeros(self.dimension)
-        v[i] = 1.0
+        if x is not None and x.size != self.dimension:
+            raise ValueError(f"expected dimension {self.dimension}, got {x.size}")
+        v = np.zeros(self.dimension) if x is None else _ZERO - x
+        v[i] = 1.0 if x is None else 1.0 - x.item(i)
         return v
 
     def to_feasible_set(self) -> FeasibleSet:

@@ -257,9 +257,9 @@ def _single_loop(
     repeat and leaves its lam_k out of min_observed_lambda; each new point
     gets a record with no epsilon_l.  gradient_evals and the oracle_counter
     field count the calls made: steps + 1 when a run stops early, max_iter
-    when it runs out.  Only x outlives a step: the gradient and the LMO
-    vertex die inside it, so above the caller's x0 a run holds x and, while
-    a step runs, its temporaries.
+    when it runs out.  Only x outlives a step: the gradient and the
+    direction die inside it, so above the caller's x0 a run holds x and,
+    while a step runs, its temporaries.
     """
     x = _require_feasible(problem, x0)
     records = [_record(problem, 0, None, None, 0, x, 0)]
@@ -351,7 +351,8 @@ def _two_level(
     w0 a run holds x and d between steps, and at its peak four n-vectors:
     x, d and two trial points in an evaluated search (the closed form builds
     no trial point, only the accepted one), or in a step x, phi'(x), y and
-    the new d.
+    the new d.  An unobserved cgrm step gets d from lmo(g, x) and makes no
+    y, so its closed-form run peaks at three.
     """
     stop = stop if stop is not None else StopPolicy()
     if consts.Lprime < problem.objective.lipschitz_L + sched.epsilon0:
@@ -513,8 +514,8 @@ def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> Solve
     beta_k = -<f'(x), d>/||d||^2 measures how far the unconstrained minimum
     along the vertex direction lies; theta_k must stay below 2/L for the C/k
     value rate.  The run stops at an exact fixed point (see _single_loop)
-    and when the LMO returns x itself: x + lam * 0 would not repeat the
-    bytes of a -0.0 entry of x.
+    and when the direction lmo(g, x) is zero, the LMO's vertex being x
+    itself: x + lam * 0 would not repeat the bytes of a -0.0 entry of x.
     """
     L = problem.objective.lipschitz_L
     if not (theta_k > 0.0 and theta_k * L < 2.0):
@@ -523,7 +524,7 @@ def run_cgm(problem: Problem, theta_k: float, x0: Array, max_iter: int) -> Solve
 
     def step(x: Array) -> Optional[tuple]:
         g = grad(x)
-        d = lmo(g) - x
+        d = lmo(g, x)  # lmo(g) - x in one new array
         if not d.any():
             return None
         dn2 = float(d.dot(d))
@@ -557,8 +558,11 @@ def run_cgrm(
     lmo = _oracle(problem, "cgrm", lmo=True)
 
     def step(x: Array, g: Array) -> tuple:
-        y = lmo(g)
-        d = y - x
+        if observe is None:  # the handoff ignores y, so only d = y - x is built
+            y, d = None, lmo(g, x)
+        else:  # observers see the vertex
+            y = lmo(g)
+            d = y - x
         mu = -float(g.dot(d))
         return y, d, mu, mu * mu, mu, -mu, float(d.dot(d))
 

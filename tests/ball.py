@@ -1,13 +1,15 @@
 """Test helper: the Euclidean ball, the tests' one curved feasible set.
 
 No bundled problem, config or CLI path builds a ball, so it lives beside the
-tests: radial projection, and an LMO returning the boundary point opposite g.
+tests: radial projection, and an LMO returning the boundary point opposite g
+(or, given x, that point minus x: the solvers' direction form).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -38,10 +40,15 @@ class BallSet:
         d = x - self.center
         return math.sqrt(d.dot(d)) <= self.radius + tol
 
+    def lmo(self, g: Array, x: Optional[Array] = None) -> Array:
+        """lmo_ball(g, self), or with x that point minus x."""
+        v = lmo_ball(g, self)
+        return v if x is None else v - x
+
     def to_feasible_set(self) -> FeasibleSet:
         return FeasibleSet(
             project_fn=lambda x: project_ball(x, self),
-            lmo_fn=lambda g: lmo_ball(g, self),
+            lmo_fn=self.lmo,
             membership_fn=self.contains,
             diameter_B=2.0 * self.radius,
             dimension=self.dimension,

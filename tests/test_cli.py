@@ -286,18 +286,35 @@ def test_unwritable_output_is_a_config_error_before_solving(
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_output_path_ending_in_json_gets_its_own_sidecar(tmp_path, capsys, command):
-    """The sidecar's name is the trace's whole name plus .json, so a trace
-    named *.json keeps its bytes beside its sidecar."""
-    out = tmp_path / "out.json"
+def test_output_path_ending_in_json_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    """A trace named out.json sits at the sidecar path of a trace named out,
+    so it is refused before solving, and nothing is written."""
     cfg = _run_ini(tmp_path, problem_label="illposed_box(2)", method="gprm",
-                   epsilon_min="1e-2", output_path=out)
-    assert main([command, cfg]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini", "out.json", "out.json.json"]
-    assert out.read_text().startswith("l,epsilon_l,")
-    assert json.loads((tmp_path / "out.json.json").read_text())["config"]["output_path"] == str(out)
+                   epsilon_min="1e-2", output_path=tmp_path / "out.json")
+    _no_solver(monkeypatch)
+    assert main([command, cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"config error: output_path: {str(tmp_path / 'out.json')!r} ends in .json, "
+                   f"the sidecar path of a trace at {str(tmp_path / 'out')!r}\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.ini"]
+
+
+def test_a_trace_at_another_traces_sidecar_path_is_refused(tmp_path, capsys):
+    """Were cgrm's trace written to a.json, a later gprm run to a would remove
+    it as a's old sidecar and write gprm's sidecar in its place, and report
+    a.json would read that sidecar as a trace.  The first run is refused, so
+    the second leaves a and its own sidecar a.json, which report reads."""
+    first = _run_ini(tmp_path, problem_label="illposed_simplex(3)", method="cgrm",
+                     epsilon_min="1e-3", output_path=tmp_path / "a.json")
+    assert main(["run", first]) == 1
+    assert "ends in .json" in capsys.readouterr().err
+    second = _write_ini(tmp_path, "problem_label = illposed_box(2)\nmethod = gprm\n"
+                        f"epsilon_min = 1e-3\noutput_path = {tmp_path / 'a'}\n",
+                        name="second.ini")
+    assert main(["run", second]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "a.json", "config.ini", "second.ini"]
     capsys.readouterr()
-    assert main(["report", str(out)]) == 0
+    assert main(["report", str(tmp_path / "a")]) == 0
     assert "method gprm on illposed_box(2)" in capsys.readouterr().out
 
 

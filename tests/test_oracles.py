@@ -389,6 +389,52 @@ def test_lmo_simplex_picks_np_argmin_index(g):
     assert _same_bits(SimplexSet(g.size).lmo(g.tolist()), want)
 
 
+_TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _set_gradient_and_point(draw):
+    """A box, simplex or ball with a gradient g whose entries are often tied,
+    signed zeros, NaN or infinite, and a point x with -0.0 entries."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["box", "simplex", "ball"]))
+    if kind == "box":
+        a = draw(arrays(np.float64, n, elements=_BOUNDS))
+        b = draw(arrays(np.float64, n, elements=_BOUNDS))
+        s = BoxSet(np.minimum(a, b), np.maximum(a, b))
+    elif kind == "simplex":
+        s = SimplexSet(n)
+    else:
+        s = BallSet(draw(arrays(np.float64, n, elements=_BOUNDS)), 1.0)
+    g = draw(arrays(np.float64, n, elements=_TIES | _ENTRIES))
+    return s, g, draw(arrays(np.float64, n, elements=st.just(-0.0) | _ENTRIES))
+
+
+@given(_set_gradient_and_point())
+@example((SIMPLEX3, np.array([0.0, -0.0, 0.0]), np.array([-0.0, 0.5, -0.0])))  # a zero tie
+@example((SIMPLEX3, np.array([1.0, np.nan, np.nan]), np.array([np.nan, -0.0, 1.0])))
+@example((SIMPLEX3, np.array([np.inf, -np.inf, -np.inf]), np.array([0.0, -0.0, np.inf])))
+@example((SimplexSet(1), np.array([np.nan]), np.array([-0.0])))
+@example((BoxSet(np.array([-0.0, 0.0, -1.0]), np.array([0.0, 0.0, 1.0])),
+          np.array([-0.0, np.nan, -np.inf]), np.array([-0.0, -0.0, np.inf])))
+@example((UNIT_BALL, np.array([0.0, -0.0]), np.array([-0.0, -0.0])))  # g = 0: the center
+def test_lmo_with_a_point_is_the_vertex_minus_the_point_bit_for_bit(case):
+    """lmo(g, x) is the direction the conditional-gradient steps take: a new
+    array with the bytes of lmo(g) - x, compared as int64 so that signed
+    zeros and NaN payloads count, for the box, the simplex and the test
+    ball.  A library set refuses an x of another length with ValueError."""
+    s, g, x = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = s.lmo(g) - x
+        got = s.lmo(g, x)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert not np.shares_memory(got, x)
+    if not isinstance(s, BallSet):
+        with pytest.raises(ValueError):
+            s.lmo(g, np.append(x, 0.5))
+
+
 @st.composite
 def _ball_and_vector(draw):
     n = draw(st.integers(1, 6))
