@@ -1,13 +1,14 @@
 """Alternating before/after pairs of the benchmark harness on two checkouts.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload large_n --pairs 10 \
-        --seed0 101 --out BENCH_35.json [--seconds 30] [--trace 0] [--round LABEL]
+        --seed0 101 --out BENCH_35.json [--trace 0] [--round LABEL]
 
 PARENT and CHANGE are checkout directories, each with its own
 benchmarks/run.py and src/.  Pair k runs both sides at seed seed0 + k, each
 as a process of its own started in its checkout; the parent goes first in
 even pairs and the change in odd ones, so a drift of the machine's speed
-does not favour one side.  Each run's JSON record line is appended to
+does not favour one side.  The run length is each checkout's run.py
+default, the same on both sides.  Each run's JSON record line is appended to
 --out, one line per run, with the side, pair, seed and order (and round,
 if given); a cut session keeps the pairs it finished.  At the end the script
 prints, per metric, each side's median and quartiles and the number of pairs
@@ -29,11 +30,11 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """The record of one run of checkout's benchmarks/run.py; echoes its
     counter and fail_frac lines.  SystemExit if the run prints no record."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     record = None
     for line in proc.stdout.splitlines():
@@ -93,7 +94,6 @@ def main() -> None:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed0", type=int, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--round", help="label stored with each record")
     args = ap.parse_args()
@@ -105,7 +105,7 @@ def main() -> None:
         pair = {}
         for side in order:
             print(f"pair {k} seed {seed}: {side}", flush=True)
-            pair[side] = run_once(checkouts[side], args.workload, seed, args.seconds, args.trace)
+            pair[side] = run_once(checkouts[side], args.workload, seed, args.trace)
             line = {"record": pair[side], "side": side, "pair": k, "seed": seed,
                     "order": f"{order[0]}_first"}
             if args.round is not None:
