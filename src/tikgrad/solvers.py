@@ -56,6 +56,9 @@ __all__ = [
 
 DEFAULT_BETA = 0.5
 DEFAULT_THETA = 0.5
+# _two_level's elementwise passes above this many coordinates run by tiles
+# of it: 256 KB per operand, so a pass's three operands stay in a 2 MB L2
+_TILE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -198,10 +201,19 @@ def _trial_point(x: Array, d: Array, t: float) -> Array:
     return x_new
 
 
+def _tiled_phi_prime(g: Array, x: Array, eps_0d: Array, d: Array, tiles: list) -> Array:
+    """g + eps x into d by tiles, with the whole-array pass's ufuncs and bits."""
+    for b in tiles:
+        np.add(g[b], np.multiply(x[b], eps_0d, d[b]), d[b])
+    return d
+
+
 def _require_feasible(problem: Problem, x: Array) -> Array:
     """Private copy of the start x, so traces store it uncopied; ValueError unless
-    x is a finite vector of the set's dimension inside the set (tolerance 1e-10)."""
+    x is a finite, nonempty vector of the set's dimension inside the set (tolerance 1e-10)."""
     x = as_vector(x).copy()
+    if x.shape[0] == 0:
+        raise ValueError("zero-length start: a run needs at least one coordinate")
     fs = problem.feasible_set
     if fs.dimension is not None and x.shape[0] != fs.dimension:
         raise ValueError("wrong dimension for the problem")
@@ -335,6 +347,10 @@ def _two_level(
     returns or a level hands off (eps_l x first, then f'(x) + that: the plain
     expression's operands in its order, so its bits); only a run's first step
     gets a new array.  Nothing else reads phi'(x), so step may overwrite it.
+    Above _TILE coordinates this pass and the closed form's accepted point
+    t d + x (t < 1) run by tiles whose product is read back from cache, with
+    each element's ufuncs in the same order, so the same bits.  The dots stay
+    whole: BLAS's blocking fixes their summation order, and so their bits.
     The driver never writes f'(x)'s own array, an x, a y, the start or a
     trial point.
     observe(l, k, eps_l, x, y, test), if given, sees the k-th iterate of
@@ -366,6 +382,7 @@ def _two_level(
 
     # phi'(x)'s buffer for the first step; each later step reuses the last, dead d
     d = np.empty_like(x)
+    tiles = [slice(s, s + _TILE) for s in range(0, x.size, _TILE)] if x.size > _TILE else None
     records: list[OuterRecord] = []
     min_lambda = math.inf
     trials_total = 0
@@ -382,7 +399,8 @@ def _two_level(
         while True:
             # f'(x) + eps * x bit for bit: eps * x first, then f'(x) + that
             y, d, test, quad_coeff, cap, slope, dn2 = step(
-                x, np.add(grad(x), np.multiply(x, eps_0d, d), d))
+                x, np.add(grad(x), np.multiply(x, eps_0d, d), d) if tiles is None
+                else _tiled_phi_prime(grad(x), x, eps_0d, d, tiles))
             if observe is not None:
                 observe(l, N_l, eps, x, y, test)
             if test <= delta:
@@ -423,9 +441,13 @@ def _two_level(
                 elif t * slope + 0.5 * t * t * kappa <= -beta * lam * quad_coeff:
                     if t == 1.0:  # the accepted point alone, with _trial_point's bytes
                         x_new = x + d
-                    else:
+                    elif tiles is None:
                         x_new = t * d
                         x_new += x
+                    else:  # tiles indexed inline: a named view would keep its base alive
+                        x_new = np.empty_like(x)
+                        for b in tiles:
+                            np.add(np.multiply(t, d[b], x_new[b]), x[b], x_new[b])
                     break
             else:
                 raise LineSearchFailure(f"level {l}: no sufficient decrease within {max_m} "

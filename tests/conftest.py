@@ -1,5 +1,8 @@
-"""Shared fixtures (tiny hand-built problems) and the hypothesis profile for all tests."""
+"""Shared fixtures (tiny hand-built problems), the hypothesis profile and the
+per-test time limit for all tests."""
 
+import faulthandler
+import os
 import tempfile
 
 import numpy as np
@@ -24,6 +27,30 @@ settings.register_profile("unseeded", derandomize=False, deadline=None, database
                           max_examples=4000)
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="tikgrad-hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+# A test, with the setup and teardown of its fixtures of every scope, gets this
+# many seconds before faulthandler writes each thread's stack to the terminal
+# and ends the session: a defect that sends an inner loop on to its 10**6
+# iterations would otherwise keep the suite busy for many minutes.  The
+# slowest test takes under 4 s on a 2-vCPU Xeon.
+TEST_TIME_LIMIT_S = 120
+_STDERR_FD = None
+
+
+def pytest_configure(config):
+    """Keep a descriptor of the terminal's stderr: while a test runs, output
+    capture points fd 2 at a file that an exit from faulthandler discards."""
+    global _STDERR_FD
+    _STDERR_FD = os.dup(2)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True, file=_STDERR_FD)
+    try:
+        return (yield)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import gc
+import hashlib
 import math
 import os
 import sys
@@ -669,6 +670,23 @@ def test_wrong_length_start_raises(method):
 
 
 @pytest.mark.parametrize("method", METHODS)
+def test_a_zero_length_start_is_refused(method):
+    """A set with no dimension and no membership oracle checks neither the
+    start's length nor its place, so the driver itself refuses R^0."""
+    fs = FeasibleSet(project_fn=np.copy, lmo_fn=lambda g, x: 0.0 - x, diameter_B=1.0)
+    problem, x0 = Problem(Objective(lambda x: 0.0, np.zeros_like, 1.0), fs), np.zeros(0)
+    consts = MethodConstants(0.5, 0.5, 0.5, 2.0)
+    runs = {
+        "gpm": lambda: run_gpm(problem, 0.5, x0, 5),
+        "cgm": lambda: run_cgm(problem, 0.5, x0, 5),
+        "gprm": lambda: run_gprm(problem, SCHED, consts, x0),
+        "cgrm": lambda: run_cgrm(problem, SCHED, consts, x0),
+    }
+    with pytest.raises(ValueError, match="^zero-length start"):
+        runs[method]()
+
+
+@pytest.mark.parametrize("method", METHODS)
 def test_trace_does_not_alias_the_callers_start(method):
     x0 = np.array([1.0, 0.0, 0.0])
     observe, seen = _observer()
@@ -848,6 +866,58 @@ def test_two_level_run_peaks_at_four_n_vectors(method, make, stop, closed, vecto
         tracemalloc.stop()
     assert trace.counters.inner_iterations > 5
     assert peak - start <= (vectors + 0.5) * 8 * n
+
+
+def _trace_bytes(trace, tmp_path):
+    """The trace CSV's bytes, the final point's bytes, the counters and min lambda."""
+    path = tmp_path / "trace.csv"
+    bench.write_trace_csv(trace, str(path))
+    return (path.read_bytes(), trace.final_point.tobytes(), trace.counters,
+            trace.min_observed_lambda)
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "evaluated"])
+@pytest.mark.parametrize("make", [make_illposed_box, make_illposed_simplex],
+                         ids=["box", "simplex"])
+@pytest.mark.parametrize("method", ["gprm", "cgrm"])
+def test_tiled_passes_keep_every_byte(monkeypatch, tmp_path, method, make, closed):
+    """Above solvers._TILE coordinates _two_level builds phi'(x) and the
+    closed form's accepted point tile by tile.  With _TILE = 7 at n = 50 the
+    tiles are seven of 7 and a last one of 1, and the run is the untiled one
+    byte for byte.  From a vertex every case takes inner steps (gprm's own
+    start is the simplex's solution); a defect that sends a level on past
+    its 9 to 66 steps fails at 1000."""
+    gp = make(50)
+    p, w0 = gp.problem if closed else _evaluated(gp.problem), default_start(gp, "cgrm")
+    stop = StopPolicy(epsilon_min=1e-2, max_inner_per_l=1000)
+    untiled = _trace_bytes(_two_level_run(method, p, w0, stop), tmp_path)
+    monkeypatch.setattr(solvers, "_TILE", 7)
+    assert _trace_bytes(_two_level_run(method, p, w0, stop), tmp_path) == untiled
+
+
+# trace CSV and final point SHA-256, counters and min lambda of the untiled
+# driver: n = 100003 runs by three tiles of 2**15 and a last one of 1699
+_ABOVE_A_TILE = {
+    "gprm": (make_illposed_box, StopPolicy(),
+             "5f6324f35186ee0e1ed8aa7cd449114850e112d88154fee1beaaa588f4114680",
+             "f459ae4925776fd2ed29268deb88a7ddcb67539a6c9425158313e5b288089b67",
+             (41, 41, 0, 396, 22), 7.62939453125e-06),
+    "cgrm": (make_illposed_simplex, StopPolicy(epsilon_min=1e-2),
+             "3e9affcc3ae90d703de7dd8a948f5c716ab44c82046778c1bdf713a467d58d26",
+             "1b812700d03532f79090b8c5c7b5737dfb666eee3e5c95076a7872a4335238a4",
+             (124, 0, 124, 125, 118), 0.125),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_ABOVE_A_TILE))
+def test_a_run_above_one_tile_keeps_the_untiled_bytes(tmp_path, method):
+    make, stop, *want = _ABOVE_A_TILE[method]
+    gp = make(100003)
+    csv, point, counters, min_lam = _trace_bytes(
+        _two_level_run(method, gp.problem, default_start(gp, method), stop), tmp_path)
+    got = [hashlib.sha256(csv).hexdigest(), hashlib.sha256(point).hexdigest(),
+           tuple(counters.as_dict().values()), min_lam]
+    assert got == want
 
 
 def test_a_handoff_to_y_keeps_no_old_iterate():
